@@ -3,13 +3,15 @@
 # coverage gate + the degraded-mode/quarantine gate + nested-fault crash
 # rounds + a one-iteration smoke of the parallel benchmarks + the serving
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
-# batching under concurrent clients).
+# batching under concurrent clients) + the restart gate (Open's read
+# budget, the allocation-bound walk behind it, and the wire benchmark's own
+# tests).
 
 GO ?= go
 
-.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild
+.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke
+check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke
 
 vet:
 	$(GO) vet ./...
@@ -135,3 +137,17 @@ bulkload-smoke:
 bench-rebuild:
 	$(GO) run ./cmd/fastrec-bench -rebuild -json > BENCH_rebuild.json
 	@cat BENCH_rebuild.json
+
+# The restart gate, under the race detector: btree.Open and core.CreateIndex
+# complete the same one or two device reads whatever the size of the index;
+# lookups and scans are served while the background allocation-bound walk is
+# held, and an insert waits for it; a parent that points past a lost file
+# extension still bounds the next allocation; a reopened crash image takes
+# lookups, scans and split-forcing inserts at once; Close joins the walk(s).
+# Then the MPUT repeated-key fix over TCP, and the benchmark's own tests
+# (shim = server, a smoke run checked against BENCHMARK.json, the generator).
+restart-smoke:
+	$(GO) test -race -count=3 ./internal/btree -run 'TestOpenReadBudget|TestBoundGate|TestLostExtensionBound|TestReopenServesWhileWalking|TestOpenThenCloseJoinsWalk'
+	$(GO) test -race -count=3 ./internal/core -run 'TestCreateIndexReadBudget|TestCloseJoinsBoundWalks'
+	$(GO) test -race ./internal/server -run TestServerMputRepeatedKey
+	$(GO) test ./benchmark

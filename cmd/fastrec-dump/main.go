@@ -114,6 +114,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Open leaves a walk of the whole index running in the background. An
+	// offline tool gains nothing from that: wait, so that a plain -dump
+	// does not close the file under the walk, and report its error here.
+	if err := tr.AwaitBound(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	if *doRecover {
 		if err := tr.RecoverAll(); err != nil {
@@ -354,6 +361,11 @@ func traceFile(path string, variant btree.Variant) (*obs.Recorder, error) {
 	rec := obs.New(obs.DefaultRingCap)
 	tr, err := btree.Open(disk, variant, btree.Options{Obs: rec})
 	if err != nil {
+		return nil, fmt.Errorf("open: %w", err)
+	}
+	// Waiting here, not inside RecoverAll, keeps open.gate.wait out of the
+	// trace: whether the pass had to wait is timing, not recovery.
+	if err := tr.AwaitBound(); err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
 	if err := tr.RecoverAll(); err != nil {

@@ -43,6 +43,9 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 			return err
 		}
 	}
+	if err := t.awaitBound(); err != nil {
+		return err
+	}
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i

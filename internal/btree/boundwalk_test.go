@@ -1,0 +1,396 @@
+package btree
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/page"
+	"repro/internal/storage"
+)
+
+// countingDisk counts the reads that have completed and can hold reads
+// back: of every page but the meta page (holdAll), or of one page.
+type countingDisk struct {
+	storage.Disk
+	reads   atomic.Int64
+	holdAll bool
+	holdNo  storage.PageNo
+	release chan struct{}
+}
+
+func (d *countingDisk) ReadPage(no storage.PageNo, buf page.Page) error {
+	if no != 0 && (d.holdAll || no == d.holdNo) {
+		<-d.release
+	}
+	err := d.Disk.ReadPage(no, buf)
+	d.reads.Add(1)
+	return err
+}
+
+// loadedDisk returns a cleanly closed index of n ascending keys.
+func loadedDisk(t *testing.T, v Variant, n int) *storage.MemDisk {
+	t.Helper()
+	d := storage.NewMemDisk()
+	tr, err := Open(d, v, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Key: u32key(i), Value: val(i)}
+	}
+	if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestOpenReadBudget: Open returns while every read except the meta page's
+// is still held back, having completed the same small number of device
+// reads for a 1k-key and a 50k-key index. The walk that does read the whole
+// index runs behind it.
+func TestOpenReadBudget(t *testing.T) {
+	var budget [2]int64
+	for i, n := range []int{1_000, 50_000} {
+		d := &countingDisk{Disk: loadedDisk(t, Shadow, n), holdAll: true, release: make(chan struct{})}
+		tr, err := Open(d, Shadow, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget[i] = d.reads.Load()
+		close(d.release)
+		if err := tr.AwaitBound(); err != nil {
+			t.Fatal(err)
+		}
+		// Every page of a freshly loaded index but the meta page is live.
+		if walked, live := d.reads.Load()-budget[i], int64(d.NumPages())-1; walked != live {
+			t.Fatalf("%d keys: the walk read %d of %d live pages", n, walked, live)
+		}
+		if got, want := tr.NumPages(), d.NumPages(); got != want {
+			t.Fatalf("%d keys: bound %d on a clean %d-page file", n, got, want)
+		}
+		mustLookup(t, tr, n-1)
+	}
+	if budget[0] != budget[1] || budget[0] > 2 {
+		t.Fatalf("reads completed before Open returned: %d for 1k keys, %d for 50k; want equal and <= 2", budget[0], budget[1])
+	}
+}
+
+// TestBoundGate holds the walk on one leaf and checks who waits for it:
+// lookups and scans of the rest of the key space are served, an insert
+// blocks at the gate (counted) until the walk can finish, and nothing is
+// wrong with the tree afterwards.
+func TestBoundGate(t *testing.T) {
+	const n = 20_000
+	mem := loadedDisk(t, Shadow, n)
+	probe, err := Open(mem, Shadow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.AwaitBound(); err != nil {
+		t.Fatal(err)
+	}
+	f, lastLeaf, _, _, ok, err := probe.findLeaf(u32key(n-1), false)
+	if err != nil || !ok {
+		t.Fatalf("findLeaf: ok=%v err=%v", ok, err)
+	}
+	f.Unpin()
+
+	rec := obs.New(0)
+	d := &countingDisk{Disk: mem, holdNo: lastLeaf, release: make(chan struct{})}
+	tr, err := Open(d, Shadow, Options{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n/2; i += 97 {
+		mustLookup(t, tr, i)
+	}
+	seen := 0
+	if err := tr.Scan(u32key(100), u32key(600), func(_, _ []byte) bool { seen++; return true }); err != nil || seen != 500 {
+		t.Fatalf("scan behind the walk: %d keys, err %v", seen, err)
+	}
+	select {
+	case <-tr.boundReady:
+		t.Fatal("the walk finished with a page still held back")
+	default:
+	}
+	if w := rec.Get(obs.OpenGateWait); w != 0 {
+		t.Fatalf("reads counted %d gate waits", w)
+	}
+
+	inserted := make(chan error, 1)
+	go func() { inserted <- tr.Insert(u32key(n), val(n)) }()
+	for deadline := time.Now().Add(10 * time.Second); rec.Get(obs.OpenGateWait) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the insert never reached the gate")
+		}
+		runtime.Gosched()
+	}
+	select {
+	case err := <-inserted:
+		t.Fatalf("insert returned (%v) before the bound was known", err)
+	default:
+	}
+	close(d.release)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	mustLookup(t, tr, n)
+	if rec.Get(obs.OpenBoundWalk) != 1 || rec.Get(obs.OpenBoundPages) == 0 || rec.Snapshot().Timers[obs.TBoundWalk.String()].Count != 1 {
+		t.Fatalf("walk not recorded: %v", rec.Snapshot().Counters)
+	}
+	if err := tr.Check(CheckStrict); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// maxDurableRef is the test's own reading of the bound's definition: the
+// largest page number any pointer field of any durable page mentions.
+func maxDurableRef(t *testing.T, d storage.Disk) uint32 {
+	t.Helper()
+	var maxRef uint32
+	buf := page.New()
+	for no := storage.PageNo(1); no < d.NumPages(); no++ {
+		if err := d.ReadPage(no, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !buf.Valid() {
+			continue
+		}
+		noteRef(&maxRef, buf.NewPage())
+		noteRef(&maxRef, buf.LeftPeer())
+		noteRef(&maxRef, buf.RightPeer())
+		if buf.Type() != page.TypeInternal {
+			continue
+		}
+		for i := 0; i < max(buf.NKeys(), buf.PrevNKeys()); i++ {
+			if it, err := decodeInternalItem(buf.Item(i), buf.HasFlag(page.FlagShadow)); err == nil {
+				noteRef(&maxRef, it.child)
+				noteRef(&maxRef, it.prev)
+			}
+		}
+	}
+	return maxRef
+}
+
+// TestLostExtensionBound: a crash keeps a split's parent and loses the new
+// pages it points to, which were the end of the file. The file is now
+// shorter than its own pointers reach. After the reopen, the first split
+// elsewhere in the tree must not be given one of the page numbers the lost
+// children's repair will rebuild them at.
+func TestLostExtensionBound(t *testing.T) {
+	for _, v := range protectedVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			// Even keys, so that a split can later be forced anywhere.
+			key := func(i int) int { return 2 * i }
+			d := storage.NewMemDisk()
+			tr, err := Open(d, v, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed := 3000
+			for i := 0; i < committed; i++ {
+				mustInsert(t, tr, key(i))
+			}
+			if err := tr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			durableEnd := d.NumPages()
+			for i, base := committed, tr.Stats.Splits.Load(); tr.Stats.Splits.Load() == base; i++ {
+				mustInsert(t, tr, key(i))
+			}
+			if err := tr.Pool().FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			// Keep what was rewritten in place, lose the extension.
+			if err := d.CrashPartial(func(pending []storage.PageNo) []storage.PageNo {
+				var keep []storage.PageNo
+				for _, no := range pending {
+					if no < durableEnd {
+						keep = append(keep, no)
+					}
+				}
+				return keep
+			}); err != nil {
+				t.Fatal(err)
+			}
+			maxRef := maxDurableRef(t, d)
+			if maxRef < d.NumPages() {
+				t.Fatalf("no pointer past the end of the file (max %d, %d pages): nothing is tested", maxRef, d.NumPages())
+			}
+
+			tr2, err := Open(d, v, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := tr2.NumPages()
+			if bound <= maxRef {
+				t.Fatalf("bound %d does not clear referenced page %d", bound, maxRef)
+			}
+			// Split the leftmost leaf, far from the damage: with the
+			// freelist gone, its new pages come off the bound.
+			for i, base := 0, tr2.Stats.Splits.Load(); tr2.Stats.Splits.Load() == base; i++ {
+				mustInsert(t, tr2, key(i)+1)
+			}
+			if got := tr2.NumPages(); got <= bound {
+				t.Fatalf("split allocated nothing above the bound %d (now %d)", bound, got)
+			}
+			for i := 0; i < committed; i++ {
+				mustLookup(t, tr2, key(i))
+			}
+			if err := tr2.RecoverAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr2.Check(CheckStrict); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReopenServesWhileWalking reopens a crash image on a slow device and
+// at once runs lookups, scans and split-forcing inserts against it from
+// several goroutines, all racing the walk and the repairs the crash left.
+func TestReopenServesWhileWalking(t *testing.T) {
+	const committed = 6000
+	for _, v := range protectedVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			d := storage.NewMemDisk()
+			tr, err := Open(d, v, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < committed; i++ {
+				mustInsert(t, tr, 2*i)
+			}
+			if err := tr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			for i := committed; i < committed+committed/4; i++ {
+				mustInsert(t, tr, 2*i)
+			}
+			if err := tr.Pool().FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CrashPartial(func(pending []storage.PageNo) []storage.PageNo {
+				var keep []storage.PageNo
+				for i, no := range pending {
+					if i%3 != 1 {
+						keep = append(keep, no)
+					}
+				}
+				return keep
+			}); err != nil {
+				t.Fatal(err)
+			}
+			img := d.CloneStable()
+			img.SetLatency(50*time.Microsecond, 0)
+
+			tr2, err := Open(img, v, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 16)
+			for g := 0; g < 3; g++ {
+				wg.Add(3)
+				go func(g int) { // lookups of committed keys
+					defer wg.Done()
+					for i := g; i < committed; i += 3 {
+						got, err := tr2.Lookup(u32key(2 * i))
+						if err != nil || !bytes.Equal(got, val(2*i)) {
+							errs <- fmt.Errorf("lookup %d: %q, %v", 2*i, got, err)
+							return
+						}
+					}
+				}(g)
+				go func(g int) { // scans over committed ranges
+					defer wg.Done()
+					for lo := g * 500; lo+400 < committed; lo += 1500 {
+						n := 0
+						err := tr2.Scan(u32key(2*lo), u32key(2*(lo+400)), func(k, _ []byte) bool {
+							if k[3]%2 == 0 {
+								n++
+							}
+							return true
+						})
+						if err != nil || n != 400 {
+							errs <- fmt.Errorf("scan from %d: %d committed keys, %v", 2*lo, n, err)
+							return
+						}
+					}
+				}(g)
+				go func(g int) { // odd keys between the committed ones: every leaf splits
+					defer wg.Done()
+					for i := g; i < committed; i += 3 {
+						if err := tr2.Insert(u32key(2*i+1), val(2*i+1)); err != nil {
+							errs <- fmt.Errorf("insert %d: %v", 2*i+1, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if tr2.Stats.Splits.Load() == 0 {
+				t.Fatal("no split ran")
+			}
+			if err := tr2.RecoverAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr2.Check(CheckStrict); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < committed; i++ {
+				mustLookup(t, tr2, 2*i)
+				mustLookup(t, tr2, 2*i+1)
+			}
+			if err := tr2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestOpenThenCloseJoinsWalk: Close right after Open, with the walk still
+// waiting on a slow device, returns cleanly and leaves no goroutine behind.
+func TestOpenThenCloseJoinsWalk(t *testing.T) {
+	d := loadedDisk(t, Shadow, 20_000)
+	d.SetLatency(100*time.Microsecond, 100*time.Microsecond)
+	before := runtime.NumGoroutine()
+	tr, err := Open(d, Shadow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tr.boundReady:
+		t.Fatal("the walk of 20k keys at 100µs a page was over before Open returned")
+	default:
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close has received from the walk's last statement; give the
+	// goroutine the instant it needs to be gone.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Open, %d after Close", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}

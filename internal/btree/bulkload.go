@@ -81,7 +81,9 @@ type LoadStats struct {
 // after every page below it has been synced, and the load is a no-op on
 // any earlier crash.
 func (t *Tree) BulkLoad(items []Item, opts LoadOptions) (LoadStats, error) {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return LoadStats{}, err
+	}
 	defer t.mu.Unlock()
 
 	metaFrame, err := t.pool.Get(0)
@@ -113,7 +115,9 @@ func (t *Tree) BulkLoad(items []Item, opts LoadOptions) (LoadStats, error) {
 // entries for non-meta pages are released: the damage they describe is no
 // longer part of the served tree.
 func (t *Tree) BulkReplace(items []Item, opts LoadOptions) (LoadStats, error) {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return LoadStats{}, err
+	}
 	defer t.mu.Unlock()
 
 	t.obs.Count(obs.RebuildRun)

@@ -30,7 +30,9 @@ const (
 func (t *Tree) Check(mode CheckMode) error {
 	// Exclusive: inserts also run under the shared lock now, and a checker
 	// racing a half-applied split would report phantom violations.
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 
 	metaFrame, err := t.pool.Get(0)
@@ -188,7 +190,9 @@ func (t *Tree) checkPeerChain(leaves []uint32) error {
 // (§3.3.3: freelist regeneration is a garbage-collection task).
 func (t *Tree) ReachablePages() (map[uint32]bool, error) {
 	// Exclusive for the same reason as Check: shared mode admits writers.
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return nil, err
+	}
 	defer t.mu.Unlock()
 	reach := map[uint32]bool{0: true}
 	metaFrame, err := t.pool.Get(0)
@@ -232,10 +236,12 @@ func (t *Tree) ReachablePages() (map[uint32]bool, error) {
 	return reach, nil
 }
 
-// NumPages reports the current size of the index file in pages.
+// NumPages reports the current size of the index file in pages: the file's
+// own size while the allocation bound is unknown (the bound walk failed).
 func (t *Tree) NumPages() uint32 {
-	if n := t.pool.Disk().NumPages(); n > t.nextNew {
-		return n
+	n := t.pool.Disk().NumPages()
+	if err := t.awaitBound(); err == nil && t.nextNew > n {
+		return t.nextNew
 	}
-	return t.nextNew
+	return n
 }

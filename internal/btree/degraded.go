@@ -94,9 +94,11 @@ func asRangeError(no uint32, lo, hi []byte, err error) *QuarantinedRangeError {
 // wrong-and-silent. Runs exclusively, since it may trigger repairs.
 func (t *Tree) ScanDegraded(start, end []byte, fn func(key, value []byte) bool) (ScanReport, error) {
 	t.Stats.Scans.Add(1)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var rep ScanReport
+	if err := t.lockExclusive(); err != nil {
+		return rep, err
+	}
+	defer t.mu.Unlock()
 	cur := start
 	if cur == nil {
 		cur = []byte{}
@@ -148,9 +150,11 @@ func (t *Tree) CountDegraded() (int, ScanReport, error) {
 // reports them instead of failing on the first one. Used by the scrub tool
 // to distinguish "repaired" from "unrecoverable".
 func (t *Tree) RecoverAvailable() (ScanReport, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var rep ScanReport
+	if err := t.lockExclusive(); err != nil {
+		return rep, err
+	}
+	defer t.mu.Unlock()
 	cur := []byte{}
 	for {
 		path, err := t.descendPath(cur, true)
@@ -202,7 +206,9 @@ func (t *Tree) RecoverAvailable() (ScanReport, error) {
 // quarantine and the error is returned. Called by the repair supervisor off
 // the caller's latency path.
 func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	if !t.pool.ReleaseQuarantine(no) {
 		return nil // already released (healed or superseded elsewhere)
@@ -233,7 +239,9 @@ func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
 // expected to re-insert them from the heap relation, which remains the
 // authoritative copy.
 func (t *Tree) AbandonQuarantined(no uint32, lo []byte) error {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	if !t.pool.ReleaseQuarantine(no) {
 		return nil

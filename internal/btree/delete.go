@@ -16,7 +16,9 @@ func (t *Tree) Delete(key []byte) error {
 		return err
 	}
 	t.Stats.Deletes.Add(1)
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 
 	path, err := t.descendPath(key, true)

@@ -13,7 +13,10 @@ import (
 // recovery will face.
 func (t *Tree) Dump() string {
 	// Exclusive: shared mode admits writers, and a dump should be a
-	// consistent point-in-time picture.
+	// consistent point-in-time picture. The pages are read unlatched, so
+	// the bound walk must have finished with the pool; a failed walk does
+	// not stop a diagnostic.
+	_ = t.AwaitBound()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder

@@ -21,6 +21,9 @@ func (t *Tree) Insert(key, value []byte) error {
 		return err
 	}
 	t.Stats.Inserts.Add(1)
+	if err := t.awaitBound(); err != nil {
+		return err
+	}
 	for attempt := 0; attempt < maxSharedRetries; attempt++ {
 		t.mu.RLock()
 		ver := t.structVer.Load()

@@ -43,7 +43,9 @@ type MergeStats struct {
 // is vacuum work and not inline work.
 func (t *Tree) MergeUnderfull() (MergeStats, error) {
 	var st MergeStats
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return st, err
+	}
 	defer t.mu.Unlock()
 
 	// Walk parents of leaves first, then upper levels, re-descending

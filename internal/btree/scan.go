@@ -34,7 +34,9 @@ func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	// Fall back to the exclusive (repairing) path, resuming at the cursor
 	// the shared scan reached so no pair is emitted twice.
 	t.obs.Count(obs.ExclusiveFallback)
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	return t.scanLocked(resume, end, true, fn)
 }
@@ -201,7 +203,9 @@ func (t *Tree) Count() (int, error) {
 
 // Height returns the number of levels in the tree (0 for an empty tree).
 func (t *Tree) Height() (int, error) {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return 0, err
+	}
 	defer t.mu.Unlock()
 	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
 	if err != nil {
@@ -221,7 +225,9 @@ func (t *Tree) Height() (int, error) {
 // repairs lazily on first use; this exists for tests, the vacuum, and
 // operators who want a bounded recovery pass.
 func (t *Tree) RecoverAll() error {
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return err
+	}
 	defer t.mu.Unlock()
 	cur := []byte{}
 	for {

@@ -365,7 +365,9 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 	}
 	// Fall back to the exclusive path, which may repair.
 	t.obs.Count(obs.ExclusiveFallback)
-	t.mu.Lock()
+	if err := t.lockExclusive(); err != nil {
+		return nil, err
+	}
 	defer t.mu.Unlock()
 	val, err := t.lookupLocked(key, true)
 	if err != nil || dst == nil {

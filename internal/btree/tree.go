@@ -104,7 +104,13 @@ type Tree struct {
 	// them are durable (§3.3 step 2).
 	pendingFree []freelist.Entry
 
-	nextNew uint32 // next page number when the freelist is empty
+	// nextNew is the next page number when the freelist is empty. The
+	// bound walk Open starts writes it (and boundErr) once and publishes
+	// both by closing boundReady; every other access sits behind
+	// awaitBound (boundwalk.go).
+	nextNew    uint32
+	boundReady chan struct{}
+	boundErr   error
 
 	// rebuildFallback, when set (only inside AbandonQuarantined, under the
 	// exclusive lock), makes "no durable source" repair outcomes initialize
@@ -121,28 +127,36 @@ type Tree struct {
 }
 
 // Open opens (creating if empty) an index of the given variant on disk.
-// Opening an existing index checks the stored variant. Recovery needs no
-// separate pass: inconsistencies left by a crash are detected and repaired
-// on first use.
+// Opening an existing index checks the stored variant. Open reads the meta
+// page and writes the sync counter through, whatever the size of the index.
+// Recovery needs no separate pass: inconsistencies left by a crash are
+// detected and repaired on first use, and lookups and scans are served as
+// soon as Open returns. What does scale with the index — the walk that
+// finds the lower bound for fresh page numbers — runs in a goroutine Open
+// starts and Close joins; operations that allocate or mutate pages wait for
+// it, and report its error (see boundwalk.go).
 func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 	t := &Tree{
-		pool:    buffer.NewPool(disk, opts.PoolSize),
-		free:    freelist.New(),
-		variant: variant,
-		opts:    opts,
-		obs:     opts.Obs,
+		pool:       buffer.NewPool(disk, opts.PoolSize),
+		free:       freelist.New(),
+		variant:    variant,
+		opts:       opts,
+		obs:        opts.Obs,
+		boundReady: make(chan struct{}),
 	}
 	t.pool.SetObs(opts.Obs)
 	f, err := t.pool.Get(0)
 	if err != nil {
 		return nil, err
 	}
+	var rootNo, prevRootNo uint32
 	if f.Data.IsZeroed() {
 		f.Data.Init(page.TypeMeta, 0)
 		metaPage{f.Data}.setVariant(variant)
 		f.MarkDirty()
 	} else {
 		m := metaPage{f.Data}
+		rootNo, prevRootNo = m.root(), m.prevRoot()
 		if m.variant() != variant {
 			got := m.variant()
 			f.Unpin()
@@ -165,101 +179,10 @@ func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	t.counter = ctr
-	// The next fresh page number must exceed not only the file size but
-	// every page number referenced anywhere in the durable tree: a crash
-	// can lose a file extension while keeping a parent that points into
-	// it, and handing such a page number out again would collide with
-	// the lazy repair that later rebuilds the lost child there.
-	maxRef, err := t.maxReferencedPage()
-	if err != nil {
-		return nil, err
-	}
-	t.nextNew = disk.NumPages()
-	if maxRef+1 > t.nextNew {
-		t.nextNew = maxRef + 1
-	}
-	if t.nextNew < 1 {
-		t.nextNew = 1
-	}
+	// What is left of opening is proportional to the size of the index, so
+	// it runs behind the caller's back: see boundwalk.go.
+	go t.boundWalk(rootNo, prevRootNo)
 	return t, nil
-}
-
-// maxReferencedPage walks the durable structure from the meta page and
-// returns the largest page number mentioned by any pointer field: root and
-// previous-root pointers, child and prevPtr entries, peer pointers, newPage
-// pointers, and persisted freelist entries.
-func (t *Tree) maxReferencedPage() (uint32, error) {
-	var maxRef uint32
-	note := func(no uint32) {
-		if no != ^uint32(0) && no > maxRef {
-			maxRef = no
-		}
-	}
-	metaFrame, err := t.pool.Get(0)
-	if err != nil {
-		return 0, err
-	}
-	m := metaPage{metaFrame.Data}
-	note(m.root())
-	note(m.prevRoot())
-	metaFrame.Unpin()
-	for _, e := range t.free.Entries() {
-		note(e.PageNo)
-	}
-	seen := map[uint32]bool{0: true}
-	var walk func(no uint32) error
-	walk = func(no uint32) error {
-		if no == 0 || seen[no] || no >= t.pool.Disk().NumPages() {
-			return nil
-		}
-		seen[no] = true
-		f, err := t.pool.Get(no)
-		if err != nil {
-			return nil // unreadable: nothing referenced from it
-		}
-		defer f.Unpin()
-		p := f.Data
-		if !p.Valid() {
-			return nil
-		}
-		note(p.NewPage())
-		note(p.LeftPeer())
-		note(p.RightPeer())
-		if p.Type() != page.TypeInternal {
-			return nil
-		}
-		shadow := p.HasFlag(page.FlagShadow)
-		total := p.NKeys()
-		if bn := p.PrevNKeys(); bn > total {
-			total = bn
-		}
-		for i := 0; i < total; i++ {
-			it, err := decodeInternalItem(p.Item(i), shadow)
-			if err != nil {
-				continue
-			}
-			note(it.child)
-			note(it.prev)
-			if err := walk(it.child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	metaFrame, err = t.pool.Get(0)
-	if err != nil {
-		return 0, err
-	}
-	rootNo := metaPage{metaFrame.Data}.root()
-	prevRootNo := metaPage{metaFrame.Data}.prevRoot()
-	metaFrame.Unpin()
-	if err := walk(rootNo); err != nil {
-		return 0, err
-	}
-	if err := walk(prevRootNo); err != nil {
-		return 0, err
-	}
-	return maxRef, nil
 }
 
 // Variant returns the index algorithm in use.
@@ -309,6 +232,9 @@ func (t *Tree) syncLocked() error {
 // tree must not be used afterwards. Skipping Close models a crash: the
 // next Open recovers via the sync-token protocol.
 func (t *Tree) Close() error {
+	// Join the bound walk: it reads through the pool this shutdown flushes,
+	// and the caller is free to close the disk next.
+	walkErr := t.AwaitBound()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.syncLocked(); err != nil {
@@ -323,7 +249,10 @@ func (t *Tree) Close() error {
 	f.Unpin()
 	// CloseClean persists the counter state; its write-through sync also
 	// carries the freelist.
-	return t.counter.CloseClean()
+	if err := t.counter.CloseClean(); err != nil {
+		return err
+	}
+	return walkErr
 }
 
 // allocPage takes a page from the freelist — refusing pages whose old key

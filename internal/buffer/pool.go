@@ -263,6 +263,9 @@ func NewPool(disk storage.Disk, capacity int) *Pool {
 // Disk returns the underlying storage device.
 func (p *Pool) Disk() storage.Disk { return p.disk }
 
+// Capacity returns the pool's frame capacity.
+func (p *Pool) Capacity() int { return p.capacity }
+
 // Partitions returns the number of lock stripes.
 func (p *Pool) Partitions() int { return int(p.nParts) }
 
@@ -925,7 +928,7 @@ func (p *Pool) flushDirty() error {
 	// from one goroutine would cost len(targets) sequential round trips —
 	// the dominant term of a blocked sync (§3.4), which shared-mode
 	// operations wait out behind the split lock.
-	nw := flushWorkers
+	nw := FlushWorkers
 	if nw > len(targets) {
 		nw = len(targets)
 	}
@@ -978,10 +981,11 @@ func (p *Pool) flushDirty() error {
 	return firstErr
 }
 
-// flushWorkers bounds the write concurrency of one flushDirty call. The
+// FlushWorkers bounds the write concurrency of one flushDirty call. The
 // value trades device-queue depth against goroutine overhead; eight keeps
-// a latency-bound flush short without swamping a pure in-memory disk.
-const flushWorkers = 8
+// a latency-bound flush short without swamping a pure in-memory disk. The
+// index's background allocation-bound walk reads with the same fan-out.
+const FlushWorkers = 8
 
 // FlushDirty writes every dirty frame to the OS cache without syncing.
 func (p *Pool) FlushDirty() error { return p.flushDirty() }

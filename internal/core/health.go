@@ -158,6 +158,10 @@ func (db *DB) attachHealth(p *buffer.Pool) {
 		q.GiveUpAfter = sc.GiveUpAfter
 	}
 	q.SetNotify(db.markHealthDirty)
+	// An index pool arrives with its bound walk already reading: whatever
+	// that quarantined before the hook was in place is picked up by the
+	// next Health read.
+	db.markHealthDirty()
 }
 
 // QuarantineEntry is one quarantined page in the DB-wide health report.

@@ -1,0 +1,153 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/heap"
+	"repro/internal/page"
+	"repro/internal/storage"
+)
+
+// heldStorage opens the index files of an inner storage behind disks that
+// count the reads they have completed and hold every read but the meta
+// page's until release is closed.
+type heldStorage struct {
+	Storage
+	reads   atomic.Int64
+	release chan struct{}
+}
+
+type heldDisk struct {
+	storage.Disk
+	s *heldStorage
+}
+
+func (s *heldStorage) open(name string) (storage.Disk, error) {
+	d, err := s.Storage.open(name)
+	if err != nil || !strings.HasPrefix(name, "idx_") {
+		return d, err
+	}
+	return heldDisk{Disk: d, s: s}, nil
+}
+
+func (d heldDisk) ReadPage(no storage.PageNo, buf page.Page) error {
+	if no != 0 {
+		<-d.s.release
+	}
+	err := d.Disk.ReadPage(no, buf)
+	d.s.reads.Add(1)
+	return err
+}
+
+// loadedStore returns a cleanly closed store holding index "pk" and 4-shard
+// index "spk", n keys each.
+func loadedStore(t *testing.T, n int) Storage {
+	t.Helper()
+	store := Memory()
+	db, err := Open(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, n)
+	tids := make([]heap.TID, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%08d", i))
+		tids[i] = heap.TID{PageNo: uint32(1 + i/100), Slot: uint16(i % 100)}
+	}
+	ix, err := db.CreateIndex("pk", Shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	six, err := db.CreateShardedIndex("spk", Shadow, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.BulkLoad(keys, tids); err != nil {
+		t.Fatal(err)
+	}
+	if err := six.BulkLoad(keys, tids); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestCreateIndexReadBudget: reopening an index, single or sharded, returns
+// with every read below the meta pages still held back, after the same
+// number of device reads for 1k and 50k keys; lookups are answered once the
+// device is let go, with no recovery pass in between.
+func TestCreateIndexReadBudget(t *testing.T) {
+	var single, sharded [2]int64
+	for i, n := range []int{1_000, 50_000} {
+		hs := &heldStorage{Storage: loadedStore(t, n), release: make(chan struct{})}
+		db, err := Open(hs, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := hs.reads.Load()
+		ix, err := db.CreateIndex("pk", Shadow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single[i] = hs.reads.Load() - base
+		six, err := db.CreateShardedIndex("spk", Shadow, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded[i] = hs.reads.Load() - base - single[i]
+		close(hs.release)
+		last := []byte(fmt.Sprintf("k%08d", n-1))
+		if _, err := ix.LookupTID(last); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := six.LookupTID(last); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if single[0] != single[1] || single[0] > 2 {
+		t.Fatalf("CreateIndex completed %d reads at 1k keys, %d at 50k; want equal and <= 2", single[0], single[1])
+	}
+	// One meta page per shard and the one-page shard-count file.
+	if sharded[0] != sharded[1] || sharded[0] > 4*2+1 {
+		t.Fatalf("CreateShardedIndex completed %d reads at 1k keys, %d at 50k; want equal and <= 9", sharded[0], sharded[1])
+	}
+}
+
+// TestCloseJoinsBoundWalks: DB.Close right after the indexes are opened on a
+// slow device, five walks in flight, returns cleanly with every one joined.
+func TestCloseJoinsBoundWalks(t *testing.T) {
+	store := loadedStore(t, 20_000)
+	for _, d := range MemoryDisks(store) {
+		d.SetLatency(100*time.Microsecond, 100*time.Microsecond)
+	}
+	before := runtime.NumGoroutine()
+	db, err := Open(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("pk", Shadow); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateShardedIndex("spk", Shadow, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Open, %d after Close", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}

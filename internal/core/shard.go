@@ -68,7 +68,7 @@ const shardMetaMagic = uint32(0x53484152) // "SHAR"
 // Config.Shards (and to 1 if that is unset too). The shard count is
 // persisted beside the shard files; reopening with a different count
 // fails with ErrShardMismatch rather than silently misrouting keys.
-func (db *DB) CreateShardedIndex(name string, v Variant, nShards int) (*ShardedIndex, error) {
+func (db *DB) CreateShardedIndex(name string, v Variant, nShards int) (_ *ShardedIndex, err error) {
 	if nShards <= 0 {
 		nShards = db.cfg.Shards
 	}
@@ -89,6 +89,15 @@ func (db *DB) CreateShardedIndex(name string, v Variant, nShards int) (*ShardedI
 	}
 	trees := make([]*btree.Tree, nShards)
 	legs := make([]shard.Tree, nShards)
+	// Every tree opened so far has a bound walk reading its file; a failed
+	// open hands none of them to Close, so it joins them itself.
+	defer func() {
+		for _, t := range trees {
+			if err != nil && t != nil {
+				_ = t.AwaitBound() // the open's own error is the one reported
+			}
+		}
+	}()
 	for i := range trees {
 		d, err := db.store.open(shardFileName(name, i))
 		if err != nil {

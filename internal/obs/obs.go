@@ -109,6 +109,11 @@ const (
 	RebuildKeys // keys fed into a wholesale rebuild
 	RebuildSwap // rebuilt root published over the old structure
 
+	// Restart: the background allocation-bound walk btree.Open starts.
+	OpenBoundWalk  // a bound walk finished (one event per Open)
+	OpenBoundPages // index pages the bound walks read
+	OpenGateWait   // an operation blocked until the bound was published
+
 	numMetrics
 )
 
@@ -170,6 +175,9 @@ var metricNames = [numMetrics]string{
 	RebuildRun:        "rebuild.run",
 	RebuildKeys:       "rebuild.keys",
 	RebuildSwap:       "rebuild.swap",
+	OpenBoundWalk:     "open.boundwalk",
+	OpenBoundPages:    "open.boundwalk.pages",
+	OpenGateWait:      "open.gate.wait",
 }
 
 func (m Metric) String() string {
@@ -196,6 +204,7 @@ const (
 	TFlushDirty               // buffer-pool dirty-page flush
 	TCommit                   // whole commit as seen by one committer (queue + force + status)
 	TStatusWrite              // durable status-table append (leader only)
+	TBoundWalk                // background allocation-bound walk after btree.Open
 	numTimers
 )
 
@@ -204,6 +213,7 @@ var timerNames = [numTimers]string{
 	TFlushDirty:  "pool.flush",
 	TCommit:      "commit.latency",
 	TStatusWrite: "commit.status",
+	TBoundWalk:   "open.boundwalk",
 }
 
 func (t Timer) String() string {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/obs"
 )
 
@@ -67,6 +69,62 @@ func TestServerMput(t *testing.T) {
 	if bp, _ := stats["batch_puts"].(float64); bp < 8 {
 		t.Fatalf("batch_puts = %v, want >= 8", stats["batch_puts"])
 	}
+}
+
+// visibleVersions counts the committed-visible tuple versions the index
+// holds for user key.
+func visibleVersions(t *testing.T, srv *Server, key string) int {
+	t.Helper()
+	n := 0
+	err := srv.idx.Scan([]byte(key), nil, func(e []byte, tid heap.TID) bool {
+		if !bytes.HasPrefix(e, []byte(key)) {
+			return false
+		}
+		if len(e) == len(key)+tidLen {
+			if _, err := srv.rel.Fetch(tid); err == nil {
+				n++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestServerMputRepeatedKey: a key named twice (or more) in one MPUT —
+// whether it already exists or not, autocommitted or inside BEGIN — takes
+// its last value and leaves exactly one visible version. An existing key
+// used to fail with "tuple already deleted" (the second pair updated the
+// version the first had just stamped), a new one to leave two visible
+// versions.
+func TestServerMputRepeatedKey(t *testing.T) {
+	db, srv := newTestServer(t, core.Memory())
+	defer db.Close()
+	cl := dial(t, srv)
+	one := func(key, want string) {
+		t.Helper()
+		cl.expect("GET "+key, "OK "+want)
+		if n := visibleVersions(t, srv, key); n != 1 {
+			t.Fatalf("%s: %d visible versions, want 1", key, n)
+		}
+	}
+
+	cl.expect("PUT k v0", "OK")
+	cl.expect("MPUT k a k b", "OK 2")
+	one("k", "b")
+	cl.expect("MPUT n a other z n b n c", "OK 4")
+	one("n", "c")
+	one("other", "z")
+
+	cl.expectPrefix("BEGIN", "OK ")
+	cl.expect("MPUT k c k d m x m y", "OK 4")
+	cl.expect("GET k", "OK b") // uncommitted: the old version still serves
+	cl.expect("GET m", "NOTFOUND")
+	cl.expectPrefix("COMMIT", "OK ")
+	one("k", "d")
+	one("m", "y")
 }
 
 // TestServerMputLargeBatchSharded drives a large MPUT through the sharded

@@ -315,8 +315,10 @@ type RecoveryStats struct {
 // and quarantined subtrees are collected into the merged report. With
 // parallel set, shards heal concurrently in goroutines — they share no
 // state, so an N-shard heal approaches 1/N of the sequential wall time
-// on a device that overlaps I/O. The recorder, when non-nil, counts one
-// shard.recover per finished shard.
+// on a device that overlaps I/O. A sweep begins by waiting for its shard's
+// allocation-bound walk; those have all been running side by side since
+// the shards were opened, in either mode. The recorder, when non-nil,
+// counts one shard.recover per finished shard.
 func (r *Router) Recover(parallel bool, rec *obs.Recorder) (RecoveryStats, btree.ScanReport, error) {
 	st := RecoveryStats{
 		Shards:   len(r.shards),

@@ -41,6 +41,9 @@ func Index(t *btree.Tree) (IndexStats, error) {
 	if err := t.Sync(); err != nil {
 		return st, err
 	}
+	// RecoverAll is also where a sweep right after Open waits for the
+	// tree's background allocation-bound walk (and fails with its error);
+	// NumPages below is that bound.
 	if err := t.RecoverAll(); err != nil {
 		return st, err
 	}
