@@ -5,13 +5,14 @@
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
 # batching under concurrent clients) + the restart gate (Open's read
 # budget, the allocation-bound walk behind it, and the wire benchmark's own
-# tests).
+# tests) + the read-ahead gate (hint-only semantics, the overlap of one
+# request's cold reads, lifecycle).
 
 GO ?= go
 
-.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke
+.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke readahead-smoke
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke
+check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke
 
 vet:
 	$(GO) vet ./...
@@ -150,4 +151,21 @@ restart-smoke:
 	$(GO) test -race -count=3 ./internal/btree -run 'TestOpenReadBudget|TestBoundGate|TestLostExtensionBound|TestReopenServesWhileWalking|TestOpenThenCloseJoinsWalk'
 	$(GO) test -race -count=3 ./internal/core -run 'TestCreateIndexReadBudget|TestCloseJoinsBoundWalks'
 	$(GO) test -race ./internal/server -run TestServerMputRepeatedKey
+	$(GO) test ./benchmark
+
+# The read-ahead gate, under the race detector: a hint is advice (a failed
+# one leaves no frame, counter, event or quarantine streak, and the demand Get
+# that follows classifies the page as if it had never been made; a resident
+# page costs a lookup; a hint is no reference to the 2Q sweep); a look-ahead
+# scan overlaps the next leaf and the heap pages with the caller's fetches,
+# reads no more than a plain scan, and starts nothing on a resident store;
+# look-ahead scans race splits and eviction in a 32-frame pool; every way a
+# pool's life ends joins the reads in flight; GET over the wire is right when
+# longer keys' entries interleave with its own. Then the benchmark's own tests
+# (shim = server).
+readahead-smoke:
+	$(GO) test -race -count=3 ./internal/buffer -run 'TestHint|TestScanResist'
+	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints'
+	$(GO) test -race -count=3 ./internal/core -run 'TestScanAheadOverlapsReads|TestResidentReadsStartNothing|TestCloseJoinsHints'
+	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys'
 	$(GO) test ./benchmark

@@ -584,38 +584,60 @@ func (t *Tree) insertSplitShared(key, value []byte) error {
 	return nil
 }
 
-// scanShared is the shared-mode scan body: each leaf's pairs are collected
+// scanShared is the shared-mode scan body: each leaf's pairs are copied out
 // under its latch, validated against the structure version, and only then
-// emitted — so fn never sees data from a half-split state. It returns the
-// cursor at which an exclusive-mode scan should resume when err is one of
-// the fallback sentinels.
-func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([]byte, error) {
+// emitted — so fn never sees data from a half-split state. Between the two
+// stands ahead, if the caller installed one: it is shown the leaf's pairs and
+// may start the reads fn is about to need, and when it expects the scan to
+// outrun this leaf the right peer is hinted to the pool, to be read while fn
+// works. A hint has no effect but that (buffer.Pool.Hint), so a stale peer
+// pointer is as harmless here as in the hop below, which validates what it
+// finds. scanShared returns the cursor at which an exclusive-mode scan should
+// resume when err is one of the fallback sentinels.
+func (t *Tree) scanShared(start, end []byte, ahead LookAhead, fn func(key, value []byte) bool) ([]byte, error) {
 	cur := start
 	if cur == nil {
 		cur = []byte{}
 	}
-	type pair struct{ k, v []byte }
-	var buf []pair
+	var buf []Pair
 
-	// collect gathers this latched leaf's pairs in [cur, end); done means
-	// the end bound was reached.
-	collect := func(p page.Page) (done bool, last []byte, err error) {
-		pos, _, err := leafSearch(p, cur)
+	// collect copies this latched leaf's pairs in [cur, end) into buf; done
+	// means the end bound was reached. The bytes go into one allocation per
+	// leaf, sized to the items in range and not shared with any other leaf's,
+	// so a caller may keep what fn was given.
+	collect := func(p page.Page) (done bool, err error) {
+		first, _, err := leafSearch(p, cur)
 		if err != nil {
-			return false, nil, err
+			return false, err
 		}
-		for ; pos < p.NKeys(); pos++ {
-			k, v, err := decodeLeafItem(p.Item(pos))
+		stop, size := first, 0
+		for ; stop < p.NKeys(); stop++ {
+			item := p.Item(stop)
+			k, err := itemKey(item)
 			if err != nil {
-				return false, nil, err
+				return false, err
 			}
 			if end != nil && bytes.Compare(k, end) >= 0 {
-				return true, last, nil
+				done = true
+				break
 			}
-			last = cloneBytes(k)
-			buf = append(buf, pair{k: last, v: cloneBytes(v)})
+			size += len(item) - 2 // the key and the value, without the key's length
 		}
-		return false, last, nil
+		if cap(buf) < stop-first {
+			buf = make([]Pair, 0, stop-first)
+		}
+		data := make([]byte, 0, size)
+		for pos := first; pos < stop; pos++ {
+			k, v, err := decodeLeafItem(p.Item(pos))
+			if err != nil {
+				return false, err
+			}
+			data = append(data, k...)
+			data = append(data, v...)
+			kv := data[len(data)-len(k)-len(v):]
+			buf = append(buf, Pair{Key: kv[:len(k):len(k)], Value: kv[len(k):len(kv):len(kv)]})
+		}
+		return done, nil
 	}
 
 	retries := 0
@@ -668,7 +690,7 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 		for !redescend {
 			frame.RLatch()
 			buf = buf[:0]
-			done, last, cerr := collect(frame.Data)
+			done, cerr := collect(frame.Data)
 			rp, rtok := frame.Data.RightPeer(), frame.Data.RightPeerToken()
 			frame.RUnlatch()
 			if cerr != nil || !t.structStable(v) {
@@ -680,8 +702,17 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 				break
 			}
 			retries = 0
+			if fromDescent && (hi == nil || (end != nil && bytes.Compare(hi, end) >= 0)) {
+				// The descent's upper bound is authoritative: this leaf
+				// reaches the right edge of the key space, or of the range,
+				// whatever stale peer pointers may claim.
+				done = true
+			}
+			if ahead != nil && ahead(buf) && !done && rp != 0 {
+				t.pool.Hint(rp)
+			}
 			for _, pr := range buf {
-				if !fn(pr.k, pr.v) {
+				if !fn(pr.Key, pr.Value) {
 					frame.Unpin()
 					return cur, nil
 				}
@@ -690,21 +721,16 @@ func (t *Tree) scanShared(start, end []byte, fn func(key, value []byte) bool) ([
 				frame.Unpin()
 				return cur, nil
 			}
-			if last != nil {
-				cur = keySuccessor(last)
+			if len(buf) > 0 {
+				cur = keySuccessor(buf[len(buf)-1].Key)
 			}
 			if fromDescent {
-				// The descent's upper bound is authoritative: the
-				// cursor always moves past this leaf's range, so a
-				// stale peer chain can cost extra descents but never a
+				// The cursor always moves past the descended leaf's range,
+				// so a stale peer chain can cost extra descents but never a
 				// livelock.
-				if hi == nil {
-					frame.Unpin()
-					return cur, nil
-				}
 				cur = maxKeyBytes(cur, hi)
 				fromDescent = false
-			} else if last == nil {
+			} else if len(buf) == 0 {
 				// A peer hop that yields nothing is suspicious (an
 				// emptied or stale leaf): let the root path decide
 				// where the scan really stands.

@@ -20,9 +20,29 @@ import (
 // falls back to a root-to-leaf descent for the next key, which is where the
 // repair machinery lives.
 func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) error {
+	return t.ScanAhead(start, end, nil, fn)
+}
+
+// Pair is one key and value of a scan. The scan copies each leaf's pairs out
+// of the page before it shows them to anyone, so both slices are the
+// receiver's to keep.
+type Pair struct{ Key, Value []byte }
+
+// A LookAhead lets the caller of a scan start the reads it is about to need.
+// The scan calls it once per leaf, with the leaf's pairs in [start, end) in
+// key order, before it passes the first of them to fn; the slice (not the
+// pairs) is reused for the next leaf. It reports whether the caller expects
+// to want more than these: if so and the range goes on, the scan hints the
+// next leaf to the buffer pool, which reads it while fn works through this
+// one.
+type LookAhead func(leaf []Pair) (more bool)
+
+// ScanAhead is Scan with a look-ahead installed; a nil ahead makes it Scan,
+// which hints nothing. The exclusive repairing fallback never looks ahead.
+func (t *Tree) ScanAhead(start, end []byte, ahead LookAhead, fn func(key, value []byte) bool) error {
 	t.Stats.Scans.Add(1)
 	t.mu.RLock()
-	resume, err := t.scanShared(start, end, fn)
+	resume, err := t.scanShared(start, end, ahead, fn)
 	t.mu.RUnlock()
 	if err == nil {
 		return nil

@@ -232,9 +232,10 @@ func (t *Tree) syncLocked() error {
 // tree must not be used afterwards. Skipping Close models a crash: the
 // next Open recovers via the sync-token protocol.
 func (t *Tree) Close() error {
-	// Join the bound walk: it reads through the pool this shutdown flushes,
-	// and the caller is free to close the disk next.
+	// Join the bound walk and the hinted reads: they read through the pool
+	// this shutdown flushes, and the caller is free to close the disk next.
 	walkErr := t.AwaitBound()
+	t.pool.StopHints()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.syncLocked(); err != nil {

@@ -152,6 +152,11 @@ type partition struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
+
+	// hinting counts this stripe's frames that a Hint's read has pinned; a
+	// stripe admits hints for a quarter of its quota, so the pins of reads
+	// nobody is waiting for can never be what leaves a Get no frame to evict.
+	hinting atomic.Int32
 }
 
 // Pool caches pages of a single Disk across lock-striped partitions.
@@ -178,6 +183,9 @@ type Pool struct {
 	// recorder is the optional observability sink (nil = disabled); swapped
 	// atomically like the retry policy so SetObs never races page I/O.
 	recorder atomic.Pointer[obs.Recorder]
+
+	// hints bounds and joins the reads Hint starts (readahead.go).
+	hints hintGate
 }
 
 // Frame is a buffered page. The page contents must only be accessed while
@@ -197,6 +205,9 @@ type Frame struct {
 	pins  atomic.Int32
 	dirty atomic.Bool
 	ref   atomic.Bool // clock reference bit: set on access, cleared by the sweep
+	// hint is hintNone except on a frame that Hint brought in and no Get has
+	// taken over yet (readahead.go).
+	hint atomic.Uint32
 
 	// valid is protected by the owning partition's mutex.
 	valid bool
@@ -245,6 +256,7 @@ func NewPool(disk storage.Disk, capacity int) *Pool {
 		capacity: capacity,
 	}
 	p.quarantine = newQuarantine()
+	p.hints.idle.L = &p.hints.mu
 	quota := (capacity + n - 1) / n
 	for i := range p.parts {
 		p.parts[i] = &partition{
@@ -354,27 +366,28 @@ func (p *Pool) Get(no storage.PageNo) (*Frame, error) {
 		}
 	}
 	pt := p.part(no)
-	// Hit fast path: shared lock, atomic pin.
-	pt.mu.RLock()
-	if f, ok := pt.frames[no]; ok {
-		f.pins.Add(1)
-		f.ref.Store(true)
-		pt.hits.Add(1)
-		pt.mu.RUnlock()
-		return f, nil
-	}
-	pt.mu.RUnlock()
-
-	pt.mu.Lock()
 	for {
-		// Re-check: another goroutine may have loaded the page while we
-		// upgraded (or while an eviction write released the lock).
-		if f, ok := pt.frames[no]; ok {
+		// Hit fast path: shared lock, atomic pin.
+		pt.mu.RLock()
+		f, ok := pt.frames[no]
+		if ok {
 			f.pins.Add(1)
-			f.ref.Store(true)
+		}
+		pt.mu.RUnlock()
+		if ok {
+			if f.hint.Load() == hintNone {
+				f.ref.Store(true)
+			} else if !f.awaitHint() {
+				continue // the hint's read failed and took the frame away: miss
+			}
 			pt.hits.Add(1)
-			pt.mu.Unlock()
 			return f, nil
+		}
+		pt.mu.Lock()
+		if _, ok := pt.frames[no]; ok {
+			// Another goroutine loaded the page while we upgraded.
+			pt.mu.Unlock()
+			continue
 		}
 		dropped, err := pt.ensureRoomLocked()
 		if err != nil {
@@ -384,6 +397,9 @@ func (p *Pool) Get(no storage.PageNo) (*Frame, error) {
 		if !dropped {
 			break
 		}
+		// An eviction write released the lock: the stripe, this page
+		// included, may have changed arbitrarily.
+		pt.mu.Unlock()
 	}
 	pt.misses.Add(1)
 	f := pt.installFrameLocked(no)
@@ -555,6 +571,10 @@ func (p *Pool) NewPage(no storage.PageNo) (*Frame, error) {
 		if f, ok := pt.frames[no]; ok {
 			f.pins.Add(1)
 			pt.mu.Unlock()
+			if f.hint.Load() != hintNone && !f.awaitHint() {
+				pt.mu.Lock()
+				continue // a failed hint took the frame away: install a new one
+			}
 			f.WLatch()
 			for i := range f.Data {
 				f.Data[i] = 0
@@ -751,6 +771,9 @@ func (pt *partition) evictFrameLocked(f *Frame, list *[]*Frame, idx int) (droppe
 	delete(pt.frames, f.pageNo)
 	*list = append((*list)[:idx], (*list)[idx+1:]...)
 	pt.pool.rec().Count(obs.EvictClean)
+	if f.hint.Load() == hintFresh {
+		pt.pool.rec().Count(obs.HintWasted) // read ahead, and never asked for
+	}
 	return false, nil
 }
 
@@ -867,7 +890,11 @@ func (p *Pool) Remap(f *Frame, no storage.PageNo) {
 // stored copy with the format-v2 checksum, like every other write).
 func (p *Pool) WriteBypass(no storage.PageNo, data page.Page) error {
 	p.Drop(no)
-	return p.writePageRetry(no, data)
+	err := p.writePageRetry(no, data)
+	// Again, for the frame a Hint may have filled with the old image while
+	// the write was on its way (a stale peer pointer can name any page).
+	p.Drop(no)
+	return err
 }
 
 // Drop invalidates any frame for page no without writing it, used when a
@@ -1001,9 +1028,13 @@ func (p *Pool) SyncAll() error {
 }
 
 // InvalidateAll drops every frame without writing, simulating the loss of
-// volatile state at a crash. Pinned frames panic: a simulated crash must
-// not race live operations.
+// volatile state at a crash, after joining the hinted reads in flight.
+// Pinned frames panic: a simulated crash must not race live operations.
 func (p *Pool) InvalidateAll() {
+	// A hint's read pins its frame; no new one starts until this returns.
+	p.hints.mu.Lock()
+	defer p.hints.mu.Unlock()
+	p.hints.awaitIdleLocked()
 	for _, pt := range p.parts {
 		pt.mu.Lock()
 		for no, f := range pt.frames {

@@ -46,8 +46,10 @@ func touch(t *testing.T, p *Pool, no storage.PageNo) bool {
 // 10x-pool sequential scan whose pages are each read twice in quick
 // succession — the correlated double reference of a real scan — with the
 // hot set re-referenced only sparsely, at an interval longer than the
-// clock's revolution. Returns the phase-two hot-access hit rate.
-func scanWorkload(t *testing.T, d *storage.MemDisk, legacy bool, rec *obs.Recorder) (hotRate float64, pool *Pool) {
+// clock's revolution. With hinted set, every scan page is read ahead by a
+// Hint before its two touches, as a look-ahead scan reads them. Returns the
+// phase-two hot-access hit rate.
+func scanWorkload(t *testing.T, d *storage.MemDisk, legacy, hinted bool, rec *obs.Recorder) (hotRate float64, pool *Pool) {
 	t.Helper()
 	p := NewPool(d, 16) // one stripe, quota 16: segmented policy active
 	if rec != nil {
@@ -58,19 +60,24 @@ func scanWorkload(t *testing.T, d *storage.MemDisk, legacy bool, rec *obs.Record
 	}
 	const hotN = 8
 	scanNo := storage.PageNo(100)
+	scanPage := func() {
+		if hinted {
+			p.Hint(scanNo)
+			awaitHints(p)
+		}
+		touch(t, p, scanNo)
+		touch(t, p, scanNo)
+		scanNo++
+	}
 	for i := 0; i < 128; i++ { // phase one: earn residence
 		touch(t, p, storage.PageNo(i%hotN))
 		if i%2 == 0 {
-			touch(t, p, scanNo)
-			touch(t, p, scanNo)
-			scanNo++
+			scanPage()
 		}
 	}
 	hotHits, hotAccesses := 0, 0
 	for i := 0; i < 160; i++ { // phase two: the scan burst
-		touch(t, p, scanNo)
-		touch(t, p, scanNo)
-		scanNo++
+		scanPage()
 		if i%4 == 3 {
 			hot := storage.PageNo(i / 4 % hotN)
 			hotAccesses++
@@ -87,31 +94,44 @@ func scanWorkload(t *testing.T, d *storage.MemDisk, legacy bool, rec *obs.Record
 // segmented sweep promotes the re-referenced frames to the protected
 // segment, where one-shot scan pages never land.
 func TestScanResistantEviction(t *testing.T) {
-	rec := obs.New(0)
-	rate, p := scanWorkload(t, primeDisk(t, 512), false, rec)
-	if rate < 0.9 {
-		t.Fatalf("hot-set hit rate %.2f under sequential scan; want >= 0.90", rate)
-	}
-	if rec.Get(obs.EvictPromote) == 0 {
-		t.Fatal("no promotions recorded: the segmented sweep never engaged")
-	}
-	// The protected segment must be populated but bounded by its quota.
-	for _, ps := range p.PartitionStats() {
-		if ps.Protected > ps.Quota*3/4 {
-			t.Fatalf("stripe %d: protected=%d exceeds cap %d", ps.Partition, ps.Protected, ps.Quota*3/4)
+	for _, hinted := range []bool{false, true} {
+		rec := obs.New(0)
+		rate, p := scanWorkload(t, primeDisk(t, 512), false, hinted, rec)
+		if rate < 0.9 {
+			t.Fatalf("hinted=%v: hot-set hit rate %.2f under sequential scan; want >= 0.90", hinted, rate)
+		}
+		if rec.Get(obs.EvictPromote) == 0 {
+			t.Fatalf("hinted=%v: no promotions recorded: the segmented sweep never engaged", hinted)
+		}
+		if hinted && (rec.Get(obs.HintIssued) == 0 || rec.Get(obs.HintWasted) != 0) {
+			t.Fatalf("hints issued %d, wasted %d", rec.Get(obs.HintIssued), rec.Get(obs.HintWasted))
+		}
+		// The protected segment must be populated but bounded by its quota.
+		for _, ps := range p.PartitionStats() {
+			if ps.Protected > ps.Quota*3/4 {
+				t.Fatalf("hinted=%v: stripe %d: protected=%d exceeds cap %d", hinted, ps.Partition, ps.Protected, ps.Quota*3/4)
+			}
 		}
 	}
 }
 
 // TestScanResistanceBeatsLegacyClock runs the identical workload under both
 // policies; the segmented sweep must not do worse than the single clock it
-// replaces.
+// replaces, and reading the scan's pages ahead must change nothing: a hint is
+// not a reference, so the hit rate with hints is the one without.
 func TestScanResistanceBeatsLegacyClock(t *testing.T) {
-	twoQRate, _ := scanWorkload(t, primeDisk(t, 512), false, nil)
-	legacyRate, _ := scanWorkload(t, primeDisk(t, 512), true, nil)
+	twoQRate, _ := scanWorkload(t, primeDisk(t, 512), false, false, nil)
+	legacyRate, _ := scanWorkload(t, primeDisk(t, 512), true, false, nil)
 	if twoQRate < legacyRate {
 		t.Fatalf("segmented hit rate %.2f below legacy clock %.2f on the same workload",
 			twoQRate, legacyRate)
+	}
+	for _, legacy := range []bool{false, true} {
+		plain, _ := scanWorkload(t, primeDisk(t, 512), legacy, false, nil)
+		hinted, _ := scanWorkload(t, primeDisk(t, 512), legacy, true, nil)
+		if hinted != plain {
+			t.Fatalf("legacy=%v: hit rate %.2f with the scan pages hinted, %.2f without", legacy, hinted, plain)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -330,6 +331,7 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 	r.Pool().SetObs(db.cfg.Obs)
 	db.attachHealth(r.Pool())
 	rel := &Relation{db: db, name: name, h: r}
+	rel.aheadAll = rel.newLookAhead(0)
 	db.rels[name] = rel
 	return rel, nil
 }
@@ -386,7 +388,7 @@ func (db *DB) Close() error {
 		}
 	}
 	for _, r := range db.rels {
-		if err := r.h.Sync(); err != nil && firstErr == nil {
+		if err := r.h.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -414,6 +416,8 @@ type Relation struct {
 	db   *DB
 	name string
 	h    *heap.Relation
+
+	aheadAll btree.LookAhead // newLookAhead(0), shared by every scan that wants all rows
 }
 
 // Name returns the relation name.
@@ -546,14 +550,83 @@ func (ix *Index) Scan(start, end []byte, fn func(key []byte, tid heap.TID) bool)
 	if err := ix.db.readable(); err != nil {
 		return err
 	}
-	return ix.t.Scan(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
+	return ix.t.Scan(start, end, withTID(fn))
 }
+
+// withTID adapts an entry visitor to the tree's key/value one; a value that
+// is no TID ends the scan.
+func withTID(fn func(key []byte, tid heap.TID) bool) func(k, v []byte) bool {
+	return func(k, v []byte) bool {
+		tid, err := heap.ParseTID(v)
+		return err == nil && fn(k, tid)
+	}
+}
+
+// ScanAhead is Scan for a caller that fetches the tuple of every entry from
+// rel as fn receives it, and wants about rows rows (rows <= 0: as many as the
+// range holds). Before a leaf's entries reach fn, the heap pages of the ones
+// the caller will get to are hinted to rel's buffer pool, and so is the next
+// leaf if this one cannot satisfy the caller; those pages are then read
+// while fn resolves entry after entry, not one after the other as fn comes
+// to need them. Hints are advice (buffer.Pool.Hint): the entries fn sees, and
+// their order, are Scan's.
+func (ix *Index) ScanAhead(rel *Relation, start, end []byte, rows int, fn func(key []byte, tid heap.TID) bool) error {
+	if err := ix.db.readable(); err != nil {
+		return err
+	}
+	ahead := rel.aheadAll
+	if rows > 0 {
+		ahead = rel.newLookAhead(rows)
+	}
+	return ix.t.ScanAhead(start, end, ahead, withTID(fn))
+}
+
+// newLookAhead returns the look-ahead of an index scan whose caller fetches
+// from r and wants rows rows. A row is a run of entries that differ only in
+// the TID MakeUnique appends: the versions of one key. Of each leaf it hints
+// the heap pages of the rows still wanted, each page once, except the page
+// of the first entry, which the caller is about to read itself; more than a
+// pool reads at once it does not ask for. It wants the next leaf when this
+// one ran out before the rows did. With rows <= 0 it wants them all and keeps
+// no count, so one such look-ahead (r.aheadAll) serves every scan.
+func (r *Relation) newLookAhead(rows int) btree.LookAhead {
+	pool, counted := r.h.Pool(), rows > 0
+	return func(leaf []btree.Pair) bool {
+		var (
+			pages [buffer.FlushWorkers]uint32 // pages[0] is the caller's own read
+			n     int
+			row   []byte
+		)
+	entries:
+		for _, e := range leaf {
+			if counted {
+				if key := e.Key[:max(0, len(e.Key)-tidLen)]; row == nil || !bytes.Equal(key, row) {
+					if rows == 0 {
+						return false
+					}
+					rows--
+					row = key
+				}
+			}
+			tid, err := heap.ParseTID(e.Value)
+			if err != nil || n == len(pages) {
+				continue
+			}
+			for _, seen := range pages[:n] {
+				if seen == tid.PageNo {
+					continue entries
+				}
+			}
+			if pages[n], n = tid.PageNo, n+1; n > 1 {
+				pool.Hint(tid.PageNo)
+			}
+		}
+		return true
+	}
+}
+
+// tidLen is the length of the suffix MakeUnique appends.
+const tidLen = 6
 
 // ScanDegraded visits index entries in [start, end) like Scan, but steps
 // over quarantined subtrees instead of failing, reporting each skipped key
@@ -563,20 +636,14 @@ func (ix *Index) ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TI
 	if err := ix.db.readable(); err != nil {
 		return btree.ScanReport{}, err
 	}
-	return ix.t.ScanDegraded(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
+	return ix.t.ScanDegraded(start, end, withTID(fn))
 }
 
 // MakeUnique turns a possibly-duplicated key value into a unique index key
 // by appending the tuple identifier, as POSTGRES does with <value,
 // object_id> keys (§2).
 func MakeUnique(key []byte, tid heap.TID) []byte {
-	out := make([]byte, 0, len(key)+6)
+	out := make([]byte, 0, len(key)+tidLen)
 	out = append(out, key...)
 	return append(out, tid.Bytes()...)
 }

@@ -39,6 +39,7 @@ type KVIndex interface {
 	LookupTID(key []byte) (heap.TID, error)
 	FetchVisible(rel *Relation, key []byte) ([]byte, error)
 	Scan(start, end []byte, fn func(key []byte, tid heap.TID) bool) error
+	ScanAhead(rel *Relation, start, end []byte, rows int, fn func(key []byte, tid heap.TID) bool) error
 	ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TID) bool) (btree.ScanReport, error)
 	BulkLoad(keys [][]byte, tids []heap.TID) error
 	Rebuild(rel *Relation, keyOf vacuum.KeyOf) (RebuildStats, error)
@@ -277,13 +278,14 @@ func (ix *ShardedIndex) Scan(start, end []byte, fn func(key []byte, tid heap.TID
 		return err
 	}
 	ix.db.cfg.Obs.Count(obs.ShardScan)
-	return ix.r.Scan(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
+	return ix.r.Scan(start, end, withTID(fn))
+}
+
+// ScanAhead is Scan: the merge draws on every shard's tree in batches of its
+// own, so what one leaf holds says little about which heap pages fn meets
+// next, and nothing is hinted.
+func (ix *ShardedIndex) ScanAhead(_ *Relation, start, end []byte, _ int, fn func(key []byte, tid heap.TID) bool) error {
+	return ix.Scan(start, end, fn)
 }
 
 // ScanDegraded is Scan with skip-and-report semantics lifted to the
@@ -294,13 +296,7 @@ func (ix *ShardedIndex) ScanDegraded(start, end []byte, fn func(key []byte, tid 
 		return btree.ScanReport{}, err
 	}
 	ix.db.cfg.Obs.Count(obs.ShardScan)
-	return ix.r.ScanDegraded(start, end, func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, tid)
-	})
+	return ix.r.ScanDegraded(start, end, withTID(fn))
 }
 
 // Sync forces every shard (parallel fan-out across the sync domains).

@@ -104,6 +104,13 @@ func (r *Relation) Pool() *buffer.Pool { return r.pool }
 // Sync forces all modified heap pages to stable storage.
 func (r *Relation) Sync() error { return r.pool.SyncAll() }
 
+// Close forces the relation like Sync, after joining the reads that hints
+// to its pool started: the caller is free to close the disk next.
+func (r *Relation) Close() error {
+	r.pool.StopHints()
+	return r.Sync()
+}
+
 // Insert appends a new tuple version created by xid and returns its TID.
 func (r *Relation) Insert(xid XID, data []byte) (TID, error) {
 	if len(data) > page.Size/4 {

@@ -114,6 +114,11 @@ const (
 	OpenBoundPages // index pages the bound walks read
 	OpenGateWait   // an operation blocked until the bound was published
 
+	// Read-ahead (buffer.Pool.Hint). A hint for a resident page counts nothing.
+	HintIssued  // a hinted read was started
+	HintDropped // a hint for an absent page found FlushWorkers reads in flight
+	HintWasted  // a frame read ahead was evicted before any Get asked for it
+
 	numMetrics
 )
 
@@ -178,6 +183,9 @@ var metricNames = [numMetrics]string{
 	OpenBoundWalk:     "open.boundwalk",
 	OpenBoundPages:    "open.boundwalk.pages",
 	OpenGateWait:      "open.gate.wait",
+	HintIssued:        "hint.issued",
+	HintDropped:       "hint.dropped",
+	HintWasted:        "hint.wasted",
 }
 
 func (m Metric) String() string {

@@ -522,6 +522,23 @@ func TestScanPrefixInterleavedKeys(t *testing.T) {
 		t.Fatal("test setup: key \"a\" landed on heap page 0; its entries would not interleave — increase padding")
 	}
 
+	// The lookup twin: GET reads the index from "a" to the successor of the
+	// largest entry "a" could own, and so walks through the "a\x00?" entries
+	// to its own. Neither they nor a second version of either key may change
+	// what it answers.
+	cl.expect("GET a", "OK short")
+	cl.expect("GET a\x00c", "OK ext")
+	cl.expect("GET a\x00", "NOTFOUND")
+	cl.expect("PUT a\x00c ext2", "OK")
+	cl.expect("PUT a shorter", "OK")
+	cl.expect("GET a", "OK shorter")
+	cl.expect("GET a\x00c", "OK ext2")
+	cl.expect("DEL a", "OK")
+	cl.expect("GET a", "NOTFOUND")
+	cl.expect("GET a\x00a", "OK ext")
+	cl.expect("PUT a short", "OK")
+	cl.expect("PUT a\x00c ext", "OK")
+
 	// "a" is the smallest key in [a, b) but its entries sort after every
 	// "a\x00?" entry; a limited SCAN must still rank it first.
 	rows, final := cl.scan("SCAN a b 2")

@@ -356,6 +356,12 @@ func (ss *session) cmdStats() {
 		"open_boundwalk_pages": snap.Counters["open.boundwalk.pages"],
 		"open_boundwalk_ns":    snap.Timers["open.boundwalk"].TotalNs,
 		"open_gate_waits":      snap.Counters["open.gate.wait"],
+		// Read-ahead: reads started for pages a request was about to need,
+		// hints dropped with eight reads already in flight, and pages read
+		// ahead that were evicted before anyone asked for them.
+		"hints_issued":  snap.Counters["hint.issued"],
+		"hints_dropped": snap.Counters["hint.dropped"],
+		"hints_wasted":  snap.Counters["hint.wasted"],
 	}
 	if six := ss.srv.sharded; six != nil {
 		stats["shards"] = six.Shards()
@@ -382,32 +388,40 @@ func (ss *session) cmdStats() {
 // visible versions can exist only under concurrent uncoordinated writers
 // (the engine has no write-write locking); the highest TID — the latest
 // heap placement — wins deterministically.
+//
+// The index scan ends at the successor of the largest entry the key could
+// own. Every entry in that range starts with key, so what the scan copies out
+// of the leaf is the key's versions (and the entries of longer keys that sort
+// among them, told apart by their length), not the rest of the leaf; and when
+// there are two versions or more, their heap pages are read together.
 func (s *Server) lookupVisible(key []byte) (heap.TID, []byte, bool, error) {
-	var (
-		bestTID heap.TID
-		bestVal []byte
-		found   bool
-	)
-	err := s.idx.Scan(key, nil, func(e []byte, tid heap.TID) bool {
-		if !bytes.HasPrefix(e, key) {
-			return false // sorted: once past the key's prefix run, done
-		}
+	// One variable for the callback to capture: one allocation, not three.
+	var best struct {
+		tid   heap.TID
+		val   []byte
+		found bool
+	}
+	end := make([]byte, len(key)+tidLen+1)
+	for i := copy(end, key); i < len(key)+tidLen; i++ {
+		end[i] = 0xFF
+	}
+	err := s.idx.ScanAhead(s.rel, key, end, 0, func(e []byte, tid heap.TID) bool {
 		if len(e) != len(key)+tidLen {
-			return true // a longer user key sharing the prefix; keep going
+			return true // a longer key's
 		}
 		data, err := s.rel.Fetch(tid)
 		if err != nil {
 			return true // dead or invisible version
 		}
-		if !found || tidLess(bestTID, tid) {
-			bestTID, bestVal, found = tid, data, true
+		if !best.found || tidLess(best.tid, tid) {
+			best.tid, best.val, best.found = tid, data, true
 		}
 		return true
 	})
 	if err != nil {
 		return heap.TID{}, nil, false, err
 	}
-	return bestTID, bestVal, found, nil
+	return best.tid, best.val, best.found, nil
 }
 
 func tidLess(a, b heap.TID) bool {
@@ -530,7 +544,7 @@ func (s *Server) scanVisible(lo, hi []byte, limit int) ([]kvRow, error) {
 	// arrive — they can never appear in the result.
 	best := make(map[string]cand)
 	var keys []string
-	err := s.idx.Scan(lo, nil, func(e []byte, tid heap.TID) bool {
+	err := s.idx.ScanAhead(s.rel, lo, nil, limit, func(e []byte, tid heap.TID) bool {
 		if len(e) < tidLen {
 			return true
 		}
