@@ -6,13 +6,15 @@
 # batching under concurrent clients) + the restart gate (Open's read
 # budget, the allocation-bound walk behind it, and the wire benchmark's own
 # tests) + the read-ahead gate (hint-only semantics, the overlap of one
-# request's cold reads, lifecycle).
+# request's cold reads, lifecycle) + the commit gate (the status append's
+# crash enumeration, the XID ceiling, Sync under the shared tree lock,
+# FileDisk without a mutex across its system calls).
 
 GO ?= go
 
-.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke readahead-smoke
+.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke readahead-smoke commit-smoke
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke
+check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke
 
 vet:
 	$(GO) vet ./...
@@ -168,4 +170,20 @@ readahead-smoke:
 	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints'
 	$(GO) test -race -count=3 ./internal/core -run 'TestScanAheadOverlapsReads|TestResidentReadsStartNothing|TestCloseJoinsHints'
 	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys'
+	$(GO) test ./benchmark
+
+# The commit gate, under the race detector: the whole internal/txn suite (the
+# status append cut at every device call with every subset of its pending
+# pages kept, for a batch that fits, fills, crosses and spans three pages; a
+# stale successor page is never read; a bad count or version is a typed error;
+# a 12-page table opens in two waves of reads; no XID is handed out twice
+# across a crash, and the ceiling costs a commit no write), Tree.Sync leaving
+# lookups, scans and fitting inserts running while its writes are held at the
+# device, FileDisk's concurrent reads, writes and fsync, and the wire twin of
+# the XID test (BEGIN after the burst). Then the benchmark's own tests.
+commit-smoke:
+	$(GO) test -race -count=3 ./internal/txn
+	$(GO) test -race -count=3 ./internal/btree -run TestSyncDoesNotBlockReaders
+	$(GO) test -race -count=3 ./internal/storage -run TestFileDiskConcurrentIO
+	$(GO) test -race -count=3 ./internal/server -run 'TestServerXIDNotReusedAfterCrash|TestServerSmoke'
 	$(GO) test ./benchmark

@@ -204,9 +204,19 @@ func (t *Tree) Freelist() *freelist.List { return t.free }
 // Sync makes all modified pages durable — the commit-time force of §2 —
 // then advances the global sync counter and releases pages whose
 // replacements are now durable onto the freelist.
+//
+// It holds the tree lock shared, plus the split lock, exactly as the blocked
+// sync of insertSplitShared does: lookups, scans and inserts that fit their
+// leaf go on while the device wave is in flight, and only a split waits.
+// That is enough because everything a sync orders itself against happens
+// under splitMu or the exclusive lock — sync tokens are stamped there,
+// pendingFree is appended there — and Advance follows the device sync, so a
+// page stamped with the new token can only have been dirtied after it.
 func (t *Tree) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.splitMu.Lock()
+	defer t.splitMu.Unlock()
 	return t.syncLocked()
 }
 

@@ -426,9 +426,19 @@ func (r *Relation) Name() string { return r.name }
 // Heap exposes the underlying heap (for the vacuum and experiments).
 func (r *Relation) Heap() *heap.Relation { return r.h }
 
+// writableBy reports why t may not write a tuple: the database is not
+// writable, or t's XID was never reserved (txn.Txn.Err) and a tuple under it
+// could be resurrected by the XID's next owner.
+func (r *Relation) writableBy(t *Txn) error {
+	if err := r.db.writable(); err != nil {
+		return err
+	}
+	return t.tx.Err()
+}
+
 // Insert writes a tuple version owned by the transaction.
 func (r *Relation) Insert(t *Txn, data []byte) (heap.TID, error) {
-	if err := r.db.writable(); err != nil {
+	if err := r.writableBy(t); err != nil {
 		return heap.TID{}, err
 	}
 	t.tx.Touch(r.h)
@@ -438,7 +448,7 @@ func (r *Relation) Insert(t *Txn, data []byte) (heap.TID, error) {
 // Delete stamps the version's xmax; the version stays for historical reads
 // until the vacuum reclaims it.
 func (r *Relation) Delete(t *Txn, tid heap.TID) error {
-	if err := r.db.writable(); err != nil {
+	if err := r.writableBy(t); err != nil {
 		return err
 	}
 	t.tx.Touch(r.h)
@@ -447,7 +457,7 @@ func (r *Relation) Delete(t *Txn, tid heap.TID) error {
 
 // Update writes a new version and invalidates the old one.
 func (r *Relation) Update(t *Txn, tid heap.TID, data []byte) (heap.TID, error) {
-	if err := r.db.writable(); err != nil {
+	if err := r.writableBy(t); err != nil {
 		return heap.TID{}, err
 	}
 	t.tx.Touch(r.h)

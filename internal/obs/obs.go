@@ -90,6 +90,7 @@ const (
 	CommitSyncSkip // a batch member's force coalesced onto an already-run sync
 	CommitFail     // a commit aborted by a force or status-write failure
 	CommitFanout   // a batch force fanned out over >1 sync domains in parallel
+	CommitTwoPhase // a status append filled its page: successors synced, then the tail page
 	FlushDaemon    // background checkpoint pass flushed the DB's dirty pages
 
 	// Sharded multi-index router (internal/shard).
@@ -168,6 +169,7 @@ var metricNames = [numMetrics]string{
 	CommitSyncSkip:    "commit.sync.skipped",
 	CommitFail:        "commit.fail",
 	CommitFanout:      "commit.fanout",
+	CommitTwoPhase:    "commit.status.twophase",
 	FlushDaemon:       "flush.daemon",
 	ShardRecover:      "shard.recover",
 	ShardScan:         "shard.scan",
@@ -211,8 +213,10 @@ const (
 	TSyncFlush   Timer = iota // index sync: flush + token advance
 	TFlushDirty               // buffer-pool dirty-page flush
 	TCommit                   // whole commit as seen by one committer (queue + force + status)
-	TStatusWrite              // durable status-table append (leader only)
+	TStatusWrite              // durable status-table write (the commit leader's append, or a Begin raising the XID ceiling)
 	TBoundWalk                // background allocation-bound walk after btree.Open
+	TCommitQueue              // one committer: joining the queue -> start of the batch that carries it
+	TCommitForce              // the batched force of one commit batch (leader only)
 	numTimers
 )
 
@@ -222,6 +226,8 @@ var timerNames = [numTimers]string{
 	TCommit:      "commit.latency",
 	TStatusWrite: "commit.status",
 	TBoundWalk:   "open.boundwalk",
+	TCommitQueue: "commit.queue",
+	TCommitForce: "commit.force",
 }
 
 func (t Timer) String() string {

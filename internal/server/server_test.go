@@ -159,8 +159,11 @@ func TestServerSmoke(t *testing.T) {
 
 	// STATS reports through the obs recorder.
 	stats := cl.expectPrefix("STATS", "OK {")
-	if !strings.Contains(stats, `"commit_txns":`) || !strings.Contains(stats, `"health":`) {
-		t.Fatalf("STATS missing fields: %q", stats)
+	for _, field := range []string{`"commit_txns":`, `"health":`, `"commit_queue_ns":`, `"commit_force_ns":`,
+		`"commit_status_ns":`, `"commit_latency_ns":`, `"commit_status_twophase":0`} {
+		if !strings.Contains(stats, field) {
+			t.Fatalf("STATS missing %s: %q", field, stats)
+		}
 	}
 
 	// Error paths.
@@ -311,6 +314,60 @@ func TestServerCrashRecover(t *testing.T) {
 		t.Fatalf("post-crash SCAN: rows=%v final=%q", rows, final)
 	}
 
+	cl2.expect("QUIT", "OK bye")
+	if err := srv2.Close(); err != nil {
+		t.Fatalf("graceful Close after recovery: %v", err)
+	}
+}
+
+// TestServerXIDNotReusedAfterCrash is the wire twin of the txn-level test,
+// in the order the benchmark still steers round (known engine failure #3):
+// the burst of commits first, THEN the BEGIN of the transaction that dies.
+// Its heap pages reach the disk (a flush pass), the machine dies, and the
+// first transaction after the restart must get an XID above the dead one —
+// its commit must not make the dead transaction's rows visible.
+func TestServerXIDNotReusedAfterCrash(t *testing.T) {
+	store := core.Memory()
+	db, srv := newTestServer(t, store)
+
+	cl := dial(t, srv)
+	for i := 0; i < 10; i++ {
+		cl.expect(fmt.Sprintf("PUT stable-%02d value-%d", i, i), "OK")
+	}
+	loser := dial(t, srv)
+	deadXID := loser.expectPrefix("BEGIN", "OK ") // after the last commit
+	loser.expect("PUT phantom boo", "OK")
+	loser.expect("PUT stable-00 overwritten", "OK")
+	loser.expect("DEL stable-01", "OK")
+	if err := db.FlushAll(); err != nil { // what the 50 ms daemon does
+		t.Fatal(err)
+	}
+	for _, d := range core.MemoryDisks(store) {
+		if err := d.CrashPartial(storage.CrashAll); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db2, srv2 := newTestServer(t, store)
+	defer db2.Close()
+	cl2 := dial(t, srv2)
+	newXID := cl2.expectPrefix("BEGIN", "OK ")
+	var dead, fresh uint64
+	fmt.Sscan(strings.TrimPrefix(deadXID, "OK "), &dead)
+	fmt.Sscan(strings.TrimPrefix(newXID, "OK "), &fresh)
+	if dead == 0 || fresh <= dead {
+		t.Errorf("BEGIN after the restart returned XID %d; the dead transaction had %d", fresh, dead)
+	}
+	cl2.expect("PUT after-crash yes", "OK")
+	cl2.expectPrefix("COMMIT", "OK ")
+
+	cl2.expect("GET phantom", "NOTFOUND")
+	cl2.expect("GET stable-00", "OK value-0")
+	cl2.expect("GET stable-01", "OK value-1")
+	cl2.expect("GET after-crash", "OK yes")
+	if rows, final := cl2.scan("SCAN - -"); final != "OK 11" {
+		t.Fatalf("post-crash SCAN: rows=%v final=%q", rows, final)
+	}
 	cl2.expect("QUIT", "OK bye")
 	if err := srv2.Close(); err != nil {
 		t.Fatalf("graceful Close after recovery: %v", err)

@@ -350,6 +350,15 @@ func (ss *session) cmdStats() {
 		"evict_promotions":    snap.Counters["pool.evict.promote"],
 		"batch_puts":          snap.Counters["batch.put"],
 		"batch_leaf_runs":     snap.Counters["batch.leafrun"],
+		// Where a commit's time goes: waiting for the batch that carries it,
+		// the batched force, the status append (commit_latency is all three
+		// as one committer sees them), and how many appends filled a status
+		// page and so needed the two-phase write.
+		"commit_latency_ns":      snap.Timers["commit.latency"].TotalNs,
+		"commit_queue_ns":        snap.Timers["commit.queue"].TotalNs,
+		"commit_force_ns":        snap.Timers["commit.force"].TotalNs,
+		"commit_status_ns":       snap.Timers["commit.status"].TotalNs,
+		"commit_status_twophase": snap.Counters["commit.status.twophase"],
 		// Restart: what the index opens left running in the background,
 		// and how many operations had to wait for it.
 		"open_boundwalks":      snap.Counters["open.boundwalk"],

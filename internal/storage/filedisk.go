@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/page"
 )
@@ -14,11 +15,14 @@ import (
 // exactly the UNIX behaviour the paper assumes: no write ordering within a
 // sync, durability only at sync boundaries.
 type FileDisk struct {
-	mu      sync.Mutex
-	f       *os.File
-	nPages  PageNo
-	closed  bool
-	scratch page.Page // reusable seal buffer; guarded by mu
+	// mu guards closed. Every operation read-holds it across its system
+	// call — pread, pwrite and fsync on one *os.File are safe concurrently,
+	// so page I/O and a sync in flight do not wait for each other — and
+	// Close takes it exclusively, so it still waits for all of them.
+	mu     sync.RWMutex
+	f      *os.File
+	closed bool
+	nPages atomic.Uint32 // only grows
 }
 
 // OpenFileDisk opens (creating if necessary) the file at path as a page
@@ -37,7 +41,9 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, st.Size())
 	}
-	return &FileDisk{f: f, nPages: PageNo(st.Size() / page.Size)}, nil
+	d := &FileDisk{f: f}
+	d.nPages.Store(PageNo(st.Size() / page.Size))
+	return d, nil
 }
 
 // ReadPage implements Disk.
@@ -45,13 +51,13 @@ func (d *FileDisk) ReadPage(no PageNo, buf page.Page) error {
 	if err := checkPageBuf(buf); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if no >= d.nPages {
-		return fmt.Errorf("%w: page %d of %d", ErrOutOfRange, no, d.nPages)
+	if n := d.nPages.Load(); no >= n {
+		return fmt.Errorf("%w: page %d of %d", ErrOutOfRange, no, n)
 	}
 	n, err := d.f.ReadAt(buf, int64(no)*page.Size)
 	if err == io.EOF {
@@ -72,26 +78,14 @@ func (d *FileDisk) WritePage(no PageNo, data page.Page) error {
 	if err := checkPageBuf(data); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	// Seal into a scratch copy: the stored image carries the checksum but
 	// the caller's buffer must not be modified (it may be a buffer-pool
 	// frame that concurrent readers hold pinned).
-	if d.scratch == nil {
-		d.scratch = make(page.Page, page.Size)
-	}
-	copy(d.scratch, data)
-	d.scratch.UpdateChecksum()
-	if _, err := d.f.WriteAt(d.scratch, int64(no)*page.Size); err != nil {
-		return err
-	}
-	if no >= d.nPages {
-		d.nPages = no + 1
-	}
-	return nil
+	img := page.GetScratch()
+	defer page.PutScratch(img)
+	copy(img, data)
+	img.UpdateChecksum()
+	return d.writePageRaw(no, img)
 }
 
 // writePageRaw stores an image verbatim, without sealing. Used by FaultDisk
@@ -100,24 +94,23 @@ func (d *FileDisk) writePageRaw(no PageNo, data page.Page) error {
 	if err := checkPageBuf(data); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
 	if _, err := d.f.WriteAt(data, int64(no)*page.Size); err != nil {
 		return err
 	}
-	if no >= d.nPages {
-		d.nPages = no + 1
+	for n := d.nPages.Load(); no >= n && !d.nPages.CompareAndSwap(n, no+1); n = d.nPages.Load() {
 	}
 	return nil
 }
 
 // Sync implements Disk via fsync.
 func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}
@@ -127,12 +120,12 @@ func (d *FileDisk) Sync() error {
 // NumPages implements Disk. A closed disk reports zero pages, consistent
 // with every other method rejecting use after Close.
 func (d *FileDisk) NumPages() PageNo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return 0
 	}
-	return d.nPages
+	return d.nPages.Load()
 }
 
 // Close implements Disk. It deliberately does not sync first.

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -68,20 +69,18 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	started := make(chan struct{}, n)
 	for i := range txns {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			errs[i] = txns[i].Commit()
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Wait until the leader is stuck in shared.Sync with its batch and
+	// everyone else is queued behind it. Then release the gate.
+	for int(rec.Get(obs.CommitTxn))+len(m.gc.queuedXIDs()) < n {
+		runtime.Gosched()
 	}
-	// All committers are running; the leader is stuck in shared.Sync.
-	// Everyone else is queued behind it. Release the gate.
 	close(shared.gate)
 	wg.Wait()
 
@@ -111,10 +110,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if rec.Get(obs.CommitSyncSkip) == 0 {
 		t.Fatal("commit.sync.skipped never counted")
 	}
-	// Status durability is one tail sync + one page-0 sync per batch at
-	// most; with batching it must undercut the 2-syncs-per-txn worst case.
+	// Status durability is one sync per batch (two for the rare batch that
+	// fills a page); with batching it must undercut one sync per txn.
 	_, syncsAfter, _ := d.Stats()
-	if syncsAfter-syncsBefore >= 2*n {
+	if syncsAfter-syncsBefore >= n {
 		t.Fatalf("%d status syncs for %d txns: not batched", syncsAfter-syncsBefore, n)
 	}
 }
@@ -345,20 +344,21 @@ func TestBatchCrashBeforeStatusWriteAllInvisible(t *testing.T) {
 	}
 }
 
-// TestSpillCrashBetweenTailAndFirstPage drives the two-phase status write:
-// a crash after the continuation-page sync but before page 0 must reload
-// as the OLD commit set — the new tail entries are durable but uncovered.
-func TestSpillCrashBetweenTailAndFirstPage(t *testing.T) {
+// TestCrossingCrashBetweenSuccessorAndTail drives the two-phase status
+// write: a crash after the successor page is durable but before the tail
+// page is written must reload as the OLD commit set — the tail page on the
+// device is still short of full, so recovery never reads the successor.
+func TestCrossingCrashBetweenSuccessorAndTail(t *testing.T) {
 	d := storage.NewMemDisk()
 	m, err := OpenManager(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill past the first page so appends dirty a continuation page.
-	committedBefore := fillStatusTable(t, m, xidsPerFirstPage+10)
+	// One short of full: the next commit fills the tail page.
+	committedBefore := fillStatusTable(t, m, xidsPerPage-1)
 
 	var crashed *storage.MemDisk
-	m.hookAfterTailSync = func() {
+	m.hookAfterSuccessorSync = func() {
 		if crashed == nil {
 			crashed = d.CloneStable()
 		}
@@ -368,14 +368,14 @@ func TestSpillCrashBetweenTailAndFirstPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if crashed == nil {
-		t.Fatal("tail-sync hook never fired (append did not spill?)")
+		t.Fatal("successor-sync hook never fired (append did not fill the page?)")
 	}
 	m2, err := OpenManager(crashed)
 	if err != nil {
 		t.Fatalf("reopen mid-status-write crash: %v", err)
 	}
 	if m2.Committed(tx.XID()) {
-		t.Fatalf("xid %d visible though page 0 never covered it", tx.XID())
+		t.Fatalf("xid %d visible though the tail page was never written full", tx.XID())
 	}
 	for _, x := range committedBefore {
 		if !m2.Committed(x) {
@@ -390,9 +390,7 @@ func fillStatusTable(t *testing.T, m *Manager, total int) []heap.XID {
 	t.Helper()
 	var xids []heap.XID
 	for {
-		m.mu.Lock()
-		n := len(m.order)
-		m.mu.Unlock()
+		n := statusEntries(m)
 		if n >= total {
 			return xids
 		}
@@ -404,21 +402,29 @@ func fillStatusTable(t *testing.T, m *Manager, total int) []heap.XID {
 	}
 }
 
+// statusEntries is the number of entries in the status table.
+func statusEntries(m *Manager) int {
+	m.statusMu.Lock()
+	defer m.statusMu.Unlock()
+	return int(m.tailNo)*xidsPerPage + statusCount(m.tail)
+}
+
 // --- spill-page boundary math -------------------------------------------
 
 // TestSpillBoundariesSurviveCrash commits exactly enough XIDs to land the
 // status table on every interesting page boundary — one short of filling
-// page 0, exactly full, one entry onto page 1, page 1 exactly full, one
-// entry onto page 2 — and at each boundary crashes (clones durable state)
+// page 0, exactly full (page 1 exists, empty), one entry onto page 1, page 1
+// exactly full, one entry onto page 2 — and at each boundary crashes (clones
+// durable state)
 // and verifies OpenManager reloads every committed XID and resurrects
 // nothing.
 func TestSpillBoundariesSurviveCrash(t *testing.T) {
 	boundaries := []int{
-		xidsPerFirstPage - 1,
-		xidsPerFirstPage,
-		xidsPerFirstPage + 1,
-		xidsPerFirstPage + xidsPerPage,
-		xidsPerFirstPage + xidsPerPage + 1,
+		xidsPerPage - 1,
+		xidsPerPage,
+		xidsPerPage + 1,
+		2 * xidsPerPage,
+		2*xidsPerPage + 1,
 	}
 	d := storage.NewMemDisk()
 	m, err := OpenManager(d)
@@ -494,9 +500,12 @@ func TestVisibilityOnlyAfterDurableStatusWrite(t *testing.T) {
 		pending = append(pending[:0], batch...)
 		check(batch)
 	}
-	m.hookAfterTailSync = func() {
+	fillStatusTable(t, m, xidsPerPage-3)
+	crossed := false
+	m.hookAfterSuccessorSync = func() {
 		hookMu.Lock()
 		defer hookMu.Unlock()
+		crossed = true
 		check(pending)
 	}
 
@@ -521,6 +530,9 @@ func TestVisibilityOnlyAfterDurableStatusWrite(t *testing.T) {
 
 	hookMu.Lock()
 	defer hookMu.Unlock()
+	if !crossed {
+		t.Fatal("no batch crossed the page: the successor-sync hook never fired")
+	}
 	if len(leaked) > 0 {
 		t.Fatalf("xids %v were visible before their commit record was durable", leaked)
 	}
@@ -602,25 +614,33 @@ func TestCommitStatusFailureNeverVisible(t *testing.T) {
 	}
 }
 
-// TestStatusAppendDoesNotRewritePrefix pins the append-only property the
-// crash atomicity of writeStatus depends on: committing one transaction
-// into a multi-page table rewrites only page 0 and the tail page, never
-// the full-but-untouched middle pages.
-func TestStatusAppendDoesNotRewritePrefix(t *testing.T) {
+// TestStatusAppendIsOnePageWrite pins the floor: whatever the length of the
+// table, a commit whose XID fits the tail page writes that one page and
+// syncs once — page 0 is not touched again, nor any full page.
+func TestStatusAppendIsOnePageWrite(t *testing.T) {
 	d := storage.NewMemDisk()
 	m, err := OpenManager(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillStatusTable(t, m, xidsPerFirstPage+xidsPerPage+5) // pages 0..2 in use
-	writesBefore, _, _ := d.Stats()
-	tx := m.Begin()
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	writesAfter, _, _ := d.Stats()
-	if got := writesAfter - writesBefore; got > 2 {
-		t.Fatalf("append wrote %d pages, want <= 2 (page 0 + tail)", got)
+	for _, total := range []int{5, xidsPerPage + 5, 2*xidsPerPage + 5} {
+		fillStatusTable(t, m, total)
+		before := d.SnapshotStable()
+		writes0, syncs0, _ := d.Stats()
+		tx := m.Begin()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		writes1, syncs1, _ := d.Stats()
+		if writes1-writes0 != 1 || syncs1-syncs0 != 1 {
+			t.Fatalf("%d entries: a commit cost %d page writes and %d syncs, want 1 and 1",
+				total, writes1-writes0, syncs1-syncs0)
+		}
+		for no, img := range d.SnapshotStable() {
+			if no != storage.PageNo(total/xidsPerPage) && !bytes.Equal(img, before[no]) {
+				t.Fatalf("%d entries: the commit rewrote page %d", total, no)
+			}
+		}
 	}
 }
 

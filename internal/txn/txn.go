@@ -48,9 +48,12 @@ var ErrCommitFailed = errors.New("txn: commit failed; transaction aborted")
 // transaction is aborted in this process, but durability of the commit
 // record is indeterminate: a subsequent restart may find it committed
 // (its data pages were already forced, so that outcome is consistent too).
+//
+// Stage "begin" means Begin could not make the transaction's XID durable as
+// handed out (Txn.Err): it wrote nothing and is invisible.
 type CommitError struct {
 	XID   heap.XID
-	Stage string // "force" or "status"
+	Stage string // "force", "status" or "begin"
 	Err   error
 }
 
@@ -67,48 +70,30 @@ type Syncer interface {
 	Sync() error
 }
 
-// Manager allocates XIDs and maintains the durable commit status table.
-// The table lives in its own page file: page 0 holds the next-XID high
-// water mark and the count of committed XIDs, followed by the XIDs in
-// commit order (spilling onto subsequent pages as needed).
+// Manager allocates XIDs and maintains the durable commit status table,
+// which lives in its own page file (status.go).
 type Manager struct {
 	disk storage.Disk
 	obs  *obs.Recorder // nil-safe; set once before concurrent use
 
 	mu        sync.Mutex
 	nextXID   heap.XID
+	ceiling   heap.XID // durable: a restart resumes at or above it, so Begin hands out nothing from it up
 	committed map[heap.XID]bool
-	order     []heap.XID // committed XIDs in on-disk (commit) order
 	active    map[heap.XID]*Txn
+
+	// statusMu serializes the writers of the status file: the commit leader
+	// and a Begin raising the ceiling. It is taken before mu, and mu is never
+	// held across a device call — Committed waits for no write.
+	statusMu sync.Mutex
+	tailNo   storage.PageNo
+	tail     page.Page // image of page tailNo, the first page that is not full
 
 	gc groupCommitter
 
 	// Test hooks, fired by the commit leader. Set before concurrent use.
-	hookAfterForce    func(batch []heap.XID) // between batched force and status write
-	hookAfterTailSync func()                 // between continuation-page sync and page-0 write
-}
-
-// statusLayout: page 0 header is a normal page header; body is
-//
-//	nextXID u64 | count u64 | xid u64 ...
-//
-// continued on pages 1..n with raw u64 arrays. XIDs are stored in commit
-// order, never rewritten: entry i's location is a pure function of i, and
-// a persisted entry is immutable. That append-only discipline is what
-// makes the two-phase status write below crash-atomic (see writeStatus).
-const (
-	statusBase       = page.HeaderSize
-	xidsPerFirstPage = (page.Size - statusBase - 16) / 8
-	xidsPerPage      = (page.Size - statusBase) / 8
-)
-
-// xidPos maps status-table entry index i to its page and byte offset.
-func xidPos(i int) (storage.PageNo, int) {
-	if i < xidsPerFirstPage {
-		return 0, statusBase + 16 + 8*i
-	}
-	j := i - xidsPerFirstPage
-	return storage.PageNo(1 + j/xidsPerPage), statusBase + 8*(j%xidsPerPage)
+	hookAfterForce         func(batch []heap.XID) // between batched force and status write
+	hookAfterSuccessorSync func()                 // appendCrossing: successors durable, tail page not yet written
 }
 
 // OpenManager loads (or initializes) the status table from disk.
@@ -117,49 +102,12 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 		disk:      disk,
 		nextXID:   2, // XID 1 is the bootstrap transaction
 		committed: map[heap.XID]bool{1: true},
-		order:     []heap.XID{1},
 		active:    make(map[heap.XID]*Txn),
 	}
 	m.gc.cond = sync.NewCond(&m.gc.mu)
 	m.gc.batching = true
-	if disk.NumPages() == 0 {
-		return m, m.persistAll()
-	}
-	buf := page.GetScratch()
-	defer page.PutScratch(buf)
-	if err := disk.ReadPage(0, buf); err != nil {
+	if err := m.loadStatus(); err != nil {
 		return nil, err
-	}
-	if buf.IsZeroed() {
-		return m, m.persistAll()
-	}
-	next := getU64(buf[statusBase:])
-	count := getU64(buf[statusBase+8:])
-	if next > uint64(m.nextXID) {
-		m.nextXID = heap.XID(next)
-	}
-	m.committed = make(map[heap.XID]bool, count+1)
-	m.committed[1] = true
-	m.order = m.order[:0]
-	read := uint64(0)
-	off := statusBase + 16
-	pageNo := storage.PageNo(0)
-	for read < count {
-		if off+8 > page.Size {
-			pageNo++
-			if pageNo >= disk.NumPages() {
-				return nil, fmt.Errorf("txn: status table truncated at %d/%d xids", read, count)
-			}
-			if err := disk.ReadPage(pageNo, buf); err != nil {
-				return nil, err
-			}
-			off = statusBase
-		}
-		x := heap.XID(getU64(buf[off:]))
-		m.committed[x] = true
-		m.order = append(m.order, x)
-		off += 8
-		read++
 	}
 	return m, nil
 }
@@ -179,14 +127,23 @@ func (m *Manager) SetBatching(on bool) {
 	m.gc.mu.Unlock()
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction. Its XID lies under the durable ceiling; a
+// Begin that finds the ceiling reached raises it first, with an empty status
+// append — one page write, made outside m.mu. If that write fails the
+// transaction is returned already failed: Err reports why, nothing may be
+// written under its XID, and Commit aborts it.
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	x := m.nextXID
+	var err error
+	for m.nextXID >= m.ceiling && err == nil {
+		m.mu.Unlock()
+		err = m.appendStatus(nil)
+		m.mu.Lock()
+	}
+	t := &Txn{mgr: m, xid: m.nextXID, err: err}
 	m.nextXID++
-	t := &Txn{mgr: m, xid: x}
-	m.active[x] = t
+	m.active[t.xid] = t
+	m.mu.Unlock()
 	return t
 }
 
@@ -231,6 +188,7 @@ type groupCommitter struct {
 // by the leader and read by the owner, both under gc.mu.
 type commitReq struct {
 	t    *Txn
+	enq  time.Time // when it joined the queue; zero with no recorder
 	err  error
 	done bool
 }
@@ -284,6 +242,13 @@ func (m *Manager) groupCommit(req *commitReq) error {
 func (m *Manager) runBatch(batch []*commitReq) {
 	m.obs.Count(obs.CommitBatch)
 	m.obs.CountN(obs.CommitTxn, uint64(len(batch)))
+	var start time.Time
+	if m.obs != nil {
+		start = time.Now()
+		for _, r := range batch {
+			m.obs.Observe(obs.TCommitQueue, start.Sub(r.enq))
+		}
+	}
 
 	// Step 1: the batched force. Each Syncer is forced once no matter how
 	// many batch members touched it — legal because the §2 sync is
@@ -325,6 +290,10 @@ func (m *Manager) runBatch(batch []*commitReq) {
 		}
 	}
 
+	if m.obs != nil {
+		m.obs.Observe(obs.TCommitForce, time.Since(start))
+	}
+
 	var commitSet []*commitReq
 	var xids []heap.XID
 	for _, r := range batch {
@@ -348,35 +317,17 @@ func (m *Manager) runBatch(batch []*commitReq) {
 		m.hookAfterForce(xids)
 	}
 
-	// Step 2: one status append covering every survivor. The encode runs
-	// under m.mu (it reads the order slice and the XID high-water mark);
-	// the device writes and syncs run outside it, so readers calling
-	// Committed are never blocked behind an fsync. Crucially the batch is
-	// staged only in m.order here — m.committed, the visibility oracle, is
-	// updated strictly AFTER writeStatus returns, so no reader can observe
-	// a transaction as committed before its commit record is durable (and
-	// a status-write failure never has to retract visibility a reader may
-	// already have acted on).
+	// Step 2: one status append covering every survivor (status.go).
+	// m.committed, the visibility oracle, is updated only after the append
+	// is durable, so no reader can observe a transaction as committed before
+	// its commit record is (and a status-write failure never has to retract
+	// visibility a reader may already have acted on).
 	if len(xids) > 0 {
-		m.mu.Lock()
-		m.order = append(m.order, xids...)
-		pages := m.encodeLocked(len(xids))
-		m.mu.Unlock()
-
-		if err := m.writeStatus(pages); err != nil {
-			m.mu.Lock()
-			m.order = m.order[:len(m.order)-len(xids)]
-			m.mu.Unlock()
+		if err := m.appendStatus(xids); err != nil {
 			for _, r := range commitSet {
 				r.err = &CommitError{XID: r.t.xid, Stage: "status", Err: err}
 				m.obs.Count(obs.CommitFail)
 			}
-		} else {
-			m.mu.Lock()
-			for _, x := range xids {
-				m.committed[x] = true
-			}
-			m.mu.Unlock()
 		}
 	}
 
@@ -388,122 +339,24 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	m.mu.Unlock()
 }
 
-// statusPage is one page image of the status table, ready to write.
-type statusPage struct {
-	no  storage.PageNo
-	img page.Page
-}
-
-// encodeLocked builds the dirty page images for an append of the last
-// nNew entries of m.order (nNew == len(order) rebuilds the whole table).
-// Called with m.mu held; does no I/O. Pages are rebuilt wholesale from
-// the order slice — entry positions are a pure function of index, so a
-// rebuilt page is byte-identical to the incremental result.
-func (m *Manager) encodeLocked(nNew int) []statusPage {
-	total := len(m.order)
-	first := total - nNew
-
-	dirty := map[storage.PageNo]bool{0: true} // page 0 always: count and nextXID
-	for i := first; i < total; i++ {
-		no, _ := xidPos(i)
-		dirty[no] = true
-	}
-
-	var pages []statusPage
-	for no := range dirty {
-		buf := page.New()
-		buf.Init(page.TypeMeta, 0)
-		var lo, hi int
-		if no == 0 {
-			putU64(buf[statusBase:], uint64(m.nextXID))
-			putU64(buf[statusBase+8:], uint64(total))
-			lo, hi = 0, xidsPerFirstPage
-		} else {
-			lo = xidsPerFirstPage + int(no-1)*xidsPerPage
-			hi = lo + xidsPerPage
-		}
-		if hi > total {
-			hi = total
-		}
-		for i := lo; i < hi; i++ {
-			_, off := xidPos(i)
-			putU64(buf[off:], uint64(m.order[i]))
-		}
-		pages = append(pages, statusPage{no: no, img: buf})
-	}
-	return pages
-}
-
-// writeStatus makes an encoded status append durable. The write is
-// crash-atomic without any page being written twice:
-//
-//  1. Continuation pages (if the append spilled past page 0) are written
-//     and synced first. A crash here leaves page 0's old count in place;
-//     the new tail entries are durable but uncovered, hence invisible.
-//     Because entries are append-only, every entry the old count DOES
-//     cover is byte-identical in the old and new images — a torn mix of
-//     old page 0 and new tail pages reads back exactly the old commit set.
-//  2. Page 0 — count, XID high-water mark, and the first-page entries —
-//     is written and synced. This single-page write is the commit point
-//     for the whole batch: atomic by the §2 single-page-write assumption.
-//
-// A batch that fits on page 0 (the common case early in a file's life)
-// costs one page write and one sync.
-func (m *Manager) writeStatus(pages []statusPage) error {
-	start := time.Now()
-	var firstPg *statusPage
-	wroteTail := false
-	for i := range pages {
-		if pages[i].no == 0 {
-			firstPg = &pages[i]
-			continue
-		}
-		if err := m.disk.WritePage(pages[i].no, pages[i].img); err != nil {
-			return err
-		}
-		wroteTail = true
-	}
-	if wroteTail {
-		if err := m.disk.Sync(); err != nil {
-			return err
-		}
-	}
-	if m.hookAfterTailSync != nil {
-		m.hookAfterTailSync()
-	}
-	if firstPg == nil {
-		return errors.New("txn: status encode produced no page 0")
-	}
-	if err := m.disk.WritePage(0, firstPg.img); err != nil {
-		return err
-	}
-	if err := m.disk.Sync(); err != nil {
-		return err
-	}
-	m.obs.Observe(obs.TStatusWrite, time.Since(start))
-	return nil
-}
-
-// persistAll writes the whole status table. Used during single-threaded
-// bootstrap (OpenManager on a fresh or zeroed file).
-func (m *Manager) persistAll() error {
-	m.mu.Lock()
-	pages := m.encodeLocked(len(m.order))
-	m.mu.Unlock()
-	return m.writeStatus(pages)
-}
-
 // Txn is one transaction. It records the storage it touched so commit can
 // force exactly the right pages (in this reproduction, whole files).
 type Txn struct {
 	mgr      *Manager
 	xid      heap.XID
+	err      error // set by a Begin that could not reserve the XID
 	touched  []Syncer
 	finished bool
 }
 
 // XID returns the transaction's identifier.
 func (t *Txn) XID() heap.XID { return t.xid }
+
+// Err is non-nil for a transaction whose Begin could not raise the durable
+// XID ceiling over its XID. A tuple written under such an XID could be
+// resurrected by the XID's next owner after a crash, so callers must check
+// Err before writing one; Commit fails with it.
+func (t *Txn) Err() error { return t.err }
 
 // Touch registers storage whose dirty pages must be forced at commit.
 func (t *Txn) Touch(s Syncer) {
@@ -532,13 +385,18 @@ func (t *Txn) Commit() error {
 	if t.finished {
 		return ErrTxnFinished
 	}
-	var start time.Time
-	if t.mgr.obs != nil {
-		start = time.Now()
+	if t.err != nil {
+		t.Abort()
+		t.mgr.obs.Count(obs.CommitFail)
+		return &CommitError{XID: t.xid, Stage: "begin", Err: t.err}
 	}
-	err := t.mgr.groupCommit(&commitReq{t: t})
+	req := &commitReq{t: t}
 	if t.mgr.obs != nil {
-		t.mgr.obs.Observe(obs.TCommit, time.Since(start))
+		req.enq = time.Now()
+	}
+	err := t.mgr.groupCommit(req)
+	if t.mgr.obs != nil {
+		t.mgr.obs.Observe(obs.TCommit, time.Since(req.enq))
 	}
 	t.finished = true // committed or aborted; either way it is over
 	return err
@@ -557,18 +415,4 @@ func (t *Txn) Abort() error {
 	delete(m.active, t.xid)
 	t.finished = true
 	return nil
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }
