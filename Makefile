@@ -3,18 +3,20 @@
 # coverage gate + the degraded-mode/quarantine gate + nested-fault crash
 # rounds + a one-iteration smoke of the parallel benchmarks + the serving
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
-# batching under concurrent clients) + the restart gate (Open's read
-# budget, the allocation-bound walk behind it, and the wire benchmark's own
-# tests) + the read-ahead gate (hint-only semantics, the overlap of one
-# request's cold reads, lifecycle) + the commit gate (the status append's
-# crash enumeration, the XID ceiling, Sync under the shared tree lock,
-# FileDisk without a mutex across its system calls).
+# batching under concurrent clients) + the sharding, hot-path and bulk-load
+# gates + the restart gate (Open's read budget, the allocation-bound walk
+# behind it, what a one-shard index call costs) + the read-ahead gate
+# (hint-only semantics, the overlap of one request's cold reads, lifecycle) +
+# the commit gate (the status append's crash enumeration, the XID ceiling,
+# Sync under the shared tree lock, FileDisk without a mutex across its system
+# calls) + the wire benchmark's own tests, once. Performance claims are made
+# with benchmark/ (see BENCHMARK.json), not from here.
 
 GO ?= go
 
-.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke bench-parallel server-smoke bench-server shard-smoke bench-shards hotpath-smoke bench-hotpath bulkload-smoke bench-rebuild restart-smoke readahead-smoke commit-smoke
+.PHONY: check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke
+check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
 
 vet:
 	$(GO) vet ./...
@@ -68,10 +70,6 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# The §3.6 scaling sweep behind BENCH_concurrency.json (see EXPERIMENTS.md).
-bench-parallel:
-	$(GO) run ./cmd/fastrec-bench -procs 1,2,4,8,16,32 -json
-
 # The serving-layer gate: every protocol verb over real TCP, graceful
 # shutdown draining an in-flight commit, the wire-level crash-recover
 # round, and concurrent clients actually coalescing in the group-commit
@@ -82,21 +80,18 @@ server-smoke:
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'
 
-# The commit-throughput sweep behind BENCH_server.json (see EXPERIMENTS.md).
-bench-server:
-	$(GO) run ./cmd/fastrec-bench -server -clients 1,2,4,8 -json
-
 # The sharding gate, all under the race detector: the router's merged
-# scans and parallel recovery, the sharded core index (crash/recover with
-# every shard dirty, supervisor healing a fault in every shard, heap
-# rebuilds that respect shard routing), the txn layer's parallel force
-# fan-out across sync domains, and a multi-shard server crash/recover
-# round over real TCP.
+# scans and parallel recovery, the core index at four shards (crash/recover
+# with every shard dirty, a shard count other than the one on disk refused in
+# every direction, the checkpoint reaching every shard, supervisor healing a
+# fault in every shard, heap rebuilds that respect shard routing), the txn
+# layer's parallel force fan-out across sync domains, and a multi-shard
+# server crash/recover round and the refused restarts over real TCP.
 shard-smoke:
 	$(GO) test -race ./internal/shard
-	$(GO) test -race ./internal/core -run TestSharded
+	$(GO) test -race ./internal/core -run 'TestShard|TestFlushAllCoversEveryShard|TestHealthDegradedServesAndSupervisorHeals'
 	$(GO) test -race ./internal/txn -run TestBatchForce
-	$(GO) test -race ./internal/server -run TestServerSharded
+	$(GO) test -race ./internal/server -run TestServerShard
 
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
 # hit and a no-split insert must not touch the heap), batched inserts racing
@@ -106,54 +101,33 @@ shard-smoke:
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
-	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool|TestSetLegacy'
+	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool'
 	$(GO) test -race ./internal/server -run TestServerMput
 
-# The hot-path measurement suite behind BENCH_hotpath.json (see
-# EXPERIMENTS.md E11): point-op ns/op and allocs/op, batched vs single
-# durable write throughput, and the scan-heavy eviction hit rates. Supports
-# -cpuprofile/-memprofile for drill-downs.
-bench-hotpath:
-	$(GO) run ./cmd/fastrec-bench -hotpath
-
-# The shard-scaling and parallel-recovery sweeps behind the "sharded" and
-# "recovery" sections of BENCH_concurrency.json (see EXPERIMENTS.md).
-bench-shards:
-	$(GO) run ./cmd/fastrec-bench -shards 1,2,4,8 -procs 16,32 -op mixed -json
-	$(GO) run ./cmd/fastrec-bench -recover -shards 1,2,4,8 -json
-
 # The bulk-load gate: the loader's differential and property tests against
-# the insert path, the core bulk-load/rebuild-from-heap layer (sharded
-# rebuilds and the supervisor's wholesale escalation) under the race
+# the insert path, the core bulk-load/rebuild-from-heap layer at one shard
+# and at four (and the supervisor's wholesale escalation) under the race
 # detector, the dump tool's rebuild round trip, and crash enumeration at
 # every sync point of a bulk load and a wholesale rebuild for two variants.
 bulkload-smoke:
 	$(GO) test -race ./internal/btree -run 'TestBulkLoad|TestBulkReplace|TestQuickBulkLoad'
-	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestShardedBulkLoad|TestIndexRebuild|TestShardedRebuild|TestSupervisorWholesale'
+	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestIndexRebuildFromHeap|TestSupervisorWholesale'
 	$(GO) test ./cmd/fastrec-dump -run TestRebuildDir
 	$(GO) run ./cmd/fastrec-crash -variant shadow -bulkload -bulk-keys 1200 -seed 1
 	$(GO) run ./cmd/fastrec-crash -variant reorg -bulkload -bulk-keys 1200 -faults -seed 1
 
-# The bulk-load and rebuild measurements behind BENCH_rebuild.json (see
-# EXPERIMENTS.md E12): bulk vs incremental build speed, and per-page reseed
-# vs wholesale rebuild on identical media-damage images.
-bench-rebuild:
-	$(GO) run ./cmd/fastrec-bench -rebuild -json > BENCH_rebuild.json
-	@cat BENCH_rebuild.json
-
 # The restart gate, under the race detector: btree.Open and core.CreateIndex
 # complete the same one or two device reads whatever the size of the index;
-# lookups and scans are served while the background allocation-bound walk is
-# held, and an insert waits for it; a parent that points past a lost file
-# extension still bounds the next allocation; a reopened crash image takes
-# lookups, scans and split-forcing inserts at once; Close joins the walk(s).
-# Then the MPUT repeated-key fix over TCP, and the benchmark's own tests
-# (shim = server, a smoke run checked against BENCHMARK.json, the generator).
+# a one-shard index call allocates and reads what its tree's does; lookups
+# and scans are served while the background allocation-bound walk is held,
+# and an insert waits for it; a parent that points past a lost file extension
+# still bounds the next allocation; a reopened crash image takes lookups,
+# scans and split-forcing inserts at once; Close joins the walk(s). Then the
+# MPUT repeated-key fix over TCP.
 restart-smoke:
 	$(GO) test -race -count=3 ./internal/btree -run 'TestOpenReadBudget|TestBoundGate|TestLostExtensionBound|TestReopenServesWhileWalking|TestOpenThenCloseJoinsWalk'
-	$(GO) test -race -count=3 ./internal/core -run 'TestCreateIndexReadBudget|TestCloseJoinsBoundWalks'
+	$(GO) test -race -count=3 ./internal/core -run 'TestCreateIndexReadBudget|TestOneShardIndexCostsItsTree|TestCloseJoinsBoundWalks'
 	$(GO) test -race ./internal/server -run TestServerMputRepeatedKey
-	$(GO) test ./benchmark
 
 # The read-ahead gate, under the race detector: a hint is advice (a failed
 # one leaves no frame, counter, event or quarantine streak, and the demand Get
@@ -163,14 +137,12 @@ restart-smoke:
 # reads no more than a plain scan, and starts nothing on a resident store;
 # look-ahead scans race splits and eviction in a 32-frame pool; every way a
 # pool's life ends joins the reads in flight; GET over the wire is right when
-# longer keys' entries interleave with its own. Then the benchmark's own tests
-# (shim = server).
+# longer keys' entries interleave with its own.
 readahead-smoke:
 	$(GO) test -race -count=3 ./internal/buffer -run 'TestHint|TestScanResist'
 	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints'
 	$(GO) test -race -count=3 ./internal/core -run 'TestScanAheadOverlapsReads|TestResidentReadsStartNothing|TestCloseJoinsHints'
 	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys'
-	$(GO) test ./benchmark
 
 # The commit gate, under the race detector: the whole internal/txn suite (the
 # status append cut at every device call with every subset of its pending
@@ -180,10 +152,14 @@ readahead-smoke:
 # across a crash, and the ceiling costs a commit no write), Tree.Sync leaving
 # lookups, scans and fitting inserts running while its writes are held at the
 # device, FileDisk's concurrent reads, writes and fsync, and the wire twin of
-# the XID test (BEGIN after the burst). Then the benchmark's own tests.
+# the XID test (BEGIN after the burst).
 commit-smoke:
 	$(GO) test -race -count=3 ./internal/txn
 	$(GO) test -race -count=3 ./internal/btree -run TestSyncDoesNotBlockReaders
 	$(GO) test -race -count=3 ./internal/storage -run TestFileDiskConcurrentIO
 	$(GO) test -race -count=3 ./internal/server -run 'TestServerXIDNotReusedAfterCrash|TestServerSmoke'
+
+# The wire benchmark's own tests (shim = server, a smoke run of all four
+# workloads checked against BENCHMARK.json, the generator), run once.
+benchmark-smoke:
 	$(GO) test ./benchmark

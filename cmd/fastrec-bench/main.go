@@ -13,8 +13,6 @@ package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,8 +21,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/btree"
@@ -36,15 +32,12 @@ var (
 	sizes   = flag.String("sizes", "10000,20000,40000", "comma-separated index sizes in keys")
 	lookups = flag.Int("lookups", 8000, "random lookups per index")
 	reps    = flag.Int("reps", 3, "repetitions per cell (paper used 10)")
-	op      = flag.String("op", "both", "insert, lookup, both, or (with -procs) mixed")
+	op      = flag.String("op", "both", "insert, lookup, or both")
 	seed    = flag.Int64("seed", 1992, "lookup key RNG seed")
 	hybrid  = flag.Bool("hybrid", false, "include the hybrid variant (paper §1 suggestion)")
 	ioLat   = flag.Duration("iolat", 0, "simulated per-page device latency (e.g. 100us); reproduces the paper's disk-bound regime")
 	pool    = flag.Int("pool", 0, "buffer pool frames (0 = default; use a small pool with -iolat)")
-	procs   = flag.String("procs", "", "comma-separated goroutine counts (e.g. 1,2,4,8): run the §3.6 parallel scaling benchmark instead of Table 1")
-	ops     = flag.Int("ops", 4000, "operations per measurement cell with -procs")
 	verbose = flag.Bool("v", false, "print buffer-pool hit/miss, partition, and fault-handling stats")
-	jsonOut = flag.Bool("json", false, "emit the -procs scaling results as JSON (for BENCH_concurrency.json)")
 	obsOn   = flag.Bool("obs", false, "attach the recovery-event recorder to every tree (with -v: print its counters)")
 	obsHTTP = flag.String("obs-http", "", "serve the recorder as expvar metrics on this address (implies -obs), e.g. :8080")
 )
@@ -66,17 +59,8 @@ func main() {
 	}
 	switch *op {
 	case "insert", "lookup", "both":
-	case "mixed":
-		if *procs == "" {
-			fmt.Fprintln(os.Stderr, "-op mixed requires -procs")
-			os.Exit(2)
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "bad -op %q (want insert, lookup, both, or mixed)\n", *op)
-		os.Exit(2)
-	}
-	if *jsonOut && *procs == "" && !*serverBench && !*recoverBench && !*rebuildBench {
-		fmt.Fprintln(os.Stderr, "-json requires -procs, -server, -recover, or -rebuild")
+		fmt.Fprintf(os.Stderr, "bad -op %q (want insert, lookup, or both)\n", *op)
 		os.Exit(2)
 	}
 	if *obsHTTP != "" {
@@ -95,80 +79,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obs: serving expvar metrics at http://%s/debug/vars\n", *obsHTTP)
 	}
 
-	if *hotpathBench {
-		runHotpathBench()
-		return
-	}
-
-	if *rebuildBench {
-		runRebuildBench()
-		return
-	}
-
-	if *serverBench {
-		var cs []int
-		for _, f := range splitComma(*clientsList) {
-			var c int
-			if _, err := fmt.Sscanf(f, "%d", &c); err != nil || c <= 0 || c > 256 {
-				fmt.Fprintf(os.Stderr, "bad -clients entry %q (want 1..256)\n", f)
-				os.Exit(2)
-			}
-			cs = append(cs, c)
-		}
-		if len(cs) == 0 {
-			fmt.Fprintln(os.Stderr, "-clients is empty")
-			os.Exit(2)
-		}
-		runServerBench(cs)
-		return
-	}
-
-	var shardCounts []int
-	for _, f := range splitComma(*shardsList) {
-		var n int
-		if _, err := fmt.Sscanf(f, "%d", &n); err != nil || n <= 0 || n > 64 {
-			fmt.Fprintf(os.Stderr, "bad -shards entry %q (want 1..64)\n", f)
-			os.Exit(2)
-		}
-		shardCounts = append(shardCounts, n)
-	}
-	if *recoverBench {
-		if len(shardCounts) == 0 {
-			shardCounts = []int{1, 2, 4, 8}
-		}
-		runRecoverBench(shardCounts)
-		return
-	}
-
 	variants := []btree.Variant{btree.Normal, btree.Reorg, btree.Shadow}
 	if *hybrid {
 		variants = append(variants, btree.Hybrid)
-	}
-
-	if *procs != "" {
-		var gs []int
-		for _, f := range splitComma(*procs) {
-			var g int
-			if _, err := fmt.Sscanf(f, "%d", &g); err != nil || g <= 0 || g > 256 {
-				fmt.Fprintf(os.Stderr, "bad -procs entry %q (want 1..256)\n", f)
-				os.Exit(2)
-			}
-			gs = append(gs, g)
-		}
-		if len(gs) == 0 {
-			fmt.Fprintln(os.Stderr, "-procs is empty")
-			os.Exit(2)
-		}
-		if *ops <= 0 {
-			fmt.Fprintln(os.Stderr, "-ops must be positive")
-			os.Exit(2)
-		}
-		if len(shardCounts) > 0 {
-			runShardScaling(gs, shardCounts)
-			return
-		}
-		runScaling(variants, gs)
-		return
 	}
 
 	insertT := make(map[btree.Variant][]time.Duration)
@@ -292,174 +205,6 @@ func label(v btree.Variant) string {
 func median(ds []time.Duration) time.Duration {
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	return ds[len(ds)/2]
-}
-
-// --- §3.6 parallel scaling benchmark (-procs) ---------------------------
-//
-// The workload mirrors the repo's BenchmarkParallel* suite: one tree per
-// variant preloaded with -sizes[0] keys, a simulated per-page device
-// latency (default 100µs when -iolat is unset), and a buffer pool smaller
-// than the tree so descents miss and overlap their I/O waits. Keys are
-// 12 bytes: an 8-byte position plus a 4-byte uniquifier, so insert
-// traffic interleaves with the preload and spreads over random leaves.
-
-type scalingResult struct {
-	Op         string  `json:"op"`
-	Variant    string  `json:"variant"`
-	Goroutines int     `json:"goroutines"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	Speedup    float64 `json:"speedup"` // vs the first goroutine count
-}
-
-type scalingReport struct {
-	Keys       int             `json:"keys"`
-	PoolFrames int             `json:"pool_frames"`
-	Partitions int             `json:"partitions"`
-	IOLatUS    int64           `json:"iolat_us"`
-	Ops        int             `json:"ops_per_cell"`
-	Results    []scalingResult `json:"results"`
-}
-
-func benchKey(pos int, uniq uint32) []byte {
-	k := make([]byte, 12)
-	binary.BigEndian.PutUint64(k, uint64(pos))
-	binary.BigEndian.PutUint32(k[8:], uniq)
-	return k
-}
-
-func runScaling(variants []btree.Variant, gs []int) {
-	// An explicit -sizes overrides the preload; only its first entry is
-	// used in scaling mode. The default preload is large enough that the
-	// tree far exceeds the pool, keeping the workload I/O-bound.
-	nKeys := 80000
-	if *sizes != "10000,20000,40000" {
-		var n int
-		fmt.Sscanf(splitComma(*sizes)[0], "%d", &n)
-		nKeys = n
-	}
-	lat := *ioLat
-	if lat == 0 {
-		lat = 100 * time.Microsecond
-	}
-	poolSize := *pool
-	if poolSize == 0 {
-		poolSize = 256
-	}
-
-	opNames := []string{"lookup", "insert", "mixed"}
-	switch *op {
-	case "lookup", "insert", "mixed":
-		opNames = []string{*op}
-	}
-
-	report := scalingReport{Keys: nKeys, PoolFrames: poolSize, IOLatUS: lat.Microseconds(), Ops: *ops}
-	for _, v := range variants {
-		disk := storage.NewMemDisk()
-		tr, err := btree.Open(disk, v, btree.Options{PoolSize: poolSize, Obs: benchRec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		value := []byte("v00000000")
-		for i := 0; i < nKeys; i++ {
-			if err := tr.Insert(benchKey(i, 0), value); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if err := tr.Sync(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		disk.SetLatency(lat, lat)
-		report.Partitions = tr.Pool().Partitions()
-
-		for _, opName := range opNames {
-			var base float64
-			for _, g := range gs {
-				// Start every cell from a committed tree: insert cells
-				// dirty pages, and a dirty inheritance would bias later
-				// cells (reorg splits of epoch-dirty pages force §3.4
-				// blocked syncs, whose serial flush time would otherwise
-				// be charged to whichever cell happens to run last).
-				if err := tr.Sync(); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				opsSec := runScalingCell(tr, nKeys, g, opName)
-				if base == 0 {
-					base = opsSec
-				}
-				report.Results = append(report.Results, scalingResult{
-					Op: opName, Variant: v.String(), Goroutines: g,
-					OpsPerSec: opsSec, Speedup: opsSec / base,
-				})
-			}
-		}
-		if *verbose {
-			printPoolStats(os.Stderr, label(v), tr)
-		}
-		disk.SetLatency(0, 0)
-	}
-	if *verbose && benchRec != nil {
-		printObsSnapshot(os.Stderr)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("§3.6 parallel scaling: %d keys, %d-frame pool (%d partitions), %v/page\n\n",
-		nKeys, poolSize, report.Partitions, lat)
-	fmt.Printf("%-8s %-12s %12s %12s %9s\n", "op", "variant", "goroutines", "ops/sec", "speedup")
-	for _, r := range report.Results {
-		fmt.Printf("%-8s %-12s %12d %12.0f %8.2fx\n", r.Op, r.Variant, r.Goroutines, r.OpsPerSec, r.Speedup)
-	}
-}
-
-// runScalingCell measures one (tree, goroutines, op) cell: g goroutines
-// splitting *ops operations, wall-clocked together.
-func runScalingCell(tr *btree.Tree, nKeys, g int, opName string) float64 {
-	perG := (*ops + g - 1) / g
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	value := []byte("v00000000")
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(w)*7919))
-			for i := 0; i < perG; i++ {
-				var err error
-				doInsert := opName == "insert" || (opName == "mixed" && i%2 == 1)
-				if doInsert {
-					err = tr.Insert(benchKey(rng.Intn(nKeys), 1+rng.Uint32()), value)
-					if errors.Is(err, btree.ErrDuplicateKey) {
-						err = nil
-					}
-				} else {
-					_, err = tr.Lookup(benchKey(rng.Intn(nKeys), 0))
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		os.Exit(1)
-	}
-	return float64(perG*g) / time.Since(start).Seconds()
 }
 
 // printPoolStats renders the striped buffer pool's counters (-v).

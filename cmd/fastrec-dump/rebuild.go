@@ -23,7 +23,7 @@ func runRebuild(args []string) {
 	rRel := fs.String("rel", "", "heap relation name (required)")
 	rIndex := fs.String("index", "", "index name (required)")
 	rVariant := fs.String("variant", "shadow", "index variant: normal, shadow, reorg, hybrid")
-	rShards := fs.Int("shards", 0, "shard count of the index (0 or 1 = single tree)")
+	rShards := fs.Int("shards", 0, "shard count of the index (0 or 1 = one tree)")
 	rFill := fs.Float64("fill", 0, "leaf/internal fill factor, clamped to [0.5,1.0] (0 = default 0.90)")
 	_ = fs.Parse(args)
 	if *rDir == "" || *rRel == "" || *rIndex == "" {
@@ -63,17 +63,9 @@ func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards in
 	if err != nil {
 		return core.RebuildStats{}, err
 	}
-	identity := func(data []byte) []byte { return data }
-	if shards > 1 {
-		ix, err := db.CreateShardedIndex(indexName, variant, shards)
-		if err != nil {
-			return core.RebuildStats{}, err
-		}
-		return ix.Rebuild(rel, identity)
-	}
-	ix, err := db.CreateIndex(indexName, variant)
+	ix, err := db.CreateIndexN(indexName, variant, shards)
 	if err != nil {
 		return core.RebuildStats{}, err
 	}
-	return ix.Rebuild(rel, identity)
+	return ix.Rebuild(rel, func(data []byte) []byte { return data })
 }

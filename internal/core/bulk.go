@@ -6,14 +6,12 @@ package core
 // the insert path, and Rebuild scans the heap relation — the
 // no-overwrite storage system's authoritative copy (§2) — collects every
 // visible tuple, and swaps a freshly packed tree over the old structure
-// in one durable root install. ShardedIndex fans both out per shard in
-// parallel: the router's key hash is the ownership filter, so each shard
-// rebuilds exactly the keys it would serve.
+// in one durable root install. An index of several trees fans both out per
+// shard in parallel: the router's key hash is the ownership filter, so each
+// shard rebuilds exactly the keys it would serve.
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
@@ -47,8 +45,8 @@ func (db *DB) loadOptions() btree.LoadOptions {
 
 // BulkLoad builds the index bottom-up from parallel key/TID slices. The
 // index must be empty; duplicate keys keep their first occurrence. This is
-// the fast path for seeding large datasets — one sorted pass instead of a
-// descent per key.
+// the fast path for seeding large datasets — one sorted pass per tree
+// instead of a descent per key.
 func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 	if err := ix.db.writable(); err != nil {
 		return err
@@ -57,90 +55,33 @@ func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 	if err != nil {
 		return err
 	}
-	_, err = ix.t.BulkLoad(items, ix.db.loadOptions())
-	return err
+	parts := ix.partition(items)
+	return ix.eachTree(func(i int, t *btree.Tree) error {
+		_, err := t.BulkLoad(parts[i], ix.db.loadOptions())
+		return err
+	})
 }
 
-// Rebuild reconstructs the index wholesale from the heap relation: every
-// visible tuple's key (via keyOf) is fed to the bottom-up loader and the
-// new tree atomically replaces the old one. Unlike the insert path it is
-// deliberately not gated on DB health — rebuilding a damaged index is how
-// a degraded DB gets back to Healthy.
+// Rebuild reconstructs the index wholesale from the heap relation: one heap
+// scan feeds every visible tuple's key (via keyOf) to the bottom-up loader
+// of the tree that owns it, and each new tree atomically replaces the old
+// one. Unlike the insert path it is deliberately not gated on DB health —
+// rebuilding a damaged index is how a degraded DB gets back to Healthy.
 func (ix *Index) Rebuild(rel *Relation, keyOf vacuum.KeyOf) (RebuildStats, error) {
 	start := time.Now()
 	items, err := ix.db.collectHeapItems(rel, keyOf, nil)
 	if err != nil {
 		return RebuildStats{}, err
 	}
-	ls, err := ix.t.BulkReplace(items, ix.db.loadOptions())
-	if err != nil {
-		return RebuildStats{}, err
-	}
-	stats := RebuildStats{Shards: 1, Wall: time.Since(start)}
-	stats.merge(ls)
-	ix.db.markHealthDirty()
-	return stats, nil
-}
-
-// BulkLoad partitions the run by the router's key hash and bulk-loads
-// every shard in parallel.
-func (ix *ShardedIndex) BulkLoad(keys [][]byte, tids []heap.TID) error {
-	if err := ix.db.writable(); err != nil {
-		return err
-	}
-	items, err := loadItems(keys, tids)
-	if err != nil {
-		return err
-	}
-	byShard := make([][]btree.Item, len(ix.trees))
-	for _, it := range items {
-		s := ix.r.Pick(it.Key)
-		byShard[s] = append(byShard[s], it)
-	}
-	errs := make([]error, len(ix.trees))
-	var wg sync.WaitGroup
-	for i := range ix.trees {
-		if len(byShard[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = ix.trees[i].BulkLoad(byShard[i], ix.db.loadOptions())
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Rebuild scans the heap once, routes each visible key to its owning
-// shard, and rebuilds all shards in parallel — the sharded mirror of
-// Index.Rebuild, with the router hash as the per-shard ownership filter.
-func (ix *ShardedIndex) Rebuild(rel *Relation, keyOf vacuum.KeyOf) (RebuildStats, error) {
-	start := time.Now()
-	items, err := ix.db.collectHeapItems(rel, keyOf, nil)
-	if err != nil {
-		return RebuildStats{}, err
-	}
-	byShard := make([][]btree.Item, len(ix.trees))
-	for _, it := range items {
-		s := ix.r.Pick(it.Key)
-		byShard[s] = append(byShard[s], it)
-	}
-	errs := make([]error, len(ix.trees))
+	parts := ix.partition(items)
 	loads := make([]btree.LoadStats, len(ix.trees))
-	var wg sync.WaitGroup
-	for i := range ix.trees {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Every shard rebuilds, even on an empty slice: a shard whose
-			// keys all vanished must drop its stale contents too.
-			loads[i], errs[i] = ix.trees[i].BulkReplace(byShard[i], ix.db.loadOptions())
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	// Every shard rebuilds, even on an empty slice: a shard whose keys all
+	// vanished must drop its stale contents too.
+	err = ix.eachTree(func(i int, t *btree.Tree) (err error) {
+		loads[i], err = t.BulkReplace(parts[i], ix.db.loadOptions())
+		return err
+	})
+	if err != nil {
 		return RebuildStats{}, err
 	}
 	stats := RebuildStats{Shards: len(ix.trees), Wall: time.Since(start)}
@@ -192,7 +133,7 @@ func (db *DB) collectHeapItems(rel *Relation, keyOf vacuum.KeyOf, filter func([]
 // rebuildWholesale is the supervisor's bulk alternative to the
 // insert-at-a-time reseed: instead of abandoning one quarantined page and
 // re-inserting its key range, reconstruct the whole tree bottom-up from
-// the heap. keyFilter keeps sharded rebuilds on the shard's own keys.
+// the heap. keyFilter keeps a shard's rebuild on the shard's own keys.
 func (db *DB) rebuildWholesale(t *btree.Tree, src healSource, keyFilter func([]byte) bool) error {
 	items, err := db.collectHeapItems(src.rel, src.keyOf, keyFilter)
 	if err != nil {

@@ -29,9 +29,7 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,9 +71,6 @@ type Config struct {
 	Variant Variant
 	// PoolSize is the per-file buffer pool capacity in frames.
 	PoolSize int
-	// Shards is the default shard count CreateShardedIndex uses when its
-	// caller passes <= 0. Zero (or 1) means a single tree per index.
-	Shards int
 	// IndexOptions are passed through to every index.
 	IndexOptions btree.Options
 	// LoadFill is the leaf/internal fill factor for bulk loads and
@@ -112,26 +107,14 @@ func (db *DB) Metrics() obs.Snapshot { return db.cfg.Obs.Snapshot() }
 // pages classified never-durable by checksum verification, and torn pages
 // completed by crash repair.
 func (db *DB) IOStats() buffer.IOStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var total buffer.IOStats
-	add := func(s buffer.IOStats) {
+	for _, np := range db.pools() {
+		s := np.pool.IOStats()
 		total.Retries += s.Retries
 		total.ChecksumFailures += s.ChecksumFailures
 		total.TornPagesRepaired += s.TornPagesRepaired
 		total.RetriesExhausted += s.RetriesExhausted
 		total.Quarantined += s.Quarantined
-	}
-	for _, ix := range db.indexes {
-		add(ix.t.Pool().IOStats())
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
-			add(t.Pool().IOStats())
-		}
-	}
-	for _, r := range db.rels {
-		add(r.h.Pool().IOStats())
 	}
 	return total
 }
@@ -148,25 +131,12 @@ type CacheStats struct {
 // pool the DB has opened (relations and indexes). The underlying counters
 // are atomics, so this never contends with in-flight page access.
 func (db *DB) CacheStats() CacheStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := CacheStats{Partitions: make(map[string][]buffer.PartitionStat)}
-	add := func(name string, p *buffer.Pool) {
-		h, m := p.Stats()
+	for _, np := range db.pools() {
+		h, m := np.pool.Stats()
 		out.Hits += h
 		out.Misses += m
-		out.Partitions[name] = p.PartitionStats()
-	}
-	for name, ix := range db.indexes {
-		add("idx_"+name, ix.t.Pool())
-	}
-	for name, six := range db.sharded {
-		for i, t := range six.trees {
-			add(shardFileName(name, i), t.Pool())
-		}
-	}
-	for name, r := range db.rels {
-		add("rel_"+name, r.h.Pool())
+		out.Partitions[np.file] = np.pool.PartitionStats()
 	}
 	return out
 }
@@ -174,6 +144,8 @@ func (db *DB) CacheStats() CacheStats {
 // Storage decides where the DB's files live.
 type Storage interface {
 	open(name string) (storage.Disk, error)
+	// exists reports whether open(name) would find a file already there.
+	exists(name string) bool
 }
 
 type memStorage struct {
@@ -190,6 +162,12 @@ func (m *memStorage) open(name string) (storage.Disk, error) {
 	d := storage.NewMemDisk()
 	m.disks[name] = d
 	return d, nil
+}
+
+func (m *memStorage) exists(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.disks[name] != nil
 }
 
 // Memory returns in-memory storage whose files persist across DB reopens of
@@ -228,6 +206,12 @@ func (m *faultMemStorage) open(name string) (storage.Disk, error) {
 	return d, nil
 }
 
+func (m *faultMemStorage) exists(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.disks[name] != nil
+}
+
 // FaultyMemory returns in-memory storage whose files sit behind a
 // fault-injecting disk layer — the substrate for degraded-mode and
 // supervisor experiments. Files persist across DB reopens of the same
@@ -255,6 +239,11 @@ func (d dirStorage) open(name string) (storage.Disk, error) {
 	return storage.OpenFileDisk(filepath.Join(d.dir, name+".pg"))
 }
 
+func (d dirStorage) exists(name string) bool {
+	_, err := os.Stat(filepath.Join(d.dir, name+".pg"))
+	return err == nil
+}
+
 // Dir returns file-backed storage rooted at dir.
 func Dir(dir string) Storage { return dirStorage{dir: dir} }
 
@@ -266,7 +255,6 @@ type DB struct {
 	mu      sync.Mutex
 	rels    map[string]*Relation
 	indexes map[string]*Index
-	sharded map[string]*ShardedIndex
 
 	// Health-state machine (health.go) and repair supervisor
 	// (supervisor.go).
@@ -294,7 +282,6 @@ func Open(store Storage, cfg Config) (*DB, error) {
 		mgr:         mgr,
 		rels:        make(map[string]*Relation),
 		indexes:     make(map[string]*Index),
-		sharded:     make(map[string]*ShardedIndex),
 		healSources: make(map[string]healSource),
 	}
 	if cfg.Supervisor.Enable {
@@ -336,37 +323,6 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 	return rel, nil
 }
 
-// CreateIndex opens (creating if absent) an index of the given variant.
-func (db *DB) CreateIndex(name string, v Variant) (*Index, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if ix, ok := db.indexes[name]; ok {
-		return ix, nil
-	}
-	d, err := db.store.open("idx_" + name)
-	if err != nil {
-		return nil, err
-	}
-	opts := db.cfg.IndexOptions
-	if opts.PoolSize == 0 {
-		opts.PoolSize = db.cfg.PoolSize
-	}
-	if opts.Obs == nil {
-		opts.Obs = db.cfg.Obs
-	}
-	t, err := btree.Open(d, v, opts)
-	if err != nil {
-		return nil, err
-	}
-	if db.cfg.Retry != (buffer.RetryPolicy{}) {
-		t.Pool().SetRetryPolicy(db.cfg.Retry)
-	}
-	db.attachHealth(t.Pool())
-	ix := &Index{db: db, name: name, t: t}
-	db.indexes[name] = ix
-	return ix, nil
-}
-
 // Close cleanly shuts down every file (persisting freelists and counter
 // state). Skipping Close models a crash; the next Open recovers.
 func (db *DB) Close() error {
@@ -376,12 +332,7 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	var firstErr error
 	for _, ix := range db.indexes {
-		if err := ix.t.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
+		for _, t := range ix.trees {
 			if err := t.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -478,177 +429,6 @@ func (r *Relation) FetchAsOf(tid heap.TID, asOf heap.XID) ([]byte, error) {
 	return r.h.FetchAsOf(tid, r.db.mgr, asOf)
 }
 
-// Index is a crash-recoverable B-link-tree index.
-type Index struct {
-	db   *DB
-	name string
-	t    *btree.Tree
-}
-
-// Name returns the index name.
-func (ix *Index) Name() string { return ix.name }
-
-// Tree exposes the underlying B-link tree (stats, checks, experiments).
-func (ix *Index) Tree() *btree.Tree { return ix.t }
-
-// InsertTID adds key -> tid within the transaction. Duplicate key values
-// must be made unique by the caller (POSTGRES appends the object ID, §2);
-// MakeUnique does that.
-func (ix *Index) InsertTID(t *Txn, key []byte, tid heap.TID) error {
-	if err := ix.db.writable(); err != nil {
-		return err
-	}
-	t.tx.Touch(ix.t)
-	return ix.t.Insert(key, tid.Bytes())
-}
-
-// InsertTIDBatch adds every key -> tid pair within the transaction through
-// the tree's batched insert path: one descent and one leaf latch per
-// same-leaf run instead of per key. Semantics match a loop over InsertTID
-// (duplicates must already be uniquified), except that on error a sorted
-// prefix of the batch may have been applied — acceptable inside a
-// transaction, whose commit/abort is what gives the batch its atomicity.
-func (ix *Index) InsertTIDBatch(t *Txn, keys [][]byte, tids []heap.TID) error {
-	if len(keys) != len(tids) {
-		return fmt.Errorf("core: batch of %d keys with %d tids", len(keys), len(tids))
-	}
-	if err := ix.db.writable(); err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	t.tx.Touch(ix.t)
-	values := make([][]byte, len(tids))
-	for i := range tids {
-		values[i] = tids[i].Bytes()
-	}
-	return ix.t.InsertBatch(keys, values)
-}
-
-// LookupTID resolves a key to the TID it indexes. While degraded, a key
-// inside a quarantined range fails with an error unwrapping to
-// ErrQuarantined rather than a wrong answer.
-func (ix *Index) LookupTID(key []byte) (heap.TID, error) {
-	if err := ix.db.readable(); err != nil {
-		return heap.TID{}, err
-	}
-	v, err := ix.t.Lookup(key)
-	if err != nil {
-		return heap.TID{}, err
-	}
-	return heap.ParseTID(v)
-}
-
-// FetchVisible resolves key through the index and the relation, applying
-// tuple visibility: a key left behind by a dead transaction is detected and
-// ignored (§2), surfacing as ErrKeyNotFound.
-func (ix *Index) FetchVisible(rel *Relation, key []byte) ([]byte, error) {
-	tid, err := ix.LookupTID(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := rel.Fetch(tid)
-	if errors.Is(err, heap.ErrNoSuchTuple) {
-		return nil, fmt.Errorf("%w: %q (index key points at an invalid tuple)", ErrKeyNotFound, key)
-	}
-	return data, err
-}
-
-// Scan visits index entries in [start, end) in key order.
-func (ix *Index) Scan(start, end []byte, fn func(key []byte, tid heap.TID) bool) error {
-	if err := ix.db.readable(); err != nil {
-		return err
-	}
-	return ix.t.Scan(start, end, withTID(fn))
-}
-
-// withTID adapts an entry visitor to the tree's key/value one; a value that
-// is no TID ends the scan.
-func withTID(fn func(key []byte, tid heap.TID) bool) func(k, v []byte) bool {
-	return func(k, v []byte) bool {
-		tid, err := heap.ParseTID(v)
-		return err == nil && fn(k, tid)
-	}
-}
-
-// ScanAhead is Scan for a caller that fetches the tuple of every entry from
-// rel as fn receives it, and wants about rows rows (rows <= 0: as many as the
-// range holds). Before a leaf's entries reach fn, the heap pages of the ones
-// the caller will get to are hinted to rel's buffer pool, and so is the next
-// leaf if this one cannot satisfy the caller; those pages are then read
-// while fn resolves entry after entry, not one after the other as fn comes
-// to need them. Hints are advice (buffer.Pool.Hint): the entries fn sees, and
-// their order, are Scan's.
-func (ix *Index) ScanAhead(rel *Relation, start, end []byte, rows int, fn func(key []byte, tid heap.TID) bool) error {
-	if err := ix.db.readable(); err != nil {
-		return err
-	}
-	ahead := rel.aheadAll
-	if rows > 0 {
-		ahead = rel.newLookAhead(rows)
-	}
-	return ix.t.ScanAhead(start, end, ahead, withTID(fn))
-}
-
-// newLookAhead returns the look-ahead of an index scan whose caller fetches
-// from r and wants rows rows. A row is a run of entries that differ only in
-// the TID MakeUnique appends: the versions of one key. Of each leaf it hints
-// the heap pages of the rows still wanted, each page once, except the page
-// of the first entry, which the caller is about to read itself; more than a
-// pool reads at once it does not ask for. It wants the next leaf when this
-// one ran out before the rows did. With rows <= 0 it wants them all and keeps
-// no count, so one such look-ahead (r.aheadAll) serves every scan.
-func (r *Relation) newLookAhead(rows int) btree.LookAhead {
-	pool, counted := r.h.Pool(), rows > 0
-	return func(leaf []btree.Pair) bool {
-		var (
-			pages [buffer.FlushWorkers]uint32 // pages[0] is the caller's own read
-			n     int
-			row   []byte
-		)
-	entries:
-		for _, e := range leaf {
-			if counted {
-				if key := e.Key[:max(0, len(e.Key)-tidLen)]; row == nil || !bytes.Equal(key, row) {
-					if rows == 0 {
-						return false
-					}
-					rows--
-					row = key
-				}
-			}
-			tid, err := heap.ParseTID(e.Value)
-			if err != nil || n == len(pages) {
-				continue
-			}
-			for _, seen := range pages[:n] {
-				if seen == tid.PageNo {
-					continue entries
-				}
-			}
-			if pages[n], n = tid.PageNo, n+1; n > 1 {
-				pool.Hint(tid.PageNo)
-			}
-		}
-		return true
-	}
-}
-
-// tidLen is the length of the suffix MakeUnique appends.
-const tidLen = 6
-
-// ScanDegraded visits index entries in [start, end) like Scan, but steps
-// over quarantined subtrees instead of failing, reporting each skipped key
-// range: every entry it does emit is correct (skip-and-report, never
-// wrong-and-silent).
-func (ix *Index) ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TID) bool) (btree.ScanReport, error) {
-	if err := ix.db.readable(); err != nil {
-		return btree.ScanReport{}, err
-	}
-	return ix.t.ScanDegraded(start, end, withTID(fn))
-}
-
 // MakeUnique turns a possibly-duplicated key value into a unique index key
 // by appending the tuple identifier, as POSTGRES does with <value,
 // object_id> keys (§2).
@@ -658,20 +438,31 @@ func MakeUnique(key []byte, tid heap.TID) []byte {
 	return append(out, tid.Bytes()...)
 }
 
-// VacuumIndex regenerates the index freelist (§3.3.3).
+// VacuumIndex regenerates the index freelist (§3.3.3), tree by tree.
 func (db *DB) VacuumIndex(ix *Index) (vacuum.IndexStats, error) {
-	return vacuum.Index(ix.t)
+	var total vacuum.IndexStats
+	for _, t := range ix.trees {
+		st, err := vacuum.Index(t)
+		total.ScannedPages += st.ScannedPages
+		total.ReachablePages += st.ReachablePages
+		total.Reclaimed += st.Reclaimed
+		total.AlreadyFree += st.AlreadyFree
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // VacuumRelation reclaims dead tuple versions and removes the index keys
 // pointing at them. keyOf extracts the indexed key from tuple data.
 func (db *DB) VacuumRelation(rel *Relation, ix *Index, keyOf vacuum.KeyOf) (vacuum.HeapStats, error) {
 	oldest := db.mgr.HighestCommitted() + 1
-	var t *btree.Tree
+	var keys vacuum.KeyIndex
 	if ix != nil {
-		t = ix.t
+		keys = ix.r
 	}
-	return vacuum.Heap(rel.h, db.mgr, oldest, t, keyOf)
+	return vacuum.Heap(rel.h, db.mgr, oldest, keys, keyOf)
 }
 
 // Relations lists the open relations, sorted by name.

@@ -425,6 +425,12 @@ func (m *faultStorage) open(name string) (storage.Disk, error) {
 	return d, nil
 }
 
+func (m *faultStorage) exists(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.disks[name] != nil
+}
+
 // TestConfigRetryAndIOStats proves Config.Retry reaches every pool the DB
 // opens and that DB.IOStats aggregates the resulting retry counters: a
 // workload over 5% transient failures completes with no surfaced errors.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/heap"
 	"repro/internal/obs"
 )
 
@@ -54,5 +55,56 @@ func TestFlushDaemonWritesColdDirt(t *testing.T) {
 	}
 	if _, err := rel.Fetch(tid); err != nil {
 		t.Fatalf("tuple invisible after commit: %v", err)
+	}
+}
+
+// TestFlushAllCoversEveryShard: a checkpoint writes back every tree of every
+// index, not only the one-tree ones, and Indexes lists them all. An open
+// transaction dirties all four shards; after FlushAll no pool holds a dirty
+// page and no index file has a buffered write.
+func TestFlushAllCoversEveryShard(t *testing.T) {
+	store := Memory()
+	db, err := Open(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateIndex("one", Shadow); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.CreateIndexN("four", Shadow, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Indexes(); len(got) != 2 || got[0] != ix || got[1].Name() != "one" {
+		t.Fatalf("Indexes() = %v, want [four one]", got)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	for i := 0; i < 400; i++ {
+		if err := ix.InsertTID(tx, shardKey(i), heap.TID{PageNo: 1, Slot: uint16(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Every shard's dirty pages went to its file and were synced there; a
+	// pool asked to flush again has nothing left to write.
+	for i, tr := range ix.Trees() {
+		d := MemoryDisks(store)[ix.fileName(i)]
+		flushed, _, _ := d.Stats()
+		if flushed < 2 { // the meta page's open-time write, then the leaf
+			t.Fatalf("shard %d: %d page writes after FlushAll — nothing was written back", i, flushed)
+		}
+		if pending := d.PendingPages(); len(pending) != 0 {
+			t.Fatalf("shard %d: pages still buffered after FlushAll: %v", i, pending)
+		}
+		if err := tr.Pool().FlushDirty(); err != nil {
+			t.Fatal(err)
+		}
+		if again, _, _ := d.Stats(); again != flushed {
+			t.Fatalf("shard %d: pool still held %d dirty pages after FlushAll", i, again-flushed)
+		}
 	}
 }

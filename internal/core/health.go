@@ -85,8 +85,8 @@ func (db *DB) Health() HealthState {
 func (db *DB) computeHealth() HealthState {
 	total := 0
 	critical, gaveUp := false, false
-	for _, p := range db.pools() {
-		q := p.Quarantine()
+	for _, np := range db.pools() {
+		q := np.pool.Quarantine()
 		total += q.Len()
 		c, g := q.Critical()
 		critical = critical || c
@@ -104,21 +104,25 @@ func (db *DB) computeHealth() HealthState {
 	}
 }
 
-// pools snapshots every open buffer pool (indexes and relations).
-func (db *DB) pools() []*buffer.Pool {
+// namedPool is one open buffer pool and the file it caches.
+type namedPool struct {
+	file string
+	pool *buffer.Pool
+}
+
+// pools snapshots every open buffer pool: each tree of each index, then the
+// relations.
+func (db *DB) pools() []namedPool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]*buffer.Pool, 0, len(db.indexes)+len(db.rels))
+	out := make([]namedPool, 0, len(db.indexes)+len(db.rels))
 	for _, ix := range db.indexes {
-		out = append(out, ix.t.Pool())
-	}
-	for _, six := range db.sharded {
-		for _, t := range six.trees {
-			out = append(out, t.Pool())
+		for i, t := range ix.trees {
+			out = append(out, namedPool{ix.fileName(i), t.Pool()})
 		}
 	}
-	for _, r := range db.rels {
-		out = append(out, r.h.Pool())
+	for name, r := range db.rels {
+		out = append(out, namedPool{"rel_" + name, r.h.Pool()})
 	}
 	return out
 }
@@ -185,28 +189,10 @@ type HealthReport struct {
 // HealthReport summarizes the current state and every quarantined page.
 func (db *DB) HealthReport() HealthReport {
 	rep := HealthReport{State: db.Health().String()}
-	db.mu.Lock()
-	type named struct {
-		name string
-		pool *buffer.Pool
-	}
-	var pools []named
-	for name, ix := range db.indexes {
-		pools = append(pools, named{"idx_" + name, ix.t.Pool()})
-	}
-	for name, six := range db.sharded {
-		for i, t := range six.trees {
-			pools = append(pools, named{shardFileName(name, i), t.Pool()})
-		}
-	}
-	for name, r := range db.rels {
-		pools = append(pools, named{"rel_" + name, r.h.Pool()})
-	}
-	db.mu.Unlock()
-	for _, np := range pools {
+	for _, np := range db.pools() {
 		for _, e := range np.pool.Quarantine().List() {
 			rep.Quarantined = append(rep.Quarantined, QuarantineEntry{
-				File:     np.name,
+				File:     np.file,
 				PageNo:   e.PageNo,
 				Reason:   e.Reason,
 				Critical: e.Critical,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -20,8 +21,9 @@ func healthKey(i int) []byte {
 }
 
 // buildFaultyDB opens a DB on fault-injectable memory storage and commits n
-// keys through a relation + shadow index pair (tuple data = index key).
-func buildFaultyDB(t *testing.T, rec *obs.Recorder, n int) (*DB, Storage, *Relation, *Index, []heap.TID) {
+// keys through a relation + shadow index pair, the index partitioned across
+// shards trees (tuple data = index key).
+func buildFaultyDB(t *testing.T, rec *obs.Recorder, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
 	st := FaultyMemory(storage.FaultConfig{})
 	db, err := Open(st, Config{
@@ -40,7 +42,7 @@ func buildFaultyDB(t *testing.T, rec *obs.Recorder, n int) (*DB, Storage, *Relat
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := db.CreateIndex("acct_pk", Shadow)
+	ix, err := db.CreateIndexN("acct_pk", Shadow, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,39 +103,61 @@ func liveLeaves(t *testing.T, d storage.Disk, max int) []storage.PageNo {
 	return leaves
 }
 
-// TestHealthDegradedServesAndSupervisorHeals is the acceptance scenario:
-// K unrecoverable sector pairs drive the DB Healthy -> Degraded; every
-// non-quarantined key keeps being served correctly (scans skip-and-report,
-// point reads fail typed); the supervisor's repair attempts fail while the
-// faults persist and return the DB to Healthy once they clear — all of it
-// attested by counters.
+// TestHealthDegradedServesAndSupervisorHeals is the acceptance scenario, for
+// an index of one tree and of four: unrecoverable sector pairs in EVERY tree
+// drive the DB Healthy -> Degraded; every non-quarantined key keeps being
+// served correctly (scans skip-and-report in global key order, point reads
+// fail typed); the health report names every damaged file; the supervisor's
+// repair attempts fail while the faults persist and return the DB to Healthy
+// once they clear — all of it attested by counters.
 func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
-	const n = 1500
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testDegradedServesAndHeals(t, shards)
+		})
+	}
+}
+
+func testDegradedServesAndHeals(t *testing.T, shards int) {
+	n := 1500 * shards
 	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix, tids := buildFaultyDB(t, rec, n)
+	db, st, rel, ix, tids := buildFaultyDB(t, rec, n, shards)
 	defer db.Close()
 
 	if got := db.Health(); got != Healthy {
 		t.Fatalf("fresh DB health = %v, want Healthy", got)
 	}
 
-	fd := FaultDisks(st)["idx_acct_pk"]
-	if fd == nil {
-		t.Fatal("no fault disk for the index")
+	type hit struct {
+		fd *storage.FaultDisk
+		no storage.PageNo
 	}
-	leaves := liveLeaves(t, fd, 2)
-	if len(leaves) == 0 {
-		t.Fatal("no live leaves found — scenario is vacuous")
+	var hits []hit
+	for i, tr := range ix.Trees() {
+		fd := FaultDisks(st)[ix.fileName(i)]
+		if fd == nil {
+			t.Fatalf("no fault disk for tree %d", i)
+		}
+		leaves := liveLeaves(t, fd, 2)
+		if len(leaves) == 0 {
+			t.Fatalf("tree %d has no live leaves — scenario is vacuous", i)
+		}
+		for _, no := range leaves {
+			fd.AddPermanentBadSector(no)
+			hits = append(hits, hit{fd, no})
+		}
+		tr.Pool().InvalidateAll()
 	}
-	for _, no := range leaves {
-		fd.AddPermanentBadSector(no)
-	}
-	ix.Tree().Pool().InvalidateAll()
 
-	// Degraded scan: every emitted key must be correct, every committed key
-	// accounted for as served or reported-skipped.
+	// Degraded scan: every emitted key must be correct and in order, every
+	// committed key accounted for as served or reported-skipped.
 	emitted := make(map[int]bool)
+	var last []byte
 	rep, err := ix.ScanDegraded(nil, nil, func(k []byte, tid heap.TID) bool {
+		if last != nil && bytes.Compare(k, last) <= 0 {
+			t.Fatalf("degraded scan out of order: %q after %q", k, last)
+		}
+		last = append(last[:0], k...)
 		i := int(binary.BigEndian.Uint32(k))
 		if tid != tids[i] {
 			t.Fatalf("degraded scan returned wrong TID for key %d", i)
@@ -144,8 +168,8 @@ func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScanDegraded: %v", err)
 	}
-	if rep.Complete() {
-		t.Fatal("scan over quarantined leaves must report skipped ranges")
+	if len(rep.Skipped) < shards {
+		t.Fatalf("skipped %d ranges, want >= %d (one per damaged tree)", len(rep.Skipped), shards)
 	}
 	inSkipped := func(key []byte) bool {
 		for _, s := range rep.Skipped {
@@ -173,12 +197,21 @@ func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
 		t.Fatal("no committed key in the quarantined ranges — scenario is vacuous")
 	}
 
-	// Health machine + typed point reads.
+	// Health machine (one report entry per damaged file) + typed point reads.
 	if got := db.Health(); got != Degraded {
 		t.Fatalf("health with quarantined leaves = %v, want Degraded", got)
 	}
 	if rec.Get(obs.QuarantinePage) == 0 || rec.Get(obs.HealthTransition) == 0 {
 		t.Fatal("quarantine/health counters not bumped")
+	}
+	files := make(map[string]bool)
+	for _, e := range db.HealthReport().Quarantined {
+		files[e.File] = true
+	}
+	for i := range ix.Trees() {
+		if !files[ix.fileName(i)] {
+			t.Fatalf("HealthReport missing %s: %+v", ix.fileName(i), db.HealthReport())
+		}
 	}
 	for i := 0; i < n; i++ {
 		if !emitted[i] {
@@ -199,10 +232,10 @@ func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
 		t.Fatalf("health after failed supervision = %v, want Degraded", got)
 	}
 
-	// Faults clear; the supervisor heals everything and promotes the DB.
-	for _, no := range leaves {
-		if !fd.ClearBadSector(no) {
-			t.Fatalf("bad sector %d was not registered", no)
+	// Faults clear; the supervisor heals every tree and promotes the DB.
+	for _, h := range hits {
+		if !h.fd.ClearBadSector(h.no) {
+			t.Fatalf("bad sector %d was not registered", h.no)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -213,8 +246,8 @@ func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
 		time.Sleep(5 * time.Millisecond) // let the per-page backoff pass
 		db.SuperviseOnce()
 	}
-	if rec.Get(obs.SupervisorRepair) == 0 {
-		t.Fatal("supervisor.repair not counted after heal")
+	if rec.Get(obs.SupervisorRepair) < uint64(shards) {
+		t.Fatalf("supervisor.repair = %d, want >= %d", rec.Get(obs.SupervisorRepair), shards)
 	}
 	for i := 0; i < n; i++ {
 		data, err := ix.FetchVisible(rel, healthKey(i))
@@ -228,7 +261,7 @@ func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
 // write service; an exhausted critical repair budget fails the DB.
 func TestHealthReadOnlyAndFailed(t *testing.T) {
 	rec := obs.New(64)
-	db, _, rel, ix, tids := buildFaultyDB(t, rec, 50)
+	db, _, rel, ix, tids := buildFaultyDB(t, rec, 50, 1)
 	defer db.Close()
 
 	p := ix.Tree().Pool()
@@ -333,7 +366,7 @@ func TestSupervisorGoroutineHealsHeapPage(t *testing.T) {
 func TestSupervisorRebuildsFromHeap(t *testing.T) {
 	const n = 1500
 	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix, _ := buildFaultyDB(t, rec, n)
+	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, 1)
 	defer db.Close()
 	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })

@@ -63,7 +63,7 @@ func loadedStore(t *testing.T, n int) Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	six, err := db.CreateShardedIndex("spk", Shadow, 4)
+	six, err := db.CreateIndexN("spk", Shadow, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCreateIndexReadBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		single[i] = hs.reads.Load() - base
-		six, err := db.CreateShardedIndex("spk", Shadow, 4)
+		six, err := db.CreateIndexN("spk", Shadow, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestCreateIndexReadBudget(t *testing.T) {
 	}
 	// One meta page per shard and the one-page shard-count file.
 	if sharded[0] != sharded[1] || sharded[0] > 4*2+1 {
-		t.Fatalf("CreateShardedIndex completed %d reads at 1k keys, %d at 50k; want equal and <= 9", sharded[0], sharded[1])
+		t.Fatalf("CreateIndexN completed %d reads at 1k keys, %d at 50k; want equal and <= 9", sharded[0], sharded[1])
 	}
 }
 
@@ -138,7 +138,7 @@ func TestCloseJoinsBoundWalks(t *testing.T) {
 	if _, err := db.CreateIndex("pk", Shadow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateShardedIndex("spk", Shadow, 4); err != nil {
+	if _, err := db.CreateIndexN("spk", Shadow, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -149,5 +149,61 @@ func TestCloseJoinsBoundWalks(t *testing.T) {
 			t.Fatalf("%d goroutines before Open, %d after Close", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestOneShardIndexCostsItsTree: beside the budget of the open, the budget of
+// the calls. An index of one tree is that tree: a warm ScanAhead allocates
+// what the tree's own ScanAhead allocates and a cold one completes the same
+// device reads — no routing hash, merge cursor, entry copy or goroutine in
+// between — and InsertTID, like the tree's no-split Insert, allocates nothing.
+func TestOneShardIndexCostsItsTree(t *testing.T) {
+	fs := &flightStorage{Storage: kvStore(t, 5000)}
+	s := openKV(t, fs)
+	defer s.db.Close()
+	tr := s.ix.Tree()
+	lo, hi := kvKey(100), kvKey(140)
+	entries := 0
+	fn := func([]byte, heap.TID) bool { entries++; return true }
+	viaIndex := func() error { return s.ix.ScanAhead(s.rel, lo, hi, 0, fn) }
+	viaTree := func() error { return tr.ScanAhead(lo, hi, s.rel.aheadAll, withTID(fn)) }
+
+	coldReads := func(scan func() error) int64 {
+		s.cold()
+		before := fs.reads.Load()
+		if err := scan(); err != nil {
+			t.Fatal(err)
+		}
+		s.cold() // joins the hinted reads still in flight
+		return fs.reads.Load() - before
+	}
+	if ir, tr := coldReads(viaIndex), coldReads(viaTree); ir != tr || entries != 2*40 {
+		t.Fatalf("cold ScanAhead: %d device reads through the index, %d through its tree (%d entries)", ir, tr, entries)
+	}
+
+	allocs := func(f func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if ia, ta := allocs(viaIndex), allocs(viaTree); ia > ta {
+		t.Fatalf("warm ScanAhead: %v allocations through the index, %v through its tree", ia, ta)
+	}
+
+	tx := s.db.Begin()
+	defer tx.Abort()
+	keys := make([][]byte, 0, 101)
+	for i := range cap(keys) {
+		keys = append(keys, []byte(fmt.Sprintf("k%08d+%03d", 200, i)))
+	}
+	next := 0
+	ia := allocs(func() error {
+		next++
+		return s.ix.InsertTID(tx, keys[next-1], heap.TID{PageNo: 1, Slot: uint16(next)})
+	})
+	if ia != 0 {
+		t.Fatalf("InsertTID: %v allocations per call, want 0", ia)
 	}
 }

@@ -34,7 +34,7 @@ func TestShardedInsertCommitFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := db.CreateShardedIndex("t_pk", Shadow, 4)
+	ix, err := db.CreateIndexN("t_pk", Shadow, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestShardedInsertCommitFetch(t *testing.T) {
 	// The hash actually spread the keys: every shard holds at least one.
 	for s := 0; s < ix.Shards(); s++ {
 		cnt := 0
-		if err := ix.Tree(s).Scan(nil, nil, func(k, v []byte) bool {
+		if err := ix.Trees()[s].Scan(nil, nil, func(k, v []byte) bool {
 			if got := shard.PickN(k, ix.Shards()); got != s {
 				t.Fatalf("shard %d holds key %q owned by shard %d", s, k, got)
 			}
@@ -126,11 +126,11 @@ func TestShardedMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateShardedIndex("x", Shadow, 4); err != nil {
+	if _, err := db.CreateIndexN("x", Shadow, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Same handle, wrong count: refused while open.
-	if _, err := db.CreateShardedIndex("x", Shadow, 2); !errors.Is(err, ErrShardMismatch) {
+	if _, err := db.CreateIndexN("x", Shadow, 2); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("open-handle mismatch: %v, want ErrShardMismatch", err)
 	}
 	if err := db.Close(); err != nil {
@@ -141,23 +141,68 @@ func TestShardedMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db2.CreateShardedIndex("x", Shadow, 2); !errors.Is(err, ErrShardMismatch) {
+	if _, err := db2.CreateIndexN("x", Shadow, 2); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("reopen mismatch: %v, want ErrShardMismatch", err)
 	}
-	// The right count still works, and Config.Shards supplies the default.
-	if _, err := db2.CreateShardedIndex("x", Shadow, 4); err != nil {
+	// The right count still works.
+	if _, err := db2.CreateIndexN("x", Shadow, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := Open(store, Config{Variant: Shadow, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if _, err := db3.CreateShardedIndex("x", Shadow, 0); err != nil {
-		t.Fatalf("Config.Shards default: %v", err)
+}
+
+// TestShardMismatchOneVersusMany: the two mismatches a count file alone does
+// not catch. A one-tree open never reads a count it has no reason to expect,
+// and a many-tree open finds no count beside a one-tree index; either way the
+// caller would be served a new, empty index over a populated store.
+func TestShardMismatchOneVersusMany(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		created, reopened int
+	}{
+		{"one over four", 4, 1},
+		{"four over one", 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := Memory()
+			db, err := Open(store, Config{Variant: Shadow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := db.CreateIndexN("x", Shadow, tc.created)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			for i := 0; i < 100; i++ {
+				if err := ix.InsertTID(tx, shardKey(i), heap.TID{PageNo: 1, Slot: uint16(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := Open(store, Config{Variant: Shadow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if _, err := db2.CreateIndexN("x", Shadow, tc.reopened); !errors.Is(err, ErrShardMismatch) {
+				t.Fatalf("%d shards reopened with %d: %v, want ErrShardMismatch", tc.created, tc.reopened, err)
+			}
+			ix2, err := db2.CreateIndexN("x", Shadow, tc.created)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ix2.LookupTID(shardKey(99)); err != nil {
+				t.Fatalf("right count after the refused open: %v", err)
+			}
+		})
 	}
 }
 
@@ -175,7 +220,7 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel, _ := db.CreateRelation("t")
-	ix, err := db.CreateShardedIndex("t_pk", Shadow, nShards)
+	ix, err := db.CreateIndexN("t_pk", Shadow, nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +274,7 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 	}
 	defer db2.Close()
 	rel2, _ := db2.CreateRelation("t")
-	ix2, err := db2.CreateShardedIndex("t_pk", Shadow, nShards)
+	ix2, err := db2.CreateIndexN("t_pk", Shadow, nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,158 +320,18 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 	}
 }
 
-// buildFaultyShardedDB is buildFaultyDB with the index partitioned across
-// nShards trees on fault-injectable disks (tuple data = index key).
-func buildFaultyShardedDB(t *testing.T, rec *obs.Recorder, n, nShards int) (*DB, Storage, *Relation, *ShardedIndex) {
-	t.Helper()
-	st := FaultyMemory(storage.FaultConfig{})
-	db, err := Open(st, Config{
-		Variant: Shadow,
-		Obs:     rec,
-		Supervisor: SupervisorConfig{
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			GiveUpAfter: 50,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := db.CreateRelation("acct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := db.CreateShardedIndex("acct_pk", Shadow, nShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := db.Begin()
-	for i := 0; i < n; i++ {
-		tid, err := rel.Insert(tx, shardKey(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.InsertTID(tx, shardKey(i), tid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	return db, st, rel, ix
-}
-
-// TestShardedSupervisorHealsAllShards quarantines a live leaf in EVERY
-// shard, proves the degraded merged scan and the health machine see all of
-// them (one HealthReport entry per shard file), then clears the faults and
-// lets the parallel supervisor sweep heal every shard back to Healthy.
-func TestShardedSupervisorHealsAllShards(t *testing.T) {
-	const n = 2000
-	const nShards = 4
-	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix := buildFaultyShardedDB(t, rec, n, nShards)
-	defer db.Close()
-
-	fds := FaultDisks(st)
-	type hit struct {
-		fd *storage.FaultDisk
-		no storage.PageNo
-	}
-	var hits []hit
-	for s := 0; s < nShards; s++ {
-		fd := fds[fmt.Sprintf("idx_acct_pk.s%d", s)]
-		if fd == nil {
-			t.Fatalf("no fault disk for shard %d", s)
-		}
-		leaves := liveLeaves(t, fd, 1)
-		if len(leaves) == 0 {
-			t.Fatalf("shard %d has no live leaves — scenario is vacuous", s)
-		}
-		fd.AddPermanentBadSector(leaves[0])
-		hits = append(hits, hit{fd, leaves[0]})
-		ix.Tree(s).Pool().InvalidateAll()
-	}
-
-	// Degraded merged scan: every emitted key correct and in order, one
-	// skipped range reported per damaged shard.
-	var last []byte
-	emitted := make(map[string]bool)
-	rep, err := ix.ScanDegraded(nil, nil, func(k []byte, tid heap.TID) bool {
-		if last != nil && bytes.Compare(k, last) <= 0 {
-			t.Fatalf("degraded merge out of order: %q after %q", k, last)
-		}
-		last = append(last[:0], k...)
-		emitted[string(k)] = true
-		return true
-	})
-	if err != nil {
-		t.Fatalf("ScanDegraded: %v", err)
-	}
-	if len(rep.Skipped) < nShards {
-		t.Fatalf("skipped %d ranges, want >= %d (one per damaged shard)", len(rep.Skipped), nShards)
-	}
-	if len(emitted) == n {
-		t.Fatal("no key was skipped — scenario is vacuous")
-	}
-
-	if got := db.Health(); got != Degraded {
-		t.Fatalf("health = %v, want Degraded", got)
-	}
-	hr := db.HealthReport()
-	files := make(map[string]bool)
-	for _, e := range hr.Quarantined {
-		files[e.File] = true
-	}
-	for s := 0; s < nShards; s++ {
-		if !files[fmt.Sprintf("idx_acct_pk.s%d", s)] {
-			t.Fatalf("HealthReport missing shard %d entry: %+v", s, hr)
-		}
-	}
-
-	// Supervisor with faults present: the parallel sweep attempts (and
-	// fails) every shard's repair.
-	db.SuperviseOnce()
-	if rec.Get(obs.SupervisorFail) == 0 {
-		t.Fatal("supervisor.fail not counted while faults persist")
-	}
-
-	// Faults clear; concurrent per-shard heals promote the DB to Healthy.
-	for _, h := range hits {
-		if !h.fd.ClearBadSector(h.no) {
-			t.Fatalf("bad sector %d was not registered", h.no)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.Health() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("DB never returned to Healthy; report: %+v", db.HealthReport())
-		}
-		time.Sleep(5 * time.Millisecond)
-		db.SuperviseOnce()
-	}
-	if rec.Get(obs.SupervisorRepair) < uint64(nShards) {
-		t.Fatalf("supervisor.repair = %d, want >= %d", rec.Get(obs.SupervisorRepair), nShards)
-	}
-	for i := 0; i < n; i++ {
-		data, err := ix.FetchVisible(rel, shardKey(i))
-		if err != nil || !bytes.Equal(data, shardKey(i)) {
-			t.Fatalf("key %d after heal: %q, %v", i, data, err)
-		}
-	}
-}
-
 // TestShardedRebuildFromHeapRespectsRouting: when one shard's leaf is
 // stably corrupted beyond repair, the supervisor abandons it and re-seeds
 // from the heap — inserting ONLY keys the router hashes to that shard, so
 // the rebuild never plants a key where lookups would miss it.
 func TestShardedRebuildFromHeapRespectsRouting(t *testing.T) {
-	const n = 2000
+	const n = 4000
 	const nShards = 4
 	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix := buildFaultyShardedDB(t, rec, n, nShards)
+	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, nShards)
 	defer db.Close()
 	db.cfg.Supervisor.RebuildAfter = 1
-	db.RegisterShardedHeal(ix, rel, func(data []byte) []byte { return data })
+	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
 	const victim = 1
 	fd := FaultDisks(st)[fmt.Sprintf("idx_acct_pk.s%d", victim)]
@@ -440,7 +345,7 @@ func TestShardedRebuildFromHeapRespectsRouting(t *testing.T) {
 	if !fd.CorruptStable(leaves[0], func(img page.Page) { img[page.HeaderSize] ^= 0xFF }) {
 		t.Fatalf("no durable image to corrupt at page %d", leaves[0])
 	}
-	ix.Tree(victim).Pool().InvalidateAll()
+	ix.Trees()[victim].Pool().InvalidateAll()
 
 	// First touch quarantines the subtree.
 	rep, err := ix.ScanDegraded(nil, nil, func([]byte, heap.TID) bool { return true })
@@ -465,12 +370,12 @@ func TestShardedRebuildFromHeapRespectsRouting(t *testing.T) {
 
 	// Every key is back, and the rebuilt shard holds only its own keys.
 	for i := 0; i < n; i++ {
-		data, err := ix.FetchVisible(rel, shardKey(i))
-		if err != nil || !bytes.Equal(data, shardKey(i)) {
+		data, err := ix.FetchVisible(rel, healthKey(i))
+		if err != nil || !bytes.Equal(data, healthKey(i)) {
 			t.Fatalf("key %d after rebuild: %q, %v", i, data, err)
 		}
 	}
-	if err := ix.Tree(victim).Scan(nil, nil, func(k, v []byte) bool {
+	if err := ix.Trees()[victim].Scan(nil, nil, func(k, v []byte) bool {
 		if got := shard.PickN(k, nShards); got != victim {
 			t.Fatalf("rebuild planted key %q (shard %d) into shard %d", k, got, victim)
 		}

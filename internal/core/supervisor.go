@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/vacuum"
 )
 
@@ -72,18 +70,10 @@ type supervisor struct {
 // extracts the indexed key from tuple data (the same contract as the
 // vacuum). With a heal source registered, quarantined pages of ix whose
 // repair keeps failing are abandoned after SupervisorConfig.RebuildAfter
-// attempts and their key range re-inserted from the heap.
+// attempts and their key range re-inserted from the heap. Rebuilds stay
+// shard-correct: when shard i's page is abandoned, only heap keys that hash
+// to shard i are re-inserted.
 func (db *DB) RegisterHeal(ix *Index, rel *Relation, keyOf vacuum.KeyOf) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.healSources[ix.name] = healSource{rel: rel, keyOf: keyOf}
-}
-
-// RegisterShardedHeal is RegisterHeal for a sharded index. Rebuilds stay
-// shard-correct: when shard i's page is abandoned, only heap keys that
-// hash to shard i are re-inserted, so a rebuild never plants a key in a
-// tree the router would not search.
-func (db *DB) RegisterShardedHeal(ix *ShardedIndex, rel *Relation, keyOf vacuum.KeyOf) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.healSources[ix.name] = healSource{rel: rel, keyOf: keyOf}
@@ -142,29 +132,17 @@ func (db *DB) SuperviseOnce() {
 	for _, r := range db.rels {
 		rels = append(rels, r)
 	}
-	sharded := make([]*ShardedIndex, 0, len(db.sharded))
-	for _, six := range db.sharded {
-		sharded = append(sharded, six)
-	}
 	db.mu.Unlock()
 
+	// The shards of one index are swept side by side: each owns its own
+	// quarantine registry and tree, so concurrent heals share no state (the
+	// same independence that lets post-crash recovery parallelize).
 	for _, ix := range indexes {
-		db.superviseIndex(ix, now)
+		_ = ix.eachTree(func(i int, t *btree.Tree) error {
+			db.superviseTree(ix.name, t, ix.owns(i), now)
+			return nil // failures are counted and retried per page
+		})
 	}
-	// Shard sweeps run in parallel goroutines: each shard owns its own
-	// quarantine registry and tree, so concurrent heals share no state
-	// (the same independence that lets post-crash recovery parallelize).
-	var wg sync.WaitGroup
-	for _, six := range sharded {
-		for i, t := range six.trees {
-			wg.Add(1)
-			go func(six *ShardedIndex, i int, t *btree.Tree) {
-				defer wg.Done()
-				db.superviseShard(six, i, t, now)
-			}(six, i, t)
-		}
-	}
-	wg.Wait()
 	for _, r := range rels {
 		db.superviseRelation(r, now)
 	}
@@ -174,24 +152,9 @@ func (db *DB) SuperviseOnce() {
 	db.Health()
 }
 
-// superviseIndex attempts one repair per due quarantined page of ix.
-func (db *DB) superviseIndex(ix *Index, now time.Time) {
-	db.superviseTree(ix.name, ix.t, nil, now)
-}
-
-// superviseShard is superviseIndex for one shard of a sharded index. The
-// heap-rebuild fallback gets a key filter restricting re-inserts to keys
-// the router hashes to this shard.
-func (db *DB) superviseShard(six *ShardedIndex, i int, t *btree.Tree, now time.Time) {
-	n := len(six.trees)
-	db.superviseTree(six.name, t, func(key []byte) bool {
-		return shard.PickN(key, n) == i
-	}, now)
-}
-
-// superviseTree attempts one repair per due quarantined page of t, the
-// shared sweep body for single-tree and sharded indexes. keyFilter, when
-// non-nil, restricts heap rebuilds to keys owned by this tree.
+// superviseTree attempts one repair per due quarantined page of t, one of
+// index name's trees. keyFilter, when non-nil, restricts heap rebuilds to
+// keys owned by this tree.
 func (db *DB) superviseTree(name string, t *btree.Tree, keyFilter func([]byte) bool, now time.Time) {
 	q := t.Pool().Quarantine()
 	for _, e := range q.Due(now) {

@@ -50,7 +50,7 @@ type Options struct {
 	Variant core.Variant
 	// Shards partitions the primary index across this many independent
 	// B-link trees (hash-routed, merged scans, parallel recovery). 0 or 1
-	// keeps the single-tree index.
+	// is one tree.
 	Shards int
 	// DrainTimeout bounds how long Close waits for in-flight sessions to
 	// finish their current command (default 5s).
@@ -59,10 +59,9 @@ type Options struct {
 
 // Server serves the KV protocol over a core.DB.
 type Server struct {
-	db      *core.DB
-	rel     *core.Relation
-	idx     core.KVIndex
-	sharded *core.ShardedIndex // nil when the index is single-tree
+	db  *core.DB
+	rel *core.Relation
+	idx *core.Index
 
 	drainTimeout time.Duration
 
@@ -91,28 +90,14 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		idx     core.KVIndex
-		sharded *core.ShardedIndex
-	)
-	if opts.Shards > 1 {
-		six, err := db.CreateShardedIndex(opts.Index, opts.Variant, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		idx, sharded = six, six
-	} else {
-		six, err := db.CreateIndex(opts.Index, opts.Variant)
-		if err != nil {
-			return nil, err
-		}
-		idx = six
+	idx, err := db.CreateIndexN(opts.Index, opts.Variant, opts.Shards)
+	if err != nil {
+		return nil, err
 	}
 	return &Server{
 		db:           db,
 		rel:          rel,
 		idx:          idx,
-		sharded:      sharded,
 		drainTimeout: opts.DrainTimeout,
 		conns:        make(map[net.Conn]struct{}),
 		quit:         make(chan struct{}),

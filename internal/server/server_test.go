@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -719,5 +720,68 @@ func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
 	}
 	if err := srv.Close(); err == nil {
 		_ = err // first server died with the "machine"; Close best-effort
+	}
+}
+
+// TestServerShardMismatchRefused: restarting a store with a shard count other
+// than the one it was loaded under is refused, in the two directions a count
+// file alone does not catch — the flag's default of one tree over a 4-shard
+// store, and 4 shards over a one-tree store — instead of serving a new, empty
+// index; the right count then serves every key.
+func TestServerShardMismatchRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		loaded, restart int
+	}{
+		{"one over four", 4, 0},
+		{"four over one", 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := core.Memory()
+			db, err := core.Open(store, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(db, Options{Shards: tc.loaded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			cl := dial(t, srv)
+			for i := 0; i < 20; i++ {
+				cl.expect(fmt.Sprintf("PUT key-%03d val-%d", i, i), "OK")
+			}
+			cl.expect("QUIT", "OK bye")
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db2, err := core.Open(store, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if _, err := New(db2, Options{Shards: tc.restart}); !errors.Is(err, core.ErrShardMismatch) {
+				t.Fatalf("loaded with Shards=%d, restarted with %d: %v, want ErrShardMismatch", tc.loaded, tc.restart, err)
+			}
+			srv2, err := New(db2, Options{Shards: tc.loaded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv2.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			cl2 := dial(t, srv2)
+			for i := 0; i < 20; i++ {
+				cl2.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
+			}
+			cl2.expect("QUIT", "OK bye")
+		})
 	}
 }

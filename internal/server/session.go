@@ -372,9 +372,9 @@ func (ss *session) cmdStats() {
 		"hints_dropped": snap.Counters["hint.dropped"],
 		"hints_wasted":  snap.Counters["hint.wasted"],
 	}
-	if six := ss.srv.sharded; six != nil {
-		stats["shards"] = six.Shards()
-		stats["shard_stats"] = six.ShardStats()
+	if idx := ss.srv.idx; idx.Shards() > 1 {
+		stats["shards"] = idx.Shards()
+		stats["shard_stats"] = idx.ShardStats()
 	}
 	b, err := json.Marshal(stats)
 	if err != nil {

@@ -74,8 +74,7 @@ func (r *Router) Pick(key []byte) int {
 	return int(fnv1a(key) % uint64(len(r.shards)))
 }
 
-// PickN is Pick for callers that know the shard count but hold no router
-// (the supervisor's heap-rebuild filter).
+// PickN is Pick for callers that know the shard count but hold no router.
 func PickN(key []byte, n int) int {
 	return int(fnv1a(key) % uint64(n))
 }

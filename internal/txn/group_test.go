@@ -118,42 +118,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabledStillCommits covers the per-txn-sync baseline mode.
-func TestBatchingDisabledStillCommits(t *testing.T) {
-	d := storage.NewMemDisk()
-	m, err := OpenManager(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetBatching(false)
-
-	const n = 4
-	var wg sync.WaitGroup
-	txns := make([]*Txn, n)
-	for i := range txns {
-		txns[i] = m.Begin()
-	}
-	for i := range txns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := txns[i].Commit(); err != nil {
-				t.Errorf("commit %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	m2, err := OpenManager(d.CloneStable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tx := range txns {
-		if !m2.Committed(tx.XID()) {
-			t.Fatalf("xid %d lost in baseline mode", tx.XID())
-		}
-	}
-}
-
 // --- commit-failure semantics (no limbo) --------------------------------
 
 type failingSyncer struct{ err error }

@@ -105,7 +105,6 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 		active:    make(map[heap.XID]*Txn),
 	}
 	m.gc.cond = sync.NewCond(&m.gc.mu)
-	m.gc.batching = true
 	if err := m.loadStatus(); err != nil {
 		return nil, err
 	}
@@ -116,16 +115,6 @@ func OpenManager(disk storage.Disk) (*Manager, error) {
 // coalescing counters, commit-latency and status-write histograms). Call
 // before concurrent use; a nil recorder is the disabled state.
 func (m *Manager) SetObs(r *obs.Recorder) { m.obs = r }
-
-// SetBatching enables or disables group commit. With batching off every
-// committer runs its own force and its own status write, serialized —
-// the per-transaction-sync baseline the benchmarks compare against.
-// Call before concurrent use.
-func (m *Manager) SetBatching(on bool) {
-	m.gc.mu.Lock()
-	m.gc.batching = on
-	m.gc.mu.Unlock()
-}
 
 // Begin starts a transaction. Its XID lies under the durable ceiling; a
 // Begin that finds the ceiling reached raises it first, with an empty status
@@ -177,11 +166,10 @@ func (m *Manager) HighestCommitted() heap.XID {
 // handed to the next queue head after every batch, so no committer is
 // starved into serving other transactions' batches.
 type groupCommitter struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*commitReq
-	leading  bool
-	batching bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*commitReq
+	leading bool
 }
 
 // commitReq is one transaction waiting to commit. err and done are written
@@ -209,14 +197,8 @@ func (m *Manager) groupCommit(req *commitReq) error {
 	}
 	// Queue head with no leader running: lead this batch.
 	g.leading = true
-	var batch []*commitReq
-	if g.batching {
-		batch = g.queue
-		g.queue = nil
-	} else {
-		batch = []*commitReq{req}
-		g.queue = g.queue[1:]
-	}
+	batch := g.queue
+	g.queue = nil
 	g.mu.Unlock()
 
 	m.runBatch(batch)

@@ -142,12 +142,20 @@ type HeapStats struct {
 // because the schema lives above this layer.
 type KeyOf func(data []byte) []byte
 
+// KeyIndex is what Heap needs of the index over the relation: a tree, or a
+// router over the trees of a sharded index.
+type KeyIndex interface {
+	Lookup(key []byte) ([]byte, error)
+	Delete(key []byte) error
+	Sync() error
+}
+
 // Heap sweeps a relation, marks versions that can never be seen again
 // (creator never committed and is older than every active transaction, or
 // deleter committed) and removes the index entries pointing at them. This
 // is the deferred index-key deletion that keeps transaction-time index
 // updates out of the critical path.
-func Heap(rel *heap.Relation, status heap.StatusChecker, oldestActive heap.XID, idx *btree.Tree, keyOf KeyOf) (HeapStats, error) {
+func Heap(rel *heap.Relation, status heap.StatusChecker, oldestActive heap.XID, idx KeyIndex, keyOf KeyOf) (HeapStats, error) {
 	var st HeapStats
 	type deadTuple struct {
 		tid  heap.TID
