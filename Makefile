@@ -18,8 +18,10 @@ GO ?= go
 
 check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
 
+# go vet, and every file as gofmt leaves it.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

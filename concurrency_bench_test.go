@@ -23,8 +23,8 @@ import (
 )
 
 const (
-	benchKeys    = 80_000                // tree size: ~460 leaves, well over the pool
-	benchPool    = 256                   // 16 lock stripes
+	benchKeys    = 80_000                 // tree size: ~460 leaves, well over the pool
+	benchPool    = 256                    // 16 lock stripes
 	benchLatency = 100 * time.Microsecond // simulated device latency per page I/O
 )
 

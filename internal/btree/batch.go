@@ -57,8 +57,7 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 	for pos := 0; pos < len(order); {
 		applied, err := t.insertRunShared(keys, values, order, pos)
 		pos += applied
-		if err != nil && !errors.Is(err, errRetryShared) && !errors.Is(err, errNeedsExclusive) &&
-			!errors.Is(err, errNeedsRepair) {
+		if err != nil && !errors.Is(err, errRetryShared) && !errors.Is(err, errNeedsExclusive) {
 			return err
 		}
 		if applied > 0 && err == nil {
@@ -80,10 +79,10 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 
 // insertRunShared applies a maximal run of sorted batch keys to the leaf
 // covering the first key, under a single shared-mode descent and one leaf
-// write latch. It returns how many keys were applied. A zero count with a
-// retry/exclusive sentinel means the run could not start; a non-nil error
-// after a positive count (duplicate key) reports a genuinely failed key —
-// everything before it is applied.
+// write latch. It returns how many keys were applied. A zero count means the
+// run could not start (with a retry/exclusive sentinel, or nil for a leaf
+// that is not ready); any other error (duplicate key) reports a genuinely
+// failed key — everything before it is applied.
 func (t *Tree) insertRunShared(keys, values [][]byte, order []int, start int) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -93,56 +92,27 @@ func (t *Tree) insertRunShared(keys, values [][]byte, order []int, start int) (i
 	}
 	sc := getDescent()
 	defer putDescent(sc)
-	f, _, hi, empty, err := t.descendSharedLeaf(keys[order[start]], v, sc)
+	leaf, err := t.writeLeafShared(keys[order[start]], v, sc)
 	if err != nil {
 		return 0, err
 	}
-	if empty {
-		return 0, errNeedsExclusive // createRootLeaf initializes meta state
-	}
-	f.WLatch()
-	if !t.structStable(v) {
-		f.WUnlatch()
-		f.Unpin()
-		return 0, errRetryShared
-	}
-	p := f.Data
-	if t.needsPeerVerify(p) {
-		f.WUnlatch()
-		f.Unpin()
-		return 0, errNeedsExclusive
-	}
-	if p.PrevNKeys() != 0 {
-		if t.protected() && p.SyncToken() == t.counter.Current() {
-			// §3.4 reclaim case (1) needs a blocked sync; the single-key
-			// fallback runs it without a frame latch held.
-			f.WUnlatch()
-			f.Unpin()
-			return 0, errNeedsExclusive
-		}
-		reclaimBackups(p)
-		f.MarkDirty()
-		if t.protected() {
-			t.Stats.BackupReclaims.Add(1)
-			t.obs.Count(obs.BackupReclaim)
-		}
-	}
+	f := leaf.frame
 	applied := 0
 	var runErr error
 	for i := start; i < len(order); i++ {
 		k, val := keys[order[i]], values[order[i]]
-		if i > start && hi != nil && bytes.Compare(k, hi) >= 0 {
+		if i > start && leaf.hi != nil && bytes.Compare(k, leaf.hi) >= 0 {
 			break // next key belongs to a leaf further right
 		}
-		if !p.CanFit(leafItemLen(k, val)) {
-			break // leaf full: the fallback split path takes over
+		pos, st, err := t.prepareLeaf(f, k, leafItemLen(k, val))
+		if err == nil && st != leafReady {
+			break // full, unverified or unsynced: the single-key path splits, repairs and syncs
 		}
-		if ierr := insertLeaf(p, k, val); ierr != nil {
-			if errors.Is(ierr, ErrDuplicateKey) {
-				runErr = ierr
-			} else {
-				runErr = t.classify(v)
-			}
+		if err == nil {
+			err = insertLeafAt(f.Data, pos, k, val)
+		}
+		if err != nil {
+			runErr = t.pageErr(readOnly, v, err)
 			break
 		}
 		applied++

@@ -18,10 +18,11 @@ import (
 // back: of every page but the meta page (holdAll), or of one page.
 type countingDisk struct {
 	storage.Disk
-	reads   atomic.Int64
-	holdAll bool
-	holdNo  storage.PageNo
-	release chan struct{}
+	reads    atomic.Int64
+	lastRead atomic.Uint32 // the page the latest completed read was of
+	holdAll  bool
+	holdNo   storage.PageNo
+	release  chan struct{}
 }
 
 func (d *countingDisk) ReadPage(no storage.PageNo, buf page.Page) error {
@@ -30,6 +31,7 @@ func (d *countingDisk) ReadPage(no storage.PageNo, buf page.Page) error {
 	}
 	err := d.Disk.ReadPage(no, buf)
 	d.reads.Add(1)
+	d.lastRead.Store(uint32(no))
 	return err
 }
 
@@ -92,18 +94,19 @@ func TestOpenReadBudget(t *testing.T) {
 func TestBoundGate(t *testing.T) {
 	const n = 20_000
 	mem := loadedDisk(t, Shadow, n)
-	probe, err := Open(mem, Shadow, Options{})
+	// The last leaf is the last page a lookup of the largest key reads on a
+	// cold pool.
+	pd := &countingDisk{Disk: mem}
+	probe, err := Open(pd, Shadow, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := probe.AwaitBound(); err != nil {
 		t.Fatal(err)
 	}
-	f, lastLeaf, _, _, ok, err := probe.findLeaf(u32key(n-1), false)
-	if err != nil || !ok {
-		t.Fatalf("findLeaf: ok=%v err=%v", ok, err)
-	}
-	f.Unpin()
+	probe.Pool().InvalidateAll()
+	mustLookup(t, probe, n-1)
+	lastLeaf := storage.PageNo(pd.lastRead.Load())
 
 	rec := obs.New(0)
 	d := &countingDisk{Disk: mem, holdNo: lastLeaf, release: make(chan struct{})}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -157,15 +158,108 @@ func TestLeafSplitCrashAllSubsets(t *testing.T) {
 			if n > 12 {
 				t.Fatalf("scenario produced %d pending pages; enumeration too large", n)
 			}
+			firstTouch := 0
 			for mask := uint64(0); mask < uint64(1)<<n; mask++ {
 				d := crashScenario(t, v, nPre, trigger)
 				if err := d.CrashPartial(storage.CrashSubsetMask(mask)); err != nil {
 					t.Fatal(err)
 				}
-				verifyRecovered(t, d, v, nPre, fmt.Sprintf("mask %0*b", n, mask))
+				label := fmt.Sprintf("mask %0*b", n, mask)
+				if bothModesAgree(t, d.(*storage.MemDisk), v, nPre, label) {
+					firstTouch++
+				}
+				verifyRecovered(t, d, v, nPre, label)
+			}
+			if firstTouch == 0 {
+				t.Fatal("no crash subset made a read repair on first touch: the two-mode comparison is vacuous")
 			}
 		})
 	}
+}
+
+// bothModesAgree runs the one lookup body and the one scan body over the same
+// crashed image in their two modes and demands the same answers. On copy A a
+// RecoverAll pass repairs everything first, so every read after it runs
+// read-only under the shared lock and must never fall back; on copy B the
+// reads come first, and wherever the crash left damage the first touch falls
+// back to the exclusive lock and runs the same body repairing. Both must
+// return the same committed pairs, never one pair twice — not even across a
+// fallback in the middle of the scan — and end strictly valid with the same
+// repairs counted. (The uncommitted trigger key is left out of the comparison:
+// before a recovery pass has re-linked the peer chain a scan can still reach
+// the orphaned half that holds it over a token-matched hop — ROADMAP 2(a).)
+// It reports whether B fell back on first touch.
+func bothModesAgree(t *testing.T, crashed *storage.MemDisk, v Variant, committed int, label string) bool {
+	t.Helper()
+	type result struct {
+		pairs     []Pair
+		repairs   [3]uint64
+		fallbacks uint64
+	}
+	run := func(recoverFirst bool) result {
+		rec := obs.New(0)
+		tr, err := Open(crashed.CloneStable(), v, Options{Obs: rec})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		if recoverFirst {
+			if err := tr.RecoverAll(); err != nil {
+				t.Fatalf("%s: RecoverAll: %v", label, err)
+			}
+		}
+		var res result
+		for i := 0; i < committed; i++ {
+			got, err := tr.Lookup(u32key(i))
+			if err != nil || !bytes.Equal(got, val(i)) {
+				t.Fatalf("%s: recoverFirst=%v: committed key %d: %q, %v", label, recoverFirst, i, got, err)
+			}
+		}
+		var prev []byte
+		err = tr.Scan(nil, nil, func(k, val []byte) bool {
+			if prev != nil && bytes.Compare(k, prev) <= 0 {
+				t.Fatalf("%s: recoverFirst=%v: scan emitted %x after %x", label, recoverFirst, k, prev)
+			}
+			prev = k
+			if int(binary.BigEndian.Uint32(k)) < committed {
+				res.pairs = append(res.pairs, Pair{Key: k, Value: val})
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: recoverFirst=%v: scan: %v", label, recoverFirst, err)
+		}
+		res.fallbacks = rec.Get(obs.ExclusiveFallback)
+		if !recoverFirst {
+			if err := tr.RecoverAll(); err != nil {
+				t.Fatalf("%s: RecoverAll after the reads: %v", label, err)
+			}
+		}
+		if err := tr.Check(CheckStrict); err != nil {
+			t.Fatalf("%s: recoverFirst=%v: Check: %v", label, recoverFirst, err)
+		}
+		res.repairs = [3]uint64{tr.Stats.RepairsInterPage.Load(), tr.Stats.RepairsIntraPage.Load(), tr.Stats.RepairsPeer.Load()}
+		return res
+	}
+	a, b := run(true), run(false)
+	if a.fallbacks != 0 {
+		t.Fatalf("%s: %d exclusive fallbacks after a complete recovery pass", label, a.fallbacks)
+	}
+	if a.repairs[0]+a.repairs[1] > 0 && b.fallbacks == 0 {
+		t.Fatalf("%s: the recovery pass repaired %v (inter, intra, peer) but no read fell back", label, a.repairs)
+	}
+	if a.repairs != b.repairs {
+		t.Fatalf("%s: repairs (inter, intra, peer) %v recovering first, %v on first touch", label, a.repairs, b.repairs)
+	}
+	if len(a.pairs) != len(b.pairs) {
+		t.Fatalf("%s: %d pairs recovering first, %d on first touch", label, len(a.pairs), len(b.pairs))
+	}
+	for i := range a.pairs {
+		if !bytes.Equal(a.pairs[i].Key, b.pairs[i].Key) || !bytes.Equal(a.pairs[i].Value, b.pairs[i].Value) {
+			t.Fatalf("%s: pair %d is %x=%q recovering first, %x=%q on first touch", label, i,
+				a.pairs[i].Key, a.pairs[i].Value, b.pairs[i].Key, b.pairs[i].Value)
+		}
+	}
+	return b.fallbacks > 0
 }
 
 // TestRootSplitCrashAllSubsets does the same for a split that grows the

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/obs"
-	"repro/internal/page"
 )
 
 // Degraded mode: when §3.3/§3.4 repair concludes a page has no durable
@@ -56,6 +55,11 @@ type ScanReport struct {
 // Complete reports whether the scan covered its whole requested range.
 func (r *ScanReport) Complete() bool { return len(r.Skipped) == 0 }
 
+// skip records the quarantined interval an operation stepped over.
+func (r *ScanReport) skip(qe *QuarantinedRangeError) {
+	r.Skipped = append(r.Skipped, SkippedRange{PageNo: qe.PageNo, Lo: qe.Lo, Hi: qe.Hi, Reason: qe.Reason})
+}
+
 // quarantineSubtree withdraws page no (and the subtree below it) from
 // service after repair failed with cause, recording the prescribed key
 // range in the registry so scans and the supervisor can reason about it.
@@ -100,21 +104,16 @@ func (t *Tree) ScanDegraded(start, end []byte, fn func(key, value []byte) bool) 
 	}
 	defer t.mu.Unlock()
 	cur := start
-	if cur == nil {
-		cur = []byte{}
-	}
 	for {
-		err := t.scanLocked(cur, end, true, fn)
-		if err == nil {
+		var err error
+		if cur, err = t.scan(cur, end, nil, fn, repairing); err == nil {
 			return rep, nil
 		}
 		var qe *QuarantinedRangeError
 		if !errors.As(err, &qe) {
 			return rep, err
 		}
-		rep.Skipped = append(rep.Skipped, SkippedRange{
-			PageNo: qe.PageNo, Lo: qe.Lo, Hi: qe.Hi, Reason: qe.Reason,
-		})
+		rep.skip(qe)
 		t.obs.Eventf(obs.ScanSkip, qe.PageNo, "scan skipped quarantined range")
 		if qe.Hi == nil {
 			// Unbounded above: nothing past the quarantined subtree is
@@ -155,47 +154,7 @@ func (t *Tree) RecoverAvailable() (ScanReport, error) {
 		return rep, err
 	}
 	defer t.mu.Unlock()
-	cur := []byte{}
-	for {
-		path, err := t.descendPath(cur, true)
-		if err != nil {
-			var qe *QuarantinedRangeError
-			if !errors.As(err, &qe) {
-				return rep, err
-			}
-			rep.Skipped = append(rep.Skipped, SkippedRange{
-				PageNo: qe.PageNo, Lo: qe.Lo, Hi: qe.Hi, Reason: qe.Reason,
-			})
-			t.obs.Eventf(obs.ScanSkip, qe.PageNo, "recovery pass skipped quarantined range")
-			if qe.Hi == nil || bytes.Compare(qe.Hi, cur) <= 0 {
-				return rep, nil
-			}
-			cur = qe.Hi
-			continue
-		}
-		if path == nil {
-			return rep, nil
-		}
-		leaf := path[len(path)-1]
-		if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
-			leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
-			if err := t.verifyPeerPath(&leaf); err != nil {
-				if !errors.Is(err, buffer.ErrQuarantined) {
-					releasePath(path)
-					return rep, err
-				}
-				// The peer chain runs into quarantined territory; the
-				// ranges themselves are already reported (or will be
-				// when descended), so just keep walking by range.
-			}
-		}
-		hi := cloneBytes(leaf.hi)
-		releasePath(path)
-		if hi == nil {
-			return rep, nil
-		}
-		cur = hi
-	}
+	return rep, t.recoverWalk(&rep)
 }
 
 // HealQuarantined attempts to bring quarantined page no back into service:
@@ -206,29 +165,7 @@ func (t *Tree) RecoverAvailable() (ScanReport, error) {
 // quarantine and the error is returned. Called by the repair supervisor off
 // the caller's latency path.
 func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
-	if err := t.lockExclusive(); err != nil {
-		return err
-	}
-	defer t.mu.Unlock()
-	if !t.pool.ReleaseQuarantine(no) {
-		return nil // already released (healed or superseded elsewhere)
-	}
-	key := lo
-	if len(key) == 0 {
-		key = []byte{}
-	}
-	path, err := t.descendPath(key, true)
-	if err != nil {
-		return err
-	}
-	releasePath(path)
-	if err := t.syncLocked(); err != nil {
-		return err
-	}
-	if t.pool.Quarantine().IsQuarantined(no) {
-		return &QuarantinedRangeError{PageNo: no, Reason: "repair failed again"}
-	}
-	return nil
+	return t.redescendQuarantined(no, lo, false, "repair failed again")
 }
 
 // AbandonQuarantined gives up on recovering quarantined page no from index
@@ -239,29 +176,34 @@ func (t *Tree) HealQuarantined(no uint32, lo []byte) error {
 // expected to re-insert them from the heap relation, which remains the
 // authoritative copy.
 func (t *Tree) AbandonQuarantined(no uint32, lo []byte) error {
+	return t.redescendQuarantined(no, lo, true, "rebuild fallback failed")
+}
+
+// redescendQuarantined releases page no from quarantine, re-runs its repair
+// by descending into lo — with the rebuild fallback armed if rebuild — and
+// syncs; failed is the reason reported if the page is quarantined again.
+func (t *Tree) redescendQuarantined(no uint32, lo []byte, rebuild bool, failed string) error {
 	if err := t.lockExclusive(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
 	if !t.pool.ReleaseQuarantine(no) {
-		return nil
+		return nil // already released (healed or superseded elsewhere)
 	}
-	t.rebuildFallback = true
+	t.rebuildFallback = rebuild
 	defer func() { t.rebuildFallback = false }()
-	key := lo
-	if len(key) == 0 {
-		key = []byte{}
-	}
-	path, err := t.descendPath(key, true)
+	leaf, err := t.repairedLeaf(lo, false)
 	if err != nil {
 		return err
 	}
-	releasePath(path)
+	if leaf != nil {
+		leaf.frame.Unpin()
+	}
 	if err := t.syncLocked(); err != nil {
 		return err
 	}
 	if t.pool.Quarantine().IsQuarantined(no) {
-		return &QuarantinedRangeError{PageNo: no, Reason: "rebuild fallback failed"}
+		return &QuarantinedRangeError{PageNo: no, Reason: failed}
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func (t *Tree) Delete(key []byte) error {
 	}
 	defer t.mu.Unlock()
 
-	path, err := t.descendPath(key, true)
+	_, path, err := t.descend(descent{key: key, mode: repairing, path: true}, nil)
 	if err != nil {
 		return err
 	}

@@ -39,74 +39,194 @@ func (t *Tree) Insert(key, value []byte) error {
 			retryBackoff(attempt)
 			continue
 		}
-		if errors.Is(err, errNeedsExclusive) || errors.Is(err, errNeedsRepair) ||
-			errors.Is(err, buffer.ErrQuarantined) {
-			// Quarantine errors fall through too: the exclusive descent
-			// attaches the prescribed key range to the typed error.
+		if errors.Is(err, errNeedsExclusive) {
 			break
 		}
 		return err
 	}
-	// Fall back to the exclusive path: repairs, empty-tree creation, and
-	// blocked syncs all live here.
+	// Fall back to the exclusive lock: repairs, peer verification and
+	// empty-tree creation all live there.
 	t.obs.Count(obs.ExclusiveFallback)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertLocked(key, value)
+	return t.insertPath(key, value, repairing)
 }
 
-func (t *Tree) insertLocked(key, value []byte) error {
-	path, err := t.descendPath(key, true)
+// leafState is what prepareLeaf found out about a leaf.
+type leafState uint8
+
+const (
+	leafReady      leafState = iota // the item fits: insert it under this latch
+	leafFull                        // no room even with the backups gone: split
+	leafUnverified                  // §3.5.1 peer verification first — a repair, exclusive only
+	leafUnsynced                    // §3.4 reclaim case (1): a blocked sync first, with no latch held
+)
+
+// prepareLeaf is the sequence every insert runs on its write-latched leaf
+// before adding key, in this order: the §3.5.1 question (before the first
+// insert into a leaf written before the most recent crash — or rebuilt by
+// recovery since it — the leaf must be linked into the current peer-pointer
+// path: the worst-case failure of Figure 3 leaves a stale pre-split
+// duplicate on the old chain); the duplicate check, before any structural
+// work; the §3.4 free-space reclaim, since a page still holding backup keys
+// must resolve them before the update; and whether the item fits. pos is
+// where the key goes. What the state asks for, the caller does if it holds
+// what that takes, and prepares again.
+func (t *Tree) prepareLeaf(f *buffer.Frame, key []byte, itemLen int) (pos int, st leafState, err error) {
+	p := f.Data
+	if t.needsPeerVerify(p) {
+		return 0, leafUnverified, nil
+	}
+	pos, found, err := leafSearch(p, key)
+	if err != nil {
+		return 0, 0, err
+	}
+	if found {
+		return 0, 0, fmt.Errorf("%w: %q", ErrDuplicateKey, key)
+	}
+	if t.reclaimLatched(f) {
+		return 0, leafUnsynced, nil
+	}
+	if !p.CanFit(itemLen) {
+		return 0, leafFull, nil
+	}
+	return pos, leafReady, nil
+}
+
+// insertShared is the shared-mode insert fast path: latched descent, then
+// the whole leaf update under the leaf's write latch. Structural work
+// (splits) and anything touching repair or blocked syncs is delegated.
+func (t *Tree) insertShared(key, value []byte, v uint64) error {
+	sc := getDescent()
+	defer putDescent(sc)
+	leaf, err := t.writeLeafShared(key, v, sc)
+	if err != nil {
+		return err
+	}
+	f := leaf.frame
+	pos, st, err := t.prepareLeaf(f, key, leafItemLen(key, value))
+	if err == nil && st == leafReady {
+		if err = insertLeafAt(f.Data, pos, key, value); err == nil {
+			f.MarkDirty()
+		}
+	}
+	f.WUnlatch()
+	f.Unpin()
+	switch {
+	case err != nil:
+		return t.pageErr(readOnly, v, err)
+	case st == leafReady:
+		return nil
+	case st == leafUnverified:
+		return errNeedsExclusive
+	}
+	// A split, or a blocked sync, which must not run while a frame latch is
+	// held. insertPath does both under splitMu with the tree lock still
+	// shared, so inserts and lookups on other leaves keep flowing — going
+	// exclusive here would convoy every shared op behind a full pool flush
+	// each time a freshly split leaf is touched again.
+	return t.insertPath(key, value, readOnly)
+}
+
+// writeLeafShared descends read-only to key's leaf and returns it pinned and
+// write-latched, bounds staged in sc. From there the leaf cannot change under
+// the caller: leaf inserts need this write latch, splits latch the leaf
+// before reading it, and deletes are exclusive.
+func (t *Tree) writeLeafShared(key []byte, v uint64, sc *descentScratch) (pathEntry, error) {
+	leaf, _, err := t.descend(descent{key: key, mode: readOnly, ver: v}, sc)
+	if err != nil {
+		return pathEntry{}, err
+	}
+	if leaf.frame == nil {
+		return pathEntry{}, errNeedsExclusive // createRootLeaf initializes meta state
+	}
+	leaf.frame.WLatch()
+	if !t.structStable(v) {
+		// The leaf's identity came from a descent the structure has since
+		// outrun; re-descend rather than reason about stale bounds.
+		leaf.frame.WUnlatch()
+		leaf.frame.Unpin()
+		return pathEntry{}, errRetryShared
+	}
+	return leaf, nil
+}
+
+// insertPath is the insert that may wait and may split: it keeps the whole
+// root-to-leaf path pinned, re-runs prepareLeaf under the leaf's write
+// latch, does what the leaf asks for, and splits a full leaf with the
+// structure version held odd so concurrent negative results are retried.
+//
+// readOnly, the caller holds the shared tree lock: the split lock taken here
+// conflicts only with other splits and syncs, and what needs a repair goes
+// back as errNeedsExclusive. repairing, the caller holds the exclusive lock,
+// and the same body also verifies peer links and plants the first root.
+func (t *Tree) insertPath(key, value []byte, mode descentMode) error {
+	t.splitMu.Lock()
+	defer t.splitMu.Unlock()
+	// With splitMu held no structural change is in flight, so the version is
+	// stable and any failed validation is genuine damage.
+	v := t.structVer.Load()
+	_, path, err := t.descend(descent{key: key, mode: mode, ver: v, path: true}, nil)
 	if err != nil {
 		return err
 	}
 	if path == nil {
+		if mode == readOnly {
+			return errNeedsExclusive
+		}
 		return t.createRootLeaf(key, value)
 	}
 	defer releasePath(path)
-
 	leafDepth := len(path) - 1
 	leaf := &path[leafDepth]
+	lf := leaf.frame
+	itemLen := leafItemLen(key, value)
 
-	// §3.5.1: before the first insert into a leaf written before the
-	// most recent crash — or rebuilt by recovery since it — make sure
-	// the leaf is linked into the current peer-pointer path: the
-	// worst-case failure of Figure 3 leaves a stale pre-split duplicate
-	// on the old chain.
-	if t.needsPeerVerify(leaf.frame.Data) {
+	lf.WLatch()
+	pos, st, err := t.prepareLeaf(lf, key, itemLen)
+	// Each wait below comes up at most once: verification flags the leaf,
+	// and the sync moves the counter past the leaf's token. Both run with
+	// the latch dropped — they descend, and flush under shared latches.
+	if err == nil && st == leafUnverified && mode == repairing {
+		lf.WUnlatch()
 		if err := t.verifyPeerPath(leaf); err != nil {
 			return err
 		}
+		lf.WLatch()
+		pos, st, err = t.prepareLeaf(lf, key, itemLen)
 	}
-
-	// Duplicate check before any structural work.
-	if _, found, err := leafSearch(leaf.frame.Data, key); err != nil {
-		return err
-	} else if found {
-		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
-	}
-
-	// §3.4 free-space reclaim cases (1)–(3): a page still holding backup
-	// keys must resolve them before the update.
-	if err := t.ensureSafeForUpdate(path, leafDepth); err != nil {
-		return err
-	}
-
-	if leaf.frame.Data.CanFit(leafItemLen(key, value)) {
-		if err := insertLeaf(leaf.frame.Data, key, value); err != nil {
+	if err == nil && st == leafUnsynced {
+		lf.WUnlatch()
+		if err := t.blockedSync(leaf.no); err != nil {
 			return err
 		}
-		leaf.frame.MarkDirty()
+		lf.WLatch()
+		pos, st, err = t.prepareLeaf(lf, key, itemLen)
+	}
+	if err == nil && st == leafReady {
+		// Reclaiming backups (or simply a stale fullness observation) made
+		// room.
+		if err = insertLeafAt(lf.Data, pos, key, value); err == nil {
+			lf.MarkDirty()
+		}
+	}
+	lf.WUnlatch()
+	switch {
+	case err != nil:
+		return t.pageErr(mode, v, err)
+	case st == leafReady:
 		return nil
+	case st != leafFull:
+		// Only readOnly gets here: §3.5.1 verification repairs peer links.
+		return errNeedsExclusive
 	}
 
-	// Split, then place the key in the proper half ("the new key whose
-	// insertion caused the split is added to P_b", §3.4 step 6). The
-	// split lock of §3.6 conflicts only with other splits; one writer
-	// acquires at most one such lock at a time, so splits are
-	// deadlock-free even under a finer-grained locking regime.
-	t.splitMu.Lock()
-	defer t.splitMu.Unlock()
+	// Structural change begins: hold the version odd until the new halves
+	// are linked into the parent. Then place the key in the proper half
+	// ("the new key whose insertion caused the split is added to P_b", §3.4
+	// step 6).
+	t.beginStruct()
+	defer t.endStruct()
 	promo, err := t.splitPage(path, leafDepth, key)
 	if err != nil {
 		return err
@@ -119,11 +239,18 @@ func (t *Tree) insertLocked(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	defer tf.Unpin()
-	if err := insertLeaf(tf.Data, key, value); err != nil {
-		return err
+	tf.WLatch()
+	// insertLeaf checks for a duplicate again: a same-key insert with a
+	// smaller value can slip into the half through the fast path between our
+	// latch windows.
+	if err = insertLeaf(tf.Data, key, value); err == nil {
+		tf.MarkDirty()
 	}
-	tf.MarkDirty()
+	tf.WUnlatch()
+	tf.Unpin()
+	if err != nil {
+		return t.pageErr(mode, v, err)
+	}
 	return nil
 }
 
@@ -152,47 +279,66 @@ func (t *Tree) createRootLeaf(key, value []byte) error {
 	return nil
 }
 
-// ensureSafeForUpdate applies the §3.4 reclaim decision to the page at
-// path[depth] before it is modified:
+// reclaimLatched applies the §3.4 reclaim decision to a write-latched page
+// that is about to be modified and still holds backup keys:
 //
 //	(1) token == global:  the split happened in the current epoch; the
-//	    backup keys are still the only durable copy, so block for a sync
-//	    before touching the page.
+//	    backup keys are still the only durable copy, so the update must
+//	    block for a sync first. Nothing is touched and true is returned: the
+//	    sync flushes pages under their shared latches, so the caller lets go
+//	    of this one, runs blockedSync, and asks again.
 //	(2) last crash <= token < global: a sync has committed both halves;
-//	    the backups are no longer needed.
+//	    the backups are no longer needed and are reclaimed here.
 //	(3) token < last crash: resolved during the descent (resolveBackups);
 //	    whatever survives that resolution lands in case (1) or (2).
-//
-// The reads below run unlatched: internal pages are only mutated under
-// splitMu or the exclusive lock, one of which every caller holds. The
-// blocked sync runs latch-free (sync flushes under shared frame latches),
-// and only the reclaim itself — a page mutation visible to concurrent
-// shared descents — takes the write latch.
+func (t *Tree) reclaimLatched(f *buffer.Frame) (unsynced bool) {
+	p := f.Data
+	if p.PrevNKeys() == 0 {
+		return false
+	}
+	if t.protected() {
+		if p.SyncToken() == t.counter.Current() {
+			return true
+		}
+		t.Stats.BackupReclaims.Add(1)
+		t.obs.Count(obs.BackupReclaim)
+	}
+	reclaimBackups(p)
+	f.MarkDirty()
+	return false
+}
+
+// blockedSync is the forced sync of reclaim case (1). The caller holds
+// splitMu or the exclusive lock, and no frame latch.
+func (t *Tree) blockedSync(no uint32) error {
+	t.Stats.BlockedSyncs.Add(1)
+	t.obs.Eventf(obs.BlockedSync, no, "reclaim case 1: backups not yet durable; forcing sync")
+	return t.syncLocked()
+}
+
+// ensureSafeForUpdate runs the §3.4 reclaim on the page at path[depth]
+// before it is modified, blocking for the sync if it must. The first read
+// runs unlatched: internal pages are only mutated under splitMu or the
+// exclusive lock, one of which every caller holds. Only the reclaim itself
+// — a page mutation visible to concurrent shared descents — takes the write
+// latch.
 func (t *Tree) ensureSafeForUpdate(path []pathEntry, depth int) error {
 	f := path[depth].frame
 	if f.Data.PrevNKeys() == 0 {
 		return nil
 	}
-	if !t.protected() {
-		f.WLatch()
-		reclaimBackups(f.Data)
-		f.MarkDirty()
-		f.WUnlatch()
+	f.WLatch()
+	unsynced := t.reclaimLatched(f)
+	f.WUnlatch()
+	if !unsynced {
 		return nil
 	}
-	if f.Data.SyncToken() == t.counter.Current() {
-		t.Stats.BlockedSyncs.Add(1)
-		t.obs.Eventf(obs.BlockedSync, path[depth].no, "reclaim case 1: backups not yet durable; forcing sync")
-		if err := t.syncLocked(); err != nil {
-			return err
-		}
+	if err := t.blockedSync(path[depth].no); err != nil {
+		return err
 	}
 	f.WLatch()
-	reclaimBackups(f.Data)
-	f.MarkDirty()
+	t.reclaimLatched(f)
 	f.WUnlatch()
-	t.Stats.BackupReclaims.Add(1)
-	t.obs.Count(obs.BackupReclaim)
 	return nil
 }
 

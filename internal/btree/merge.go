@@ -77,65 +77,46 @@ func (t *Tree) MergeUnderfull() (MergeStats, error) {
 // exactly like the merge's parent update.
 func (t *Tree) collapseRootLocked(st *MergeStats) error {
 	for {
-		metaFrame, rootFrame, rootNo, err := t.getRoot(true)
+		_, path, err := t.descend(descent{key: []byte{}, mode: repairing, path: true}, nil)
 		if err != nil {
 			return err
 		}
-		if rootNo == 0 || rootFrame.Data.Type() != page.TypeInternal ||
-			rootFrame.Data.NKeys() != 1 || rootFrame.Data.PrevNKeys() != 0 {
-			if rootFrame != nil {
-				rootFrame.Unpin()
-			}
-			metaFrame.Unpin()
+		if len(path) < 2 || path[0].frame.Data.NKeys() != 1 || path[0].frame.Data.PrevNKeys() != 0 {
+			releasePath(path)
 			return nil
 		}
-		it, err := internalEntry(rootFrame.Data, 0)
-		if err != nil {
-			rootFrame.Unpin()
-			metaFrame.Unpin()
-			return err
-		}
-		childFrame, err := t.pool.Get(it.child)
-		if err != nil {
-			rootFrame.Unpin()
-			metaFrame.Unpin()
-			return err
-		}
+		root, child := path[0], path[1]
 		// Make sure the child is durable before the meta references it
 		// as the root.
-		if !t.durable(childFrame.Data.SyncToken()) {
+		if !t.durable(child.frame.Data.SyncToken()) {
 			if err := t.syncLocked(); err != nil {
-				childFrame.Unpin()
-				rootFrame.Unpin()
-				metaFrame.Unpin()
+				releasePath(path)
 				return err
 			}
 			st.Syncs++
 		}
+		metaFrame, err := t.pool.Get(0)
+		if err != nil {
+			releasePath(path)
+			return err
+		}
 		m := metaPage{metaFrame.Data}
-		m.setPrevRoot(rootNo)
-		m.setRoot(it.child)
-		m.setRootToken(childFrame.Data.SyncToken())
+		m.setPrevRoot(root.no)
+		m.setRoot(child.no)
+		m.setRootToken(child.frame.Data.SyncToken())
 		metaFrame.MarkDirty()
-		t.freeAfterSync(rootNo, nil, nil)
-		childFrame.Unpin()
-		rootFrame.Unpin()
 		metaFrame.Unpin()
+		t.freeAfterSync(root.no, nil, nil)
+		releasePath(path)
 	}
 }
 
+// heightLocked counts the levels on the leftmost root-to-leaf path.
 func (t *Tree) heightLocked() (int, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
-	if err != nil {
-		return 0, err
-	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return 0, nil
-	}
-	h := int(rootFrame.Data.Level()) + 1
-	rootFrame.Unpin()
-	return h, nil
+	_, path, err := t.descend(descent{key: []byte{}, mode: repairing, path: true}, nil)
+	h := len(path)
+	releasePath(path)
+	return h, err
 }
 
 // mergeLevelLocked merges underfull adjacent pairs among children at the
@@ -181,12 +162,9 @@ func (t *Tree) mergeLevelLocked(level uint8, st *MergeStats) (int, int, error) {
 
 // descendToLevel descends toward key but stops at the given level.
 func (t *Tree) descendToLevel(key []byte, level uint8) ([]pathEntry, error) {
-	path, err := t.descendPath(key, true)
-	if err != nil {
+	_, path, err := t.descend(descent{key: key, mode: repairing, path: true}, nil)
+	if err != nil || path == nil {
 		return nil, err
-	}
-	if path == nil {
-		return nil, nil
 	}
 	// Trim the path back to the requested level if present.
 	for i, e := range path {

@@ -124,6 +124,12 @@ func insertLeaf(p page.Page, key, value []byte) error {
 	if found {
 		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 	}
+	return insertLeafAt(p, pos, key, value)
+}
+
+// insertLeafAt is insertLeaf for a caller that has already searched the
+// leaf: pos is where leafSearch placed the (absent) key.
+func insertLeafAt(p page.Page, pos int, key, value []byte) error {
 	// Encode straight into the page's item area: the item is fully
 	// written before InsertSlot links it, so the careful ordering holds
 	// without an intermediate buffer.

@@ -2,10 +2,7 @@ package btree
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -49,7 +46,7 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 			changed = true
 		}
 	} else {
-		ln, err := t.findLeafForPredecessor(leaf.lo)
+		ln, err := t.repairedLeaf(leaf.lo, true)
 		if err != nil {
 			return err
 		}
@@ -78,32 +75,30 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 			changed = true
 		}
 	} else {
-		rPath, err := t.descendPath(leaf.hi, true)
+		rn, err := t.repairedLeaf(leaf.hi, false)
 		if err != nil {
 			return err
 		}
-		if rPath != nil {
-			rn := rPath[len(rPath)-1]
-			if rn.no != leaf.no {
-				rf := rn.frame
-				if rf.Data.LeftPeer() != leaf.no || p.RightPeer() != rn.no ||
-					rf.Data.LeftPeerToken() != p.RightPeerToken() {
-					rf.Data.SetLeftPeer(leaf.no)
-					rf.Data.SetLeftPeerToken(tok)
-					p.SetRightPeer(rn.no)
-					p.SetRightPeerToken(tok)
-					rf.MarkDirty()
-					changed = true
-				}
-				if rf.Data.HasFlag(page.FlagPeerSuspect) {
-					rf.Pin()
-					cascade = append(cascade, pathEntry{
-						no: rn.no, frame: rf,
-						lo: cloneBytes(rn.lo), hi: cloneBytes(rn.hi),
-					})
-				}
+		if rn != nil && rn.no == leaf.no {
+			rn.frame.Unpin() // the bound led back here: no neighbor to link
+			rn = nil
+		}
+		if rn != nil {
+			rf := rn.frame
+			if rf.Data.LeftPeer() != leaf.no || p.RightPeer() != rn.no ||
+				rf.Data.LeftPeerToken() != p.RightPeerToken() {
+				rf.Data.SetLeftPeer(leaf.no)
+				rf.Data.SetLeftPeerToken(tok)
+				p.SetRightPeer(rn.no)
+				p.SetRightPeerToken(tok)
+				rf.MarkDirty()
+				changed = true
 			}
-			releasePath(rPath)
+			if rf.Data.HasFlag(page.FlagPeerSuspect) {
+				cascade = append(cascade, *rn)
+			} else {
+				rf.Unpin()
+			}
 		}
 	}
 
@@ -135,64 +130,20 @@ func (t *Tree) needsPeerVerify(p page.Page) bool {
 	return p.SyncToken() < t.counter.LastCrash() && !p.HasFlag(page.FlagPeerVerified)
 }
 
-// findLeafForPredecessor descends to the leaf holding the largest keys
-// strictly below bound (the left neighbor of the leaf whose range starts at
-// bound). It returns nil when no such leaf exists; otherwise the returned
-// entry's frame is pinned and the caller must unpin it.
-func (t *Tree) findLeafForPredecessor(bound []byte) (*pathEntry, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
-	if err != nil {
+// repairedLeaf descends, repairing, to the leaf covering key — or, with
+// pred, to the leaf holding the largest keys strictly below key (the left
+// neighbor of the leaf whose range starts at key). It returns nil when no
+// such leaf exists; otherwise the entry's frame is pinned, the caller must
+// unpin it, and its bounds are its own.
+func (t *Tree) repairedLeaf(key []byte, pred bool) (*pathEntry, error) {
+	sc := getDescent()
+	defer putDescent(sc)
+	leaf, _, err := t.descend(descent{key: key, pred: pred, mode: repairing}, sc)
+	if err != nil || leaf.frame == nil {
 		return nil, err
 	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return nil, nil
-	}
-	path := []pathEntry{{no: rootNo, frame: rootFrame}}
-	for {
-		cur := &path[len(path)-1]
-		p := cur.frame.Data
-		if p.Type() == page.TypeLeaf {
-			leaf := path[len(path)-1]
-			for _, e := range path[:len(path)-1] {
-				e.frame.Unpin()
-			}
-			leaf.lo = cloneBytes(leaf.lo)
-			leaf.hi = cloneBytes(leaf.hi)
-			return &leaf, nil
-		}
-		if p.Type() != page.TypeInternal {
-			releasePath(path)
-			return nil, fmt.Errorf("%w: page %d of type %v on predecessor path",
-				ErrUnrecoverable, cur.no, p.Type())
-		}
-		var childFrame *buffer.Frame
-		var childNo uint32
-		var cLo, cHi []byte
-		for attempt := 0; ; attempt++ {
-			idx, err := internalSearchPred(p, bound)
-			if err != nil {
-				releasePath(path)
-				return nil, err
-			}
-			if idx < 0 {
-				// Everything in this subtree is >= bound.
-				releasePath(path)
-				return nil, nil
-			}
-			cur.idx = idx
-			childFrame, childNo, cLo, cHi, err = t.loadChild(cur, idx, true)
-			if errors.Is(err, errEntryDropped) && attempt < 8 {
-				continue
-			}
-			if err != nil {
-				releasePath(path)
-				return nil, err
-			}
-			break
-		}
-		path = append(path, pathEntry{no: childNo, frame: childFrame, lo: cLo, hi: cHi, idx: -1})
-	}
+	leaf.lo, leaf.hi = cloneBytes(leaf.lo), cloneBytes(leaf.hi)
+	return &leaf, nil
 }
 
 // internalSearchPred returns the largest entry whose separator is strictly

@@ -616,7 +616,7 @@ func (t *Tree) probeAdjacentSource(parent *pathEntry, idx int, childNo uint32, c
 		return e.no, true
 	}
 	if idx == 0 && len(cLo) > 0 {
-		ln, err := t.findLeafForPredecessor(cLo)
+		ln, err := t.repairedLeaf(cLo, true)
 		if err != nil {
 			return 0, false, err
 		}
@@ -629,14 +629,13 @@ func (t *Tree) probeAdjacentSource(parent *pathEntry, idx int, childNo uint32, c
 		}
 	}
 	if idx == parent.frame.Data.NKeys()-1 && cHi != nil {
-		path, err := t.descendPath(cHi, true)
+		rn, err := t.repairedLeaf(cHi, false)
 		if err != nil {
 			return 0, false, err
 		}
-		if path != nil {
-			leaf := path[len(path)-1]
-			no, ok := check(&leaf)
-			releasePath(path)
+		if rn != nil {
+			no, ok := check(rn)
+			rn.frame.Unpin()
 			if ok {
 				return no, true, nil
 			}

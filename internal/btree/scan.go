@@ -38,169 +38,193 @@ type Pair struct{ Key, Value []byte }
 type LookAhead func(leaf []Pair) (more bool)
 
 // ScanAhead is Scan with a look-ahead installed; a nil ahead makes it Scan,
-// which hints nothing. The exclusive repairing fallback never looks ahead.
+// which hints nothing.
 func (t *Tree) ScanAhead(start, end []byte, ahead LookAhead, fn func(key, value []byte) bool) error {
 	t.Stats.Scans.Add(1)
 	t.mu.RLock()
-	resume, err := t.scanShared(start, end, ahead, fn)
+	resume, err := t.scan(start, end, ahead, fn, readOnly)
 	t.mu.RUnlock()
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, errNeedsExclusive) && !errors.Is(err, errRetryShared) &&
-		!errors.Is(err, errNeedsRepair) && !errors.Is(err, buffer.ErrQuarantined) {
+	if !errors.Is(err, errNeedsExclusive) {
 		return err
 	}
-	// Fall back to the exclusive (repairing) path, resuming at the cursor
-	// the shared scan reached so no pair is emitted twice.
+	// The same body under the exclusive lock, where it may repair, resuming
+	// at the cursor the shared scan reached so no pair is emitted twice.
 	t.obs.Count(obs.ExclusiveFallback)
 	if err := t.lockExclusive(); err != nil {
 		return err
 	}
 	defer t.mu.Unlock()
-	return t.scanLocked(resume, end, true, fn)
+	_, err = t.scan(resume, end, ahead, fn, repairing)
+	return err
 }
 
-func (t *Tree) scanLocked(start, end []byte, repair bool, fn func(key, value []byte) bool) error {
+// scan is the scan body: each leaf's pairs are copied out under its latch,
+// validated against the structure version, and only then emitted — so fn
+// never sees data from a half-split state. Between the two stands ahead, if
+// the caller installed one: it is shown the leaf's pairs and may start the
+// reads fn is about to need, and when it expects the scan to outrun this leaf
+// the right peer is hinted to the pool, to be read while fn works. A hint has
+// no effect but that (buffer.Pool.Hint), so a stale peer pointer is as
+// harmless here as in the hop below, which validates what it finds.
+//
+// readOnly under the shared lock, the body retries what a concurrent split
+// can explain and returns errNeedsExclusive, with the cursor to resume at,
+// for what it cannot; repairing under the exclusive lock, the version cannot
+// move, the descent mends what it meets, and any error is final.
+func (t *Tree) scan(start, end []byte, ahead LookAhead, fn func(key, value []byte) bool, mode descentMode) ([]byte, error) {
 	cur := start
 	if cur == nil {
 		cur = []byte{}
 	}
+	var buf []Pair
+
+	// collect copies this latched leaf's pairs in [cur, end) into buf; done
+	// means the end bound was reached. The bytes go into one allocation per
+	// leaf, sized to the items in range and not shared with any other leaf's,
+	// so a caller may keep what fn was given.
+	collect := func(p page.Page) (done bool, err error) {
+		first, _, err := leafSearch(p, cur)
+		if err != nil {
+			return false, err
+		}
+		stop, size := first, 0
+		for ; stop < p.NKeys(); stop++ {
+			item := p.Item(stop)
+			k, err := itemKey(item)
+			if err != nil {
+				return false, err
+			}
+			if end != nil && bytes.Compare(k, end) >= 0 {
+				done = true
+				break
+			}
+			size += len(item) - 2 // the key and the value, without the key's length
+		}
+		if cap(buf) < stop-first {
+			buf = make([]Pair, 0, stop-first)
+		}
+		data := make([]byte, 0, size)
+		for pos := first; pos < stop; pos++ {
+			k, v, err := decodeLeafItem(p.Item(pos))
+			if err != nil {
+				return false, err
+			}
+			data = append(data, k...)
+			data = append(data, v...)
+			kv := data[len(data)-len(k)-len(v):]
+			buf = append(buf, Pair{Key: kv[:len(k):len(k)], Value: kv[len(k):len(kv):len(kv)]})
+		}
+		return done, nil
+	}
+
+	retries := 0
+	retry := func() error {
+		retries++
+		t.obs.Count(obs.LatchRetry)
+		if retries > maxSharedRetries {
+			return errNeedsExclusive
+		}
+		retryBackoff(retries)
+		return nil
+	}
+
 	for {
-		path, err := t.descendPath(cur, repair)
-		if err != nil {
-			return err
-		}
-		if path == nil {
-			return nil // empty tree
-		}
-		leaf := path[len(path)-1]
-		for _, e := range path[:len(path)-1] {
-			e.frame.Unpin()
-		}
-		frame, hi := leaf.frame, leaf.hi
-
-		done, last, err := emitLeaf(frame.Data, cur, end, fn)
-		if err != nil {
-			frame.Unpin()
-			return err
-		}
-		if done {
-			frame.Unpin()
-			return nil
-		}
-		if hi == nil {
-			// The descent placed this leaf at the right edge of the
-			// key space: nothing exists beyond it, whatever stale
-			// peer pointers may claim.
-			frame.Unpin()
-			return nil
-		}
-		if last != nil {
-			cur = keySuccessor(last)
-		}
-		// Progress guarantee: the descent's upper bound is
-		// authoritative, so the cursor always moves past this leaf's
-		// range before the next descent — a stale peer chain can cost
-		// extra descents but never a livelock.
-		cur = maxKeyBytes(cur, hi)
-
-		// Fast path: follow trusted peer hops while they keep
-		// yielding keys; fall back to a descent on any doubt.
-		for {
-			next, ok, err := t.trustedRightPeer(frame)
-			frame.Unpin()
-			if err != nil {
-				return err
+		v := t.structVer.Load()
+		if v%2 != 0 {
+			if rerr := retry(); rerr != nil {
+				return cur, rerr
 			}
-			if !ok {
-				break // outer loop re-descends at cur
+			continue
+		}
+		sc := getDescent()
+		leaf, _, err := t.descend(descent{key: cur, mode: mode, ver: v}, sc)
+		// The cursor advance below persists hi past this iteration's
+		// descent, so detach it from the scratch before recycling.
+		hi := cloneBytes(leaf.hi)
+		putDescent(sc)
+		if errors.Is(err, errRetryShared) {
+			if rerr := retry(); rerr != nil {
+				return cur, rerr
 			}
-			t.obs.Count(obs.ChaseHop)
-			frame = next
-			done, last, err := emitLeaf(frame.Data, cur, end, fn)
-			if err != nil {
+			continue
+		}
+		if err != nil {
+			return cur, err
+		}
+		if leaf.frame == nil {
+			if t.structStable(v) {
+				return cur, nil // empty tree
+			}
+			if rerr := retry(); rerr != nil {
+				return cur, rerr
+			}
+			continue
+		}
+
+		frame, curNo := leaf.frame, leaf.no
+		for fromDescent := true; ; fromDescent = false {
+			frame.RLatch()
+			buf = buf[:0]
+			done, cerr := collect(frame.Data)
+			rp, rtok := frame.Data.RightPeer(), frame.Data.RightPeerToken()
+			frame.RUnlatch()
+			if cerr != nil && t.structStable(v) {
+				// Not a split's doing: the leaf itself cannot be read.
 				frame.Unpin()
-				return err
+				return cur, t.pageErr(mode, v, cerr)
+			}
+			if cerr != nil || !t.structStable(v) {
+				// Discard unvalidated pairs and re-descend at cur.
+				frame.Unpin()
+				if rerr := retry(); rerr != nil {
+					return cur, rerr
+				}
+				break
+			}
+			retries = 0
+			if fromDescent && (hi == nil || (end != nil && bytes.Compare(hi, end) >= 0)) {
+				// The descent's upper bound is authoritative: this leaf
+				// reaches the right edge of the key space, or of the range,
+				// whatever stale peer pointers may claim.
+				done = true
+			}
+			if ahead != nil && ahead(buf) && !done && rp != 0 {
+				t.pool.Hint(rp)
+			}
+			for _, pr := range buf {
+				if !fn(pr.Key, pr.Value) {
+					frame.Unpin()
+					return cur, nil
+				}
 			}
 			if done {
 				frame.Unpin()
-				return nil
+				return cur, nil
 			}
-			if last == nil {
-				// A hop that yields nothing is suspicious (a
-				// stale page or an emptied leaf): let the root
-				// path decide where the scan really stands.
-				frame.Unpin()
-				break
+			if len(buf) > 0 {
+				cur = keySuccessor(buf[len(buf)-1].Key)
 			}
-			cur = keySuccessor(last)
+			if fromDescent {
+				// The cursor always moves past the descended leaf's range,
+				// so a stale peer chain can cost extra descents but never a
+				// livelock.
+				cur = maxKeyBytes(cur, hi)
+			}
+			// Follow trusted peer hops while they keep yielding keys. A hop
+			// that yields nothing is suspicious (an emptied or stale leaf),
+			// like a missing link or an untrusted peer: let the root path
+			// decide where the scan really stands.
+			var next *buffer.Frame
+			if rp != 0 && (fromDescent || len(buf) > 0) {
+				next = t.hopRight(curNo, rp, rtok, nil)
+			}
+			frame.Unpin()
+			if next == nil {
+				break // re-descend at cur
+			}
+			frame, curNo = next, rp
 		}
 	}
-}
-
-// trustedRightPeer follows frame's right peer pointer if the link passes
-// the §3.5.1 token check and the target is safe to read without parent
-// context. The returned frame is pinned.
-func (t *Tree) trustedRightPeer(frame *buffer.Frame) (*buffer.Frame, bool, error) {
-	p := frame.Data
-	rp := p.RightPeer()
-	if rp == 0 {
-		return nil, false, nil
-	}
-	next, err := t.pool.Get(rp)
-	if err != nil {
-		if errors.Is(err, buffer.ErrQuarantined) {
-			// A quarantined peer is simply untrusted from the side path;
-			// the root descent has the range context to report the skip.
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	ok := next.Data.Valid() && next.Data.Type() == page.TypeLeaf
-	if ok && !(t.opts.DisablePeerCheck && t.protected()) {
-		ok = next.Data.LeftPeerToken() == p.RightPeerToken() &&
-			next.Data.LeftPeer() == frame.PageNo()
-	}
-	// A leaf still carrying pre-crash backup keys cannot be trusted from
-	// the side path: its live key set may be only half the story (§3.4
-	// cases (a)/(b)); route through the root so the descent resolves it.
-	if ok && t.protected() && next.Data.PrevNKeys() != 0 &&
-		next.Data.SyncToken() < t.counter.LastCrash() {
-		ok = false
-	}
-	if ok && t.protected() && next.Data.FindDuplicateSlot() >= 0 {
-		ok = false
-	}
-	if !ok {
-		next.Unpin()
-		return nil, false, nil
-	}
-	return next, true, nil
-}
-
-// emitLeaf streams the leaf's keys in [cur, end) to fn. done reports the
-// scan is complete (fn stopped it or end was passed); last is the largest
-// key emitted or inspected on this leaf.
-func emitLeaf(p page.Page, cur, end []byte, fn func(key, value []byte) bool) (done bool, last []byte, err error) {
-	pos, _, err := leafSearch(p, cur)
-	if err != nil {
-		return false, nil, err
-	}
-	for ; pos < p.NKeys(); pos++ {
-		k, v, err := decodeLeafItem(p.Item(pos))
-		if err != nil {
-			return false, nil, err
-		}
-		if end != nil && bytes.Compare(k, end) >= 0 {
-			return true, last, nil
-		}
-		last = cloneBytes(k)
-		if !fn(k, v) {
-			return true, last, nil
-		}
-	}
-	return false, last, nil
 }
 
 // maxKeyBytes returns the larger of two scan cursors.
@@ -227,17 +251,7 @@ func (t *Tree) Height() (int, error) {
 		return 0, err
 	}
 	defer t.mu.Unlock()
-	metaFrame, rootFrame, rootNo, err := t.getRoot(true)
-	if err != nil {
-		return 0, err
-	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return 0, nil
-	}
-	h := int(rootFrame.Data.Level()) + 1
-	rootFrame.Unpin()
-	return h, nil
+	return t.heightLocked()
 }
 
 // RecoverAll eagerly walks every leaf range through root-to-leaf descents,
@@ -249,30 +263,47 @@ func (t *Tree) RecoverAll() error {
 		return err
 	}
 	defer t.mu.Unlock()
+	return t.recoverWalk(nil)
+}
+
+// recoverWalk descends, repairing, into every leaf range in key order, and
+// runs the insert-time peer verification on each leaf too, so the peer chain
+// is fully reconciled (§3.5.1). With a report it steps over quarantined
+// subtrees and records them; without one the first is an error.
+func (t *Tree) recoverWalk(rep *ScanReport) error {
+	sc := getDescent()
+	defer putDescent(sc)
 	cur := []byte{}
 	for {
-		path, err := t.descendPath(cur, true)
-		if err != nil {
+		leaf, _, err := t.descend(descent{key: cur, mode: repairing}, sc)
+		if err == nil && leaf.frame != nil {
+			if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
+				leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
+				err = t.verifyPeerPath(&leaf)
+				if rep != nil && errors.Is(err, buffer.ErrQuarantined) {
+					// The peer chain runs into quarantined territory; the
+					// ranges themselves are already reported (or will be
+					// when descended), so just keep walking by range.
+					err = nil
+				}
+			}
+			leaf.frame.Unpin()
+		}
+		var qe *QuarantinedRangeError
+		switch {
+		case err == nil && (leaf.frame == nil || leaf.hi == nil):
+			return nil // empty tree, or the right edge of the key space
+		case err == nil:
+			cur = cloneBytes(leaf.hi) // the bound dies with the next descent's staging
+		case rep != nil && errors.As(err, &qe):
+			rep.skip(qe)
+			t.obs.Eventf(obs.ScanSkip, qe.PageNo, "recovery pass skipped quarantined range")
+			if qe.Hi == nil || bytes.Compare(qe.Hi, cur) <= 0 {
+				return nil
+			}
+			cur = qe.Hi
+		default:
 			return err
 		}
-		if path == nil {
-			return nil
-		}
-		leaf := path[len(path)-1]
-		// Run the insert-time peer verification too, so the peer
-		// chain is fully reconciled (§3.5.1).
-		if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
-			leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
-			if err := t.verifyPeerPath(&leaf); err != nil {
-				releasePath(path)
-				return err
-			}
-		}
-		hi := cloneBytes(leaf.hi)
-		releasePath(path)
-		if hi == nil {
-			return nil
-		}
-		cur = hi
 	}
 }

@@ -2,19 +2,18 @@ package btree
 
 import "sync"
 
-// Per-descent scratch state. The shared-mode point paths (Lookup, Insert,
+// Per-descent scratch state. The point operations (Lookup, Insert,
 // InsertBatch) are the hot paths of the whole system, and profiling showed
 // their only steady-state allocations were bookkeeping buffers: the cloned
-// child-range bounds taken at every internal level, and the path slice on
-// the exclusive/split descents. Both now come from sync.Pools, so a warm
-// point op allocates nothing.
+// child-range bounds taken at every internal level, and the path slice of
+// the descents that keep their path. Both now come from sync.Pools, so a
+// warm point op allocates nothing.
 //
 // Ownership rules:
 //
-//   - A descentScratch is borrowed for the duration of ONE shared descent
-//     plus whatever the caller does with the returned bounds; the lo/hi
-//     slices returned by descendSharedLeaf alias the scratch and die with
-//     putDescent. Callers that persist a bound past the release (the scan
+//   - A descentScratch is borrowed for the duration of ONE leaf-only descent
+//     plus whatever the caller does with the returned bounds; the leaf's
+//     lo/hi returned by descend alias the scratch and die with putDescent. Callers that persist a bound past the release (the scan
 //     cursor does) must clone it first.
 //   - The bounds are double-buffered: childRange may return the parent's
 //     own bounds unchanged, so each level stages into the buffer pair the
@@ -23,7 +22,7 @@ import "sync"
 //     entries (they hold frame pointers) before pooling. releasePath both
 //     unpins and pools; callers must not touch the slice afterwards.
 
-// descentScratch carries the staged child-range bounds for one shared
+// descentScratch carries the staged child-range bounds for one leaf-only
 // root-to-leaf descent.
 type descentScratch struct {
 	lo   [2][]byte
@@ -59,8 +58,13 @@ func (s *descentScratch) stage(cLo, cHi []byte) (lo, hi []byte) {
 	return lo, hi
 }
 
-// Path-slice pool for the exclusive and split descents. maxSharedDepth
-// bounds every descent loop, so a pooled slice never regrows.
+// unstage hands the buffer pair stage filled last back to the next stage:
+// the level is selected again (a repair dropped the entry it followed), and
+// the other pair still holds the bounds of the page it is selected from.
+func (s *descentScratch) unstage() { s.flip-- }
+
+// Path-slice pool for the descents that keep their path. maxSharedDepth
+// bounds the descent, so a pooled slice never regrows.
 var pathPool = sync.Pool{New: func() any {
 	s := make([]pathEntry, 0, maxSharedDepth)
 	return &s

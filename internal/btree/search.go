@@ -9,12 +9,6 @@ import (
 	"repro/internal/page"
 )
 
-// errNeedsRepair is returned by read-only descents that detect an
-// inconsistency: the caller upgrades to the exclusive lock and retries with
-// repair enabled. This mirrors the paper's §3.6 rule of traversing a
-// suspect link a second time before treating the inconsistency as genuine.
-var errNeedsRepair = errors.New("btree: inconsistency detected, repair required")
-
 // pathEntry records one level of a root-to-leaf descent.
 type pathEntry struct {
 	no     uint32
@@ -25,8 +19,7 @@ type pathEntry struct {
 
 // releasePath unpins every frame on the path and recycles the slice; the
 // caller must not touch the path afterwards. Entry bounds that must
-// outlive the release are cloned by their takers (they are independent
-// heap bytes, so value copies of an entry stay valid).
+// outlive the release are cloned by their takers.
 func releasePath(path []pathEntry) {
 	for _, e := range path {
 		e.frame.Unpin()
@@ -37,235 +30,288 @@ func releasePath(path []pathEntry) {
 // protected reports whether this variant performs crash detection at all.
 func (t *Tree) protected() bool { return t.variant != Normal }
 
-// getRoot pins and returns the meta frame and the verified root frame.
-// rootNo is 0 for an empty tree (rootFrame nil; metaFrame still pinned).
-// With repair false, a lost root yields errNeedsRepair.
-func (t *Tree) getRoot(repair bool) (metaFrame *buffer.Frame, rootFrame *buffer.Frame, rootNo uint32, err error) {
-	metaFrame, err = t.pool.Get(0)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	m := metaPage{metaFrame.Data}
-	rootNo = m.root()
-	if rootNo == 0 {
-		return metaFrame, nil, 0, nil
-	}
-	rootFrame, err = t.pool.Get(rootNo)
-	if err != nil {
-		metaFrame.Unpin()
-		if errors.Is(err, buffer.ErrQuarantined) {
-			// The root covers the whole key space; surface that range.
-			return nil, nil, 0, asRangeError(rootNo, nil, nil, err)
-		}
-		return nil, nil, 0, err
-	}
-	if t.protected() && !t.opts.DisableRangeCheck {
-		t.Stats.RangeChecks.Add(1)
-		bad := rootFrame.Data.IsZeroed() || !rootFrame.Data.Valid() ||
-			rootFrame.Data.SyncToken() != m.rootToken()
-		if bad {
-			if !repair {
-				rootFrame.Unpin()
-				metaFrame.Unpin()
-				return nil, nil, 0, errNeedsRepair
-			}
-			if err := t.repairRoot(metaFrame, rootFrame); err != nil {
-				rootFrame.Unpin()
-				metaFrame.Unpin()
-				if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
-					// A root with no durable source takes the whole key
-					// space down with it: quarantine as critical so the
-					// health-state machine forces ReadOnly.
-					return nil, nil, 0, t.quarantineSubtree(rootNo, nil, nil, true, err)
-				}
-				return nil, nil, 0, err
-			}
-		}
-	}
-	// Repair interrupted line-table updates on sight (§3.3.2).
-	if err := t.fixIntraPage(rootFrame, repair); err != nil {
-		rootFrame.Unpin()
-		metaFrame.Unpin()
-		return nil, nil, 0, err
-	}
-	// A root still carrying backup keys from before the last crash is
-	// the pre-split page of an uncommitted root split: its range is the
-	// whole key space, so the backups fold straight back in (§3.4 cases
-	// (a)/(b) at the top of the tree).
-	if t.protected() && rootFrame.Data.PrevNKeys() != 0 &&
-		rootFrame.Data.SyncToken() < t.counter.LastCrash() {
-		if !repair {
-			rootFrame.Unpin()
-			metaFrame.Unpin()
-			return nil, nil, 0, errNeedsRepair
-		}
-		caseMetric := t.reorgCaseAB(rootFrame.Data)
-		if err := t.mergeBackupsInto(rootFrame); err != nil {
-			rootFrame.Unpin()
-			metaFrame.Unpin()
-			return nil, nil, 0, err
-		}
-		t.Stats.RepairsInterPage.Add(1)
-		t.obs.Eventf(caseMetric, rootNo, "uncommitted root split; backups folded back")
-		metaPage{metaFrame.Data}.setRootToken(rootFrame.Data.SyncToken())
-		metaFrame.MarkDirty()
-	}
-	return metaFrame, rootFrame, rootNo, nil
+// descentMode is what a descent does with a page that fails a check.
+type descentMode uint8
+
+const (
+	// readOnly touches nothing: a failed check is classified against the
+	// structure version the caller snapshotted — errRetryShared when a
+	// concurrent split can explain it, errNeedsExclusive when it is crash
+	// damage. Legal under the shared tree lock, with or without splitMu.
+	readOnly descentMode = iota
+	// repairing fixes the page in place (repairRoot, repairChild,
+	// fixIntraPage, resolveBackups) and walks on: recovery on first use,
+	// inside the ordinary traversal. Legal only under the exclusive tree
+	// lock — the repair code assumes a quiescent tree.
+	repairing
+)
+
+// descent says where a root-to-leaf walk goes and what it may do there.
+type descent struct {
+	key  []byte
+	pred bool // follow the last separator strictly below key: the leaf left of key's
+	mode descentMode
+	ver  uint64 // readOnly: the structure version failed checks are judged against
+	path bool   // keep every level pinned and return them all
 }
 
-// fixIntraPage detects and (when permitted) repairs duplicate line-table
-// offsets left by an interrupted insert (§3.3.1–3.3.2).
-func (t *Tree) fixIntraPage(f *buffer.Frame, repair bool) error {
-	if !t.protected() || f.Data.IsZeroed() {
-		return nil
-	}
-	// A page whose line-clean flag is set was never snapshotted in the
-	// middle of a line-table update, so the O(n) duplicate scan is
-	// skipped — detection happens on first use of a damaged page, not on
-	// every access.
-	if f.Data.HasFlag(page.FlagLineClean) {
-		return nil
-	}
-	if f.Data.FindDuplicateSlot() < 0 {
-		f.Data.AddFlag(page.FlagLineClean)
-		f.MarkDirty()
-		return nil
-	}
-	if !repair {
-		return errNeedsRepair
-	}
-	n := f.Data.RepairDuplicates()
-	t.Stats.RepairsIntraPage.Add(uint64(n))
-	t.obs.Eventf(obs.RepairIntraPage, uint32(f.PageNo()), "%d duplicate line-table entries removed", n)
-	f.Data.AddFlag(page.FlagLineClean)
-	f.MarkDirty()
-	return nil
-}
-
-// descendPath walks from the root to the leaf whose range contains key,
-// verifying each parent→child link on the way (§3.3.1) and repairing what
-// it finds when repair is true. Every frame on the returned path is pinned
-// (the paper's §3.6 pin-before-release discipline, held for the whole
-// operation because writers are exclusive here).
+// descend is the one root-to-leaf walk (§3.3.1, §3.6). It holds one latch
+// at a time and pins a child before the parent's latch drops; the parent
+// stays pinned until the child has passed its checks, because repairing a
+// child needs the entry that prescribes it. The meta page is walked as the
+// parent of the root: its one "entry" names the root, prescribes the whole
+// key space, and checks the root's token where a parent checks a range.
 //
-// A nil path with nil error means the tree is empty.
-func (t *Tree) descendPath(key []byte, repair bool) ([]pathEntry, error) {
-	metaFrame, rootFrame, rootNo, err := t.getRoot(repair)
+// The leaf is returned pinned and unlatched. Without d.path its bounds are
+// staged in sc and die with it. With d.path every level is returned pinned
+// (leaf last; releasePath lets go) and each level's bounds alias the pinned
+// page above it: stable for a caller that holds splitMu or the exclusive
+// lock, the only writers of internal pages. A nil leaf frame with a nil
+// error means there is no such leaf — the tree is empty, or (d.pred) holds
+// no key below d.key.
+func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, error) {
+	f, err := t.pool.Get(0)
 	if err != nil {
-		return nil, err
+		return pathEntry{}, nil, err
 	}
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return nil, nil
-	}
-	path := append(newPath(), pathEntry{no: rootNo, frame: rootFrame, lo: nil, hi: nil, idx: -1})
-	for {
-		cur := &path[len(path)-1]
-		p := cur.frame.Data
-		if p.Type() == page.TypeLeaf {
-			return path, nil
-		}
-		if p.Type() != page.TypeInternal {
-			releasePath(path)
-			return nil, fmt.Errorf("%w: page %d has type %v on the descent path",
-				ErrUnrecoverable, cur.no, p.Type())
-		}
-		var childFrame *buffer.Frame
-		var childNo uint32
-		var cLo, cHi []byte
-		for attempt := 0; ; attempt++ {
-			idx, err := internalSearch(p, key)
+	// f, no, lo, hi are the level the walk stands on — the meta page first —
+	// pinned and read-latched; with d.path it is also path's last entry.
+	var (
+		no     uint32
+		lo, hi []byte
+		path   []pathEntry
+		drops  = 0
+	)
+	f.RLatch()
+	for depth := 0; ; {
+		// Under the latch: which child next, and what is prescribed for it?
+		p := f.Data
+		var (
+			it       internalItem
+			cLo, cHi []byte
+			rootTok  uint64
+			idx      = -1
+			level    = -1
+		)
+		if depth == 0 {
+			m := metaPage{p}
+			it.child, rootTok = m.root(), m.rootToken()
+			if it.child == 0 {
+				f.RUnlatch()
+				break // empty tree
+			}
+		} else {
+			if p.Type() == page.TypeLeaf {
+				f.RUnlatch()
+				return pathEntry{no: no, frame: f, lo: lo, hi: hi, idx: -1}, path, nil
+			}
+			switch {
+			case p.Type() != page.TypeInternal || depth >= maxSharedDepth:
+				// A foreign page, or a cycle left by damage.
+				err = fmt.Errorf("%w: page %d of type %v at depth %d of a descent",
+					ErrUnrecoverable, no, p.Type(), depth)
+			case d.pred:
+				idx, err = internalSearchPred(p, d.key)
+			default:
+				if idx, err = internalSearch(p, d.key); err == nil && idx < 0 {
+					err = fmt.Errorf("%w: internal page %d is empty", ErrUnrecoverable, no)
+				}
+			}
+			if err == nil && idx >= 0 {
+				if it, err = internalEntry(p, idx); err == nil {
+					cLo, cHi, err = childRange(p, idx, lo, hi)
+				}
+			}
 			if err != nil {
-				releasePath(path)
-				return nil, err
+				f.RUnlatch()
+				err = t.pageErr(d.mode, d.ver, err)
+				break
 			}
 			if idx < 0 {
-				releasePath(path)
-				return nil, fmt.Errorf("%w: internal page %d is empty", ErrUnrecoverable, cur.no)
+				f.RUnlatch()
+				break // d.pred: everything below this page is >= d.key
 			}
-			cur.idx = idx
-			childFrame, childNo, cLo, cHi, err = t.loadChild(cur, idx, repair)
-			if errors.Is(err, errEntryDropped) && attempt < 8 {
-				// The repair removed the entry we were following;
-				// re-select on the updated parent.
-				continue
+			level = int(p.Level()) - 1
+			if d.path {
+				path[len(path)-1].idx = idx
+			} else {
+				// childRange returns slices into the latched page (or the
+				// bounds staged one level up): stage them into the scratch's
+				// other buffer pair before the latch drops.
+				cLo, cHi = sc.stage(cLo, cHi)
 			}
-			if err != nil {
-				releasePath(path)
-				return nil, err
+		}
+		cf, gerr := t.pool.Get(it.child) // pin the child before the parent's latch drops
+		f.RUnlatch()
+		if gerr != nil {
+			err = gerr
+			if errors.Is(gerr, buffer.ErrQuarantined) {
+				if d.mode == readOnly {
+					err = errNeedsExclusive // the repairing descent names the range
+				} else {
+					// Attach the prescribed subtree range to the pool-level
+					// error (and record it in the registry for scans and the
+					// supervisor).
+					t.pool.Quarantine().SetRange(it.child, cLo, cHi)
+					err = asRangeError(it.child, cLo, cHi, gerr)
+				}
 			}
 			break
 		}
-		path = append(path, pathEntry{no: childNo, frame: childFrame, lo: cLo, hi: cHi, idx: -1})
+		cf.RLatch()
+		if sound, linkOK := t.checkPage(d.mode, cf.Data, depth == 0, rootTok, level, cLo, cHi); !sound {
+			// The latch drops and the mode decides: classify the failure, or
+			// re-execute what the crash interrupted — latch-free, since
+			// nobody else is in the tree and a repair may itself descend or
+			// sync.
+			cf.RUnlatch()
+			if d.mode == readOnly {
+				err = t.classify(d.ver)
+			} else {
+				parent := pathEntry{no: no, frame: f, lo: lo, hi: hi, idx: idx}
+				err = t.mend(&parent, it, cf, cLo, cHi, linkOK)
+			}
+			if err != nil {
+				cf.Unpin()
+				if errors.Is(err, errEntryDropped) && drops < 8 {
+					// The repair removed the entry we were following;
+					// re-select on the updated parent, staging the new
+					// selection's bounds where the dropped one's were.
+					drops++
+					if !d.path {
+						sc.unstage()
+					}
+					f.RLatch()
+					continue
+				}
+				break
+			}
+			cf.RLatch()
+		}
+		// The child is sound and latched: step down.
+		if depth == 0 || !d.path {
+			f.Unpin()
+		}
+		f, no, lo, hi = cf, it.child, cLo, cHi
+		if d.path {
+			if path == nil {
+				path = newPath()
+			}
+			path = append(path, pathEntry{no: no, frame: f, lo: lo, hi: hi, idx: -1})
+		}
+		depth++
 	}
+	if path != nil {
+		releasePath(path)
+	} else {
+		f.Unpin()
+	}
+	return pathEntry{}, nil, err
 }
 
-// loadChild reads, verifies, and (when repair is true) repairs the child at
-// entry idx of the internal page held by parent. It returns a pinned frame.
-func (t *Tree) loadChild(parent *pathEntry, idx int, repair bool) (*buffer.Frame, uint32, []byte, []byte, error) {
-	p := parent.frame.Data
-	it, err := internalEntry(p, idx)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	cLo, cHi, err := childRange(p, idx, parent.lo, parent.hi)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	childFrame, err := t.pool.Get(it.child)
-	if err != nil {
-		if errors.Is(err, buffer.ErrQuarantined) {
-			// Attach the prescribed subtree range to the pool-level error
-			// (and record it in the registry for scans and the supervisor).
-			t.pool.Quarantine().SetRange(it.child, cLo, cHi)
-			return nil, 0, nil, nil, asRangeError(it.child, cLo, cHi, err)
-		}
-		return nil, 0, nil, nil, err
-	}
+// checkPage runs the descent-time checks on a latched page, touching
+// nothing: the §3.3.1 link check (the root's token against the meta page's;
+// any other child's shape, level and key range against what its parent entry
+// prescribes), the §3.3.2 line-table check, and the §3.4 check for backup
+// keys from before the last crash. linkOK reports the first of the three
+// alone: it is what repairRoot and repairChild mend.
+func (t *Tree) checkPage(mode descentMode, p page.Page, isRoot bool, rootTok uint64, level int, lo, hi []byte) (sound, linkOK bool) {
+	linkOK = true
 	if t.protected() && !t.opts.DisableRangeCheck {
 		t.Stats.RangeChecks.Add(1)
-		consistent, err := t.childConsistent(childFrame.Data, p.Level()-1, cLo, cHi)
+		switch {
+		case isRoot:
+			linkOK = !p.IsZeroed() && p.Valid() && p.SyncToken() == rootTok
+		case level < 0:
+			linkOK = false
+		default:
+			linkOK, _ = t.childConsistent(p, uint8(level), lo, hi)
+		}
+	} else if mode == readOnly {
+		// Even an unchecked tree needs shape validation in shared mode: a
+		// stale pointer can reach a freed or recycled page mid-split.
+		linkOK = !p.IsZeroed() && p.Valid()
+	}
+	// A page whose line-clean flag is set was never snapshotted in the
+	// middle of a line-table update, so the O(n) duplicate scan is skipped —
+	// detection happens on first use of a damaged page, not on every access.
+	// A repairing descent scans every unflagged page once, in fixIntraPage,
+	// which caches a clean verdict in the flag; a read-only one cannot.
+	linesSuspect := t.protected() && !p.IsZeroed() && !p.HasFlag(page.FlagLineClean)
+	if mode == readOnly {
+		linesSuspect = linesSuspect && p.FindDuplicateSlot() >= 0
+	}
+	return linkOK && !linesSuspect && !t.backupsPending(p), linkOK
+}
+
+// mend is the repairing descent's answer to a child that failed checkPage:
+// recovery on first use, as a branch of the ordinary page fix. parent is the
+// entry that prescribes the child f (the meta page for the root), it the
+// item followed, [lo, hi) the prescribed range. The caller holds the
+// exclusive tree lock and no latch.
+func (t *Tree) mend(parent *pathEntry, it internalItem, f *buffer.Frame, lo, hi []byte, linkOK bool) error {
+	isRoot := parent.no == 0
+	if !linkOK {
+		var err error
+		if isRoot {
+			err = t.repairRoot(parent.frame, f)
+		} else {
+			err = t.repairChild(parent, parent.idx, it, f, lo, hi)
+		}
+		if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
+			// Repair has no durable source (or its source is itself
+			// quarantined): withdraw the subtree instead of failing the
+			// DB, and degrade gracefully. A root takes the whole key space
+			// with it: critical, so the health-state machine forces
+			// ReadOnly.
+			return t.quarantineSubtree(it.child, lo, hi, isRoot, err)
+		}
 		if err != nil {
-			childFrame.Unpin()
-			return nil, 0, nil, nil, err
-		}
-		if !consistent {
-			if !repair {
-				childFrame.Unpin()
-				return nil, 0, nil, nil, errNeedsRepair
-			}
-			if err := t.repairChild(parent, idx, it, childFrame, cLo, cHi); err != nil {
-				childFrame.Unpin()
-				if errors.Is(err, ErrUnrecoverable) || errors.Is(err, buffer.ErrQuarantined) {
-					// Repair has no durable source (or its source is
-					// itself quarantined): withdraw the subtree instead
-					// of failing the DB, and degrade gracefully.
-					return nil, 0, nil, nil, t.quarantineSubtree(it.child, cLo, cHi, false, err)
-				}
-				return nil, 0, nil, nil, err
-			}
+			return err
 		}
 	}
-	if err := t.fixIntraPage(childFrame, repair); err != nil {
-		childFrame.Unpin()
-		return nil, 0, nil, nil, err
-	}
-	// Reorg: a page still carrying backup keys from before the most
-	// recent crash must resolve them before it can be used (§3.4,
-	// free-space reclaim case 3) — and before a lookup can trust its
-	// live key set.
-	if t.protected() && childFrame.Data.PrevNKeys() != 0 &&
-		childFrame.Data.SyncToken() < t.counter.LastCrash() {
-		if !repair {
-			childFrame.Unpin()
-			return nil, 0, nil, nil, errNeedsRepair
+	// Repair interrupted line-table updates on sight (§3.3.2).
+	t.fixIntraPage(f)
+	// Reorg: a page still carrying backup keys from before the most recent
+	// crash must resolve them before it can be used (§3.4, free-space
+	// reclaim case 3) — and before a lookup can trust its live key set. The
+	// root's range is the whole key space, so its backups (the pre-split
+	// page of an uncommitted root split) fold straight back in, cases
+	// (a)/(b) at the top of the tree.
+	if t.backupsPending(f.Data) {
+		if err := t.resolveBackups(parent, parent.idx, f, lo, hi); err != nil {
+			return err
 		}
-		if err := t.resolveBackups(parent, idx, childFrame, cLo, cHi); err != nil {
-			childFrame.Unpin()
-			return nil, 0, nil, nil, err
+		if isRoot {
+			// The fold-back restamped the root; the meta page's token
+			// follows it.
+			metaPage{parent.frame.Data}.setRootToken(f.Data.SyncToken())
+			parent.frame.MarkDirty()
 		}
 	}
-	return childFrame, it.child, cLo, cHi, nil
+	return nil
+}
+
+// backupsPending reports a page still carrying backup keys from before the
+// most recent crash: whether the split that made them committed is not yet
+// known (§3.4).
+func (t *Tree) backupsPending(p page.Page) bool {
+	return t.protected() && p.PrevNKeys() != 0 && p.SyncToken() < t.counter.LastCrash()
+}
+
+// fixIntraPage repairs duplicate line-table offsets left by an interrupted
+// insert (§3.3.1–3.3.2) and caches a clean verdict in the line-clean flag.
+func (t *Tree) fixIntraPage(f *buffer.Frame) {
+	if !t.protected() || f.Data.IsZeroed() || f.Data.HasFlag(page.FlagLineClean) {
+		return
+	}
+	if f.Data.FindDuplicateSlot() >= 0 {
+		n := f.Data.RepairDuplicates()
+		t.Stats.RepairsIntraPage.Add(uint64(n))
+		t.obs.Eventf(obs.RepairIntraPage, uint32(f.PageNo()), "%d duplicate line-table entries removed", n)
+	}
+	f.Data.AddFlag(page.FlagLineClean)
+	f.MarkDirty()
 }
 
 // childConsistent implements the inter-page check of §3.3.1: the child must
@@ -301,29 +347,9 @@ func (t *Tree) childConsistent(child page.Page, level uint8, lo, hi []byte) (boo
 	return true, nil
 }
 
-// findLeaf performs a read-only descent and returns the pinned leaf frame
-// and its expected range; ok is false for an empty tree.
-func (t *Tree) findLeaf(key []byte, repair bool) (f *buffer.Frame, no uint32, lo, hi []byte, ok bool, err error) {
-	path, err := t.descendPath(key, repair)
-	if err != nil {
-		return nil, 0, nil, nil, false, err
-	}
-	if path == nil {
-		return nil, 0, nil, nil, false, nil
-	}
-	leaf := path[len(path)-1]
-	// Keep only the leaf pinned; the entry value copy keeps its cloned
-	// bounds valid after the slice is recycled.
-	for _, e := range path[:len(path)-1] {
-		e.frame.Unpin()
-	}
-	putPath(path)
-	return leaf.frame, leaf.no, leaf.lo, leaf.hi, true, nil
-}
-
 // Lookup returns the value stored under key. Concurrent lookups run in
 // parallel; if a crash left damage on the path, the lookup upgrades to the
-// exclusive lock, repairs, and retries — recovery on first use.
+// exclusive lock and runs again in repairing mode — recovery on first use.
 func (t *Tree) Lookup(key []byte) ([]byte, error) {
 	return t.LookupInto(key, nil)
 }
@@ -347,7 +373,7 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 		if ver%2 != 0 {
 			err = errRetryShared // split in flight: snapshot again
 		} else {
-			val, err = t.lookupShared(key, dst, ver)
+			val, err = t.lookup(key, dst, readOnly, ver)
 		}
 		t.mu.RUnlock()
 		if errors.Is(err, errRetryShared) {
@@ -355,48 +381,79 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 			retryBackoff(attempt)
 			continue
 		}
-		if errors.Is(err, errNeedsExclusive) || errors.Is(err, errNeedsRepair) ||
-			errors.Is(err, buffer.ErrQuarantined) {
-			// Quarantine errors fall through too: the exclusive descent
-			// attaches the prescribed key range to the typed error.
+		if errors.Is(err, errNeedsExclusive) {
 			break
 		}
 		return val, err
 	}
-	// Fall back to the exclusive path, which may repair.
+	// The same body once more under the exclusive lock, where it may repair
+	// and whatever it then returns is final.
 	t.obs.Count(obs.ExclusiveFallback)
 	if err := t.lockExclusive(); err != nil {
 		return nil, err
 	}
 	defer t.mu.Unlock()
-	val, err := t.lookupLocked(key, true)
-	if err != nil || dst == nil {
-		return val, err
-	}
-	return append(dst, val...), nil
+	return t.lookup(key, dst, repairing, t.structVer.Load())
 }
 
-func (t *Tree) lookupLocked(key []byte, repair bool) ([]byte, error) {
-	f, _, _, _, ok, err := t.findLeaf(key, repair)
+// lookup is the lookup body: one descent, a latched leaf search, and — when
+// a concurrent split may have moved the key right — a bounded trusted-peer
+// chase before retrying. On a hit the value is appended to dst (which may
+// be nil), so a caller recycling its buffer pays no allocation. Under the
+// exclusive lock the version cannot move, so a miss is final at once.
+func (t *Tree) lookup(key, dst []byte, mode descentMode, v uint64) ([]byte, error) {
+	sc := getDescent()
+	defer putDescent(sc)
+	leaf, _, err := t.descend(descent{key: key, mode: mode, ver: v}, sc)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+	f, curNo := leaf.frame, leaf.no
+	if f == nil {
+		if t.structStable(v) {
+			return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+		}
+		return nil, errRetryShared
 	}
-	defer f.Unpin()
-	pos, found, err := leafSearch(f.Data, key)
-	if err != nil {
-		return nil, err
+	for hop := 0; ; hop++ {
+		f.RLatch()
+		p := f.Data
+		pos, found, err := leafSearch(p, key)
+		if err == nil && found {
+			var val []byte
+			if _, val, err = decodeLeafItem(p.Item(pos)); err == nil {
+				out := append(dst, val...)
+				f.RUnlatch()
+				f.Unpin()
+				return out, nil // positive results are authoritative
+			}
+		}
+		if err != nil {
+			f.RUnlatch()
+			f.Unpin()
+			return nil, t.pageErr(mode, v, err)
+		}
+		if t.structStable(v) {
+			f.RUnlatch()
+			f.Unpin()
+			return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+		}
+		// The structure moved under us. If the key sorts past this
+		// page's largest key a split may have carried it right: chase
+		// the peer link while the §3.5.1 tokens vouch for it.
+		rp := p.RightPeer()
+		if hop >= maxChaseHops || p.NKeys() == 0 || pos < p.NKeys() || rp == 0 {
+			f.RUnlatch()
+			f.Unpin()
+			return nil, errRetryShared
+		}
+		next := t.hopRight(curNo, rp, p.RightPeerToken(), f)
+		f.Unpin()
+		if next == nil {
+			return nil, errRetryShared
+		}
+		curNo, f = rp, next
 	}
-	if !found {
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
-	}
-	_, v, err := decodeLeafItem(f.Data.Item(pos))
-	if err != nil {
-		return nil, err
-	}
-	return cloneBytes(v), nil
 }
 
 // Contains reports whether key is present.

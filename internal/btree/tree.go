@@ -77,9 +77,9 @@ type Stats struct {
 // on the split lock and advertise themselves through a structure-version
 // seqlock (see concurrent.go). Deletes, merges, and crash repairs take
 // the tree lock exclusively — the paper permits exclusive repairs, and it
-// lets the repair code assume a quiescent tree. Shared operations that
-// detect damage (rather than a racing split) fall back to the exclusive
-// path, which owns all repairs.
+// lets the repair code assume a quiescent tree. A shared operation that
+// detects damage (rather than a racing split) takes the exclusive lock and
+// runs its one body again in repairing mode, which owns all repairs.
 type Tree struct {
 	pool    *buffer.Pool
 	counter *synctoken.Counter
@@ -206,7 +206,7 @@ func (t *Tree) Freelist() *freelist.List { return t.free }
 // replacements are now durable onto the freelist.
 //
 // It holds the tree lock shared, plus the split lock, exactly as the blocked
-// sync of insertSplitShared does: lookups, scans and inserts that fit their
+// sync of insertPath does: lookups, scans and inserts that fit their
 // leaf go on while the device wave is in flight, and only a split waits.
 // That is enough because everything a sync orders itself against happens
 // under splitMu or the exclusive lock — sync tokens are stamped there,

@@ -31,19 +31,19 @@ type Metric uint8
 
 const (
 	// Recovery repairs (§3.3, §3.4).
-	RepairRoot      Metric = iota // root re-created from prevRoot or folded in place (§3.3.2)
-	RepairShadow                  // child re-copied from its prevPtr shadow (§3.3)
-	RepairIntraPage               // duplicate line-table entries discarded (§3.2)
-	RepairPeer                    // leaf peer chain re-verified and re-linked (§3.5.1)
-	RepairReorgA                  // §3.4 (a): only P_a durable; backups folded back
-	RepairReorgB                  // §3.4 (b): P_a and P_b durable, parent not
-	RepairReorgC                  // §3.4 (c): split partner regenerated from backups
-	RepairReorgD                  // §3.4 (d): pre-split image found at P_a's location
-	RepairReorgE                  // §3.4 (e): only the parent durable; split repeated
-	RepairEntryDrop               // no durable source for a child; entry removed
-	RepairHashBucket              // exthash bucket rebuilt from its prev pointer
-	RepairHashDir                 // exthash directory chunk rebuilt from prev dir
-	RepairRTreeRedo               // rtree interrupted split redone from parent MBRs
+	RepairRoot       Metric = iota // root re-created from prevRoot or folded in place (§3.3.2)
+	RepairShadow                   // child re-copied from its prevPtr shadow (§3.3)
+	RepairIntraPage                // duplicate line-table entries discarded (§3.2)
+	RepairPeer                     // leaf peer chain re-verified and re-linked (§3.5.1)
+	RepairReorgA                   // §3.4 (a): only P_a durable; backups folded back
+	RepairReorgB                   // §3.4 (b): P_a and P_b durable, parent not
+	RepairReorgC                   // §3.4 (c): split partner regenerated from backups
+	RepairReorgD                   // §3.4 (d): pre-split image found at P_a's location
+	RepairReorgE                   // §3.4 (e): only the parent durable; split repeated
+	RepairEntryDrop                // no durable source for a child; entry removed
+	RepairHashBucket               // exthash bucket rebuilt from its prev pointer
+	RepairHashDir                  // exthash directory chunk rebuilt from prev dir
+	RepairRTreeRedo                // rtree interrupted split redone from parent MBRs
 
 	// Backup-key lifecycle (§3.4 reclaim cases).
 	BackupReclaim // backup keys discarded: split family durable
@@ -124,38 +124,38 @@ const (
 )
 
 var metricNames = [numMetrics]string{
-	RepairRoot:       "repair.root",
-	RepairShadow:     "repair.shadow",
-	RepairIntraPage:  "repair.intra",
-	RepairPeer:       "repair.peer",
-	RepairReorgA:     "repair.reorg.a",
-	RepairReorgB:     "repair.reorg.b",
-	RepairReorgC:     "repair.reorg.c",
-	RepairReorgD:     "repair.reorg.d",
-	RepairReorgE:     "repair.reorg.e",
-	RepairEntryDrop:  "repair.entrydrop",
-	RepairHashBucket: "repair.hash.bucket",
-	RepairHashDir:    "repair.hash.dir",
-	RepairRTreeRedo:  "repair.rtree.redo",
-	BackupReclaim:    "backup.reclaim",
-	BackupHold:       "backup.hold",
-	BlockedSync:      "sync.blocked",
-	SplitStart:       "split.start",
-	SplitCommit:      "split.commit",
-	RootSplit:        "split.root",
-	MergeStart:       "merge.start",
-	MergeCommit:      "merge.commit",
-	LatchRetry:       "latch.retry",
-	ChaseHop:         "chase.hop",
+	RepairRoot:        "repair.root",
+	RepairShadow:      "repair.shadow",
+	RepairIntraPage:   "repair.intra",
+	RepairPeer:        "repair.peer",
+	RepairReorgA:      "repair.reorg.a",
+	RepairReorgB:      "repair.reorg.b",
+	RepairReorgC:      "repair.reorg.c",
+	RepairReorgD:      "repair.reorg.d",
+	RepairReorgE:      "repair.reorg.e",
+	RepairEntryDrop:   "repair.entrydrop",
+	RepairHashBucket:  "repair.hash.bucket",
+	RepairHashDir:     "repair.hash.dir",
+	RepairRTreeRedo:   "repair.rtree.redo",
+	BackupReclaim:     "backup.reclaim",
+	BackupHold:        "backup.hold",
+	BlockedSync:       "sync.blocked",
+	SplitStart:        "split.start",
+	SplitCommit:       "split.commit",
+	RootSplit:         "split.root",
+	MergeStart:        "merge.start",
+	MergeCommit:       "merge.commit",
+	LatchRetry:        "latch.retry",
+	ChaseHop:          "chase.hop",
 	ExclusiveFallback: "latch.fallback",
-	ZeroRoute:        "io.zeroroute",
-	TornRepair:       "io.tornrepair",
-	EvictClean:       "pool.evict.clean",
-	EvictDirty:       "pool.evict.dirty",
-	InjectTransient:  "inject.transient",
-	InjectBitRot:     "inject.bitrot",
-	InjectTorn:       "inject.torn",
-	InjectBadSector:  "inject.badsector",
+	ZeroRoute:         "io.zeroroute",
+	TornRepair:        "io.tornrepair",
+	EvictClean:        "pool.evict.clean",
+	EvictDirty:        "pool.evict.dirty",
+	InjectTransient:   "inject.transient",
+	InjectBitRot:      "inject.bitrot",
+	InjectTorn:        "inject.torn",
+	InjectBadSector:   "inject.badsector",
 	RetryExhausted:    "retry.exhausted",
 	QuarantinePage:    "quarantine.page",
 	QuarantineRelease: "quarantine.release",

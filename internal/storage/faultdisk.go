@@ -95,7 +95,7 @@ type FaultDisk struct {
 	// permBad marks bad sectors that survive Sync (media damage the device
 	// cannot remap); see AddPermanentBadSector.
 	permBad map[PageNo]bool
-	nPages      PageNo // logical size including pending-only pages
+	nPages  PageNo // logical size including pending-only pages
 	// runRead/runWrite count consecutive transient failures per location,
 	// enforcing MaxTransientRun.
 	runRead  map[PageNo]int
@@ -403,7 +403,7 @@ func (d *FaultDisk) tornImageLocked(no PageNo, data []byte) []byte {
 		// Prior durable contents fill the middle.
 		_ = d.inner.ReadPage(no, img)
 	}
-	head := 1 + d.rng.Intn(sectors-1) // 1..sectors-1 leading sectors land
+	head := 1 + d.rng.Intn(sectors-1)  // 1..sectors-1 leading sectors land
 	tail := d.rng.Intn(sectors - head) // 0..remaining trailing sectors land
 	copy(img[:head*sector], data[:head*sector])
 	if tail > 0 {
