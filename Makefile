@@ -139,12 +139,18 @@ restart-smoke:
 # reads no more than a plain scan, and starts nothing on a resident store;
 # look-ahead scans race splits and eviction in a 32-frame pool; every way a
 # pool's life ends joins the reads in flight; GET over the wire is right when
-# longer keys' entries interleave with its own.
+# longer keys' entries interleave with its own. Then one request, many keys:
+# a leaf hint reads what a lookup reads, and a batched insert over a cold
+# index reads its leaves several at a time; stale peer pointers hinted by §3.5.1
+# verification (past the end of the file, quarantined, freed) leave no trace;
+# a cold MPUT-32 answers as 32 PUTs do in a third of the device waves, with no
+# more reads and no hint wasted, and a resident one starts nothing; after a
+# crash it verifies and re-links its leaves as 32 PUTs do.
 readahead-smoke:
 	$(GO) test -race -count=3 ./internal/buffer -run 'TestHint|TestScanResist'
-	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints'
+	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints|TestHintLeaf|TestInsertBatchHintsLeavesAhead|TestVerifyPeerPathStalePeers'
 	$(GO) test -race -count=3 ./internal/core -run 'TestScanAheadOverlapsReads|TestResidentReadsStartNothing|TestCloseJoinsHints'
-	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys'
+	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys|TestMputOverlapsReads|TestResidentMputStartsNothing|TestPostCrashMputMatchesPuts'
 
 # The commit gate, under the race detector: the whole internal/txn suite (the
 # status append cut at every device call with every subset of its pending

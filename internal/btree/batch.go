@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buffer"
 	"repro/internal/obs"
 )
 
@@ -54,7 +55,28 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 		return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
 	})
 
+	// The leaves of the runs ahead are read while this run works: before
+	// each run, leaves are hinted until buffer.FlushWorkers of them, this
+	// run's included, are on their way. A key inside the bounds of the leaf
+	// hinted last needs no hint of its own, so a dense batch pays one extra
+	// descent per leaf, not per key; bounds a split has since outdated cost
+	// at most a read nobody uses.
+	sc := getDescent()
+	defer putDescent(sc)
+	var (
+		ends  []int // where the keys of each hinted leaf not yet passed end
+		ahead int   // the first sorted position no hint covers
+	)
 	for pos := 0; pos < len(order); {
+		for len(ends) > 0 && ends[0] <= pos {
+			ends = ends[1:]
+		}
+		for ahead = max(ahead, pos); len(ends) < buffer.FlushWorkers && ahead < len(order); {
+			leaf, ok := t.hintLeaf(keys[order[ahead]], sc)
+			for ahead++; ok && ahead < len(order) && (leaf.hi == nil || bytes.Compare(keys[order[ahead]], leaf.hi) < 0); ahead++ {
+			}
+			ends = append(ends, ahead)
+		}
 		applied, err := t.insertRunShared(keys, values, order, pos)
 		pos += applied
 		if err != nil && !errors.Is(err, errRetryShared) && !errors.Is(err, errNeedsExclusive) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,25 +13,10 @@ import (
 	"repro/internal/storage"
 )
 
-// countingDisk counts the reads that have completed and can hold reads
-// back: of every page but the meta page (holdAll), or of one page.
-type countingDisk struct {
-	storage.Disk
-	reads    atomic.Int64
-	lastRead atomic.Uint32 // the page the latest completed read was of
-	holdAll  bool
-	holdNo   storage.PageNo
-	release  chan struct{}
-}
-
-func (d *countingDisk) ReadPage(no storage.PageNo, buf page.Page) error {
-	if no != 0 && (d.holdAll || no == d.holdNo) {
-		<-d.release
-	}
-	err := d.Disk.ReadPage(no, buf)
-	d.reads.Add(1)
-	d.lastRead.Store(uint32(no))
-	return err
+// holding returns a counter that holds back every read hold names until its
+// Release is closed.
+func holding(hold func(no storage.PageNo) bool) *storage.IOCounter {
+	return &storage.IOCounter{Hold: hold, Release: make(chan struct{})}
 }
 
 // loadedDisk returns a cleanly closed index of n ascending keys.
@@ -63,18 +47,18 @@ func loadedDisk(t *testing.T, v Variant, n int) *storage.MemDisk {
 func TestOpenReadBudget(t *testing.T) {
 	var budget [2]int64
 	for i, n := range []int{1_000, 50_000} {
-		d := &countingDisk{Disk: loadedDisk(t, Shadow, n), holdAll: true, release: make(chan struct{})}
+		d := storage.NewCountingDisk(loadedDisk(t, Shadow, n), holding(func(no storage.PageNo) bool { return no != 0 }))
 		tr, err := Open(d, Shadow, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget[i] = d.reads.Load()
-		close(d.release)
+		budget[i] = d.Reads()
+		close(d.Release)
 		if err := tr.AwaitBound(); err != nil {
 			t.Fatal(err)
 		}
 		// Every page of a freshly loaded index but the meta page is live.
-		if walked, live := d.reads.Load()-budget[i], int64(d.NumPages())-1; walked != live {
+		if walked, live := d.Reads()-budget[i], int64(d.NumPages())-1; walked != live {
 			t.Fatalf("%d keys: the walk read %d of %d live pages", n, walked, live)
 		}
 		if got, want := tr.NumPages(), d.NumPages(); got != want {
@@ -96,7 +80,7 @@ func TestBoundGate(t *testing.T) {
 	mem := loadedDisk(t, Shadow, n)
 	// The last leaf is the last page a lookup of the largest key reads on a
 	// cold pool.
-	pd := &countingDisk{Disk: mem}
+	pd := storage.NewCountingDisk(mem, nil)
 	probe, err := Open(pd, Shadow, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +90,10 @@ func TestBoundGate(t *testing.T) {
 	}
 	probe.Pool().InvalidateAll()
 	mustLookup(t, probe, n-1)
-	lastLeaf := storage.PageNo(pd.lastRead.Load())
+	lastLeaf := pd.LastRead()
 
 	rec := obs.New(0)
-	d := &countingDisk{Disk: mem, holdNo: lastLeaf, release: make(chan struct{})}
+	d := storage.NewCountingDisk(mem, holding(func(no storage.PageNo) bool { return no == lastLeaf }))
 	tr, err := Open(d, Shadow, Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +127,7 @@ func TestBoundGate(t *testing.T) {
 		t.Fatalf("insert returned (%v) before the bound was known", err)
 	default:
 	}
-	close(d.release)
+	close(d.Release)
 	if err := <-inserted; err != nil {
 		t.Fatal(err)
 	}

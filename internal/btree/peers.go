@@ -32,6 +32,17 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 	p.ClearFlag(page.FlagPeerSuspect)
 	leaf.frame.MarkDirty()
 
+	// The two descents below end, as a rule, at the pages the leaf's own peer
+	// pointers name: start both reads now, so that the right neighbour
+	// arrives while the left descent waits. Those pointers are what is being
+	// verified and may name any page at all; a hint of one is advice.
+	if len(leaf.lo) != 0 && p.LeftPeer() != 0 {
+		t.pool.Hint(p.LeftPeer())
+	}
+	if leaf.hi != nil && p.RightPeer() != 0 {
+		t.pool.Hint(p.RightPeer())
+	}
+
 	// A rebuilt neighbor may itself need verification before the chain
 	// into this pair is sound — the paper walks the peer path in both
 	// directions until a page with a different sync token appears; the

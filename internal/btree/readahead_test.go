@@ -9,39 +9,15 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/storage"
 )
 
-// flightDisk counts device reads, how many are in flight, and the most that
-// ever were. While hold is set, a read parks at the device until release is
-// closed, so a test can see it in flight without timing anything.
-type flightDisk struct {
-	storage.Disk
-	reads, flying, peak atomic.Int64
-	hold                atomic.Bool
-	release             chan struct{}
-}
-
-func (d *flightDisk) ReadPage(no storage.PageNo, buf page.Page) error {
-	d.reads.Add(1)
-	n := d.flying.Add(1)
-	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
-	}
-	if d.hold.Load() {
-		<-d.release
-	}
-	err := d.Disk.ReadPage(no, buf)
-	d.flying.Add(-1)
-	return err
-}
-
 // awaitFlying returns once n reads are parked at or passing through d.
-func (d *flightDisk) awaitFlying(t *testing.T, n int64) {
+func awaitFlying(t *testing.T, d *storage.CountingDisk, n int64) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); d.flying.Load() < n; {
+	for deadline := time.Now().Add(5 * time.Second); d.InFlight() < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d reads in flight, want %d", d.flying.Load(), n)
+			t.Fatalf("%d reads in flight, want %d", d.InFlight(), n)
 		}
 		runtime.Gosched()
 	}
@@ -74,7 +50,10 @@ func TestScanAheadOverlapsLeaves(t *testing.T) {
 		hints uint64
 	}
 	run := func(lookAhead bool) (r result) {
-		d := &flightDisk{Disk: mem, release: make(chan struct{})}
+		// While hold is set, a read parks at the device until Release is
+		// closed, so the test sees it in flight without timing anything.
+		var hold atomic.Bool
+		d := storage.NewCountingDisk(mem, holding(func(storage.PageNo) bool { return hold.Load() }))
 		rec := obs.New(0)
 		tr, err := Open(d, Shadow, Options{PoolSize: 256, Obs: rec})
 		if err != nil {
@@ -84,18 +63,18 @@ func TestScanAheadOverlapsLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Pool().InvalidateAll() // the walk warmed what fits; start cold
-		d.reads.Store(0)
+		d.Reset()
 		var ahead LookAhead
 		if lookAhead {
 			// From the first leaf on, reads park: the hinted one will.
-			ahead = func([]Pair) bool { d.hold.Store(true); return true }
+			ahead = func([]Pair) bool { hold.Store(true); return true }
 		}
 		err = tr.ScanAhead(u32key(20_000), u32key(21_000), ahead, func(k, _ []byte) bool {
 			if len(r.keys) == 0 && lookAhead {
-				d.awaitFlying(t, 1)
-				d.hold.Store(false)
-				close(d.release)
-			} else if len(r.keys) == 0 && d.flying.Load() != 0 {
+				awaitFlying(t, d, 1)
+				hold.Store(false)
+				close(d.Release)
+			} else if len(r.keys) == 0 && d.InFlight() != 0 {
 				t.Error("Scan has a read in flight while fn runs")
 			}
 			r.keys = append(r.keys, k)
@@ -107,7 +86,7 @@ func TestScanAheadOverlapsLeaves(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return result{r.keys, d.reads.Load(), rec.Get(obs.HintIssued)}
+		return result{r.keys, d.Reads(), rec.Get(obs.HintIssued)}
 	}
 	plain, ahead := run(false), run(true)
 	if len(plain.keys) != 1000 || len(ahead.keys) != 1000 {
@@ -131,7 +110,7 @@ func TestScanAheadOverlapsLeaves(t *testing.T) {
 // leaf and before fn does, and when it wants no more the next leaf is not
 // hinted.
 func TestScanAheadCallsPerLeaf(t *testing.T) {
-	d := &flightDisk{Disk: loadedDisk(t, Shadow, 5_000)}
+	d := storage.NewCountingDisk(loadedDisk(t, Shadow, 5_000), nil)
 	rec := obs.New(0)
 	tr, err := Open(d, Shadow, Options{Obs: rec})
 	if err != nil {
@@ -141,7 +120,7 @@ func TestScanAheadCallsPerLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Pool().InvalidateAll()
-	d.peak.Store(0) // the bound walk read in parallel
+	d.Reset() // the bound walk read in parallel
 	var shown, emitted, leaves int
 	err = tr.ScanAhead(u32key(100), u32key(900), func(leaf []Pair) bool {
 		if shown != emitted {
@@ -159,8 +138,8 @@ func TestScanAheadCallsPerLeaf(t *testing.T) {
 	if err != nil || shown != 800 || emitted != 800 || leaves < 2 {
 		t.Fatalf("shown %d emitted %d over %d leaves, err %v", shown, emitted, leaves, err)
 	}
-	if h := rec.Get(obs.HintIssued); h != 0 || d.peak.Load() != 1 {
-		t.Fatalf("a look-ahead that wants no more: %d hints, %d reads at once", h, d.peak.Load())
+	if h := rec.Get(obs.HintIssued); h != 0 || d.Peak() != 1 {
+		t.Fatalf("a look-ahead that wants no more: %d hints, %d reads at once", h, d.Peak())
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -299,4 +278,45 @@ func TestCloseJoinsHints(t *testing.T) {
 	}
 	tr.Pool().InvalidateAll() // panics on a pinned frame
 	awaitGoroutines(t, before)
+}
+
+// TestInsertBatchHintsLeavesAhead: a batch of 32 keys spread over a cold
+// 50k-key index reads each of its leaves once, several at a time: while one
+// run works, the leaves of the runs ahead are on their way. One leaf at a
+// time, the same batch read 34 pages in 34 waves; with the leaves hinted it
+// reads them in 6.
+func TestInsertBatchHintsLeavesAhead(t *testing.T) {
+	c := &storage.IOCounter{Linger: 5 * time.Millisecond}
+	rec := obs.New(0)
+	tr, err := Open(storage.NewCountingDisk(loadedDisk(t, Shadow, 50_000), c), Shadow, Options{PoolSize: 256, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AwaitBound(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Pool().InvalidateAll()
+	c.Reset()
+	var keys, vals [][]byte
+	for i := 0; i < 32; i++ {
+		keys = append(keys, append(u32key(i*1531+7), 'x'))
+		vals = append(vals, val(i))
+	}
+	if err := tr.InsertBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	tr.Pool().StopHints()
+	t.Logf("%d reads in %d waves, at most %d in flight", c.Reads(), c.Waves(), c.Peak())
+	if c.Reads() > 34 || c.Waves() > 34/3 || c.Peak() < 2 || rec.Get(obs.HintWasted) != 0 {
+		t.Fatalf("%d reads in %d waves, at most %d in flight, %d read ahead unused; want at most 34 in at most %d, at least 2 at once, none unused",
+			c.Reads(), c.Waves(), c.Peak(), rec.Get(obs.HintWasted), 34/3)
+	}
+	for i, k := range keys {
+		if got, err := tr.Lookup(k); err != nil || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("%x: %q, %v", k, got, err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -53,6 +53,10 @@ type descent struct {
 	mode descentMode
 	ver  uint64 // readOnly: the structure version failed checks are judged against
 	path bool   // keep every level pinned and return them all
+	// hint stops above the leaf: the leaf is hinted to the pool, not read,
+	// and comes back by number and bounds with no frame. readOnly, without
+	// path.
+	hint bool
 }
 
 // descend is the one root-to-leaf walk (§3.3.1, §3.6). It holds one latch
@@ -66,9 +70,10 @@ type descent struct {
 // staged in sc and die with it. With d.path every level is returned pinned
 // (leaf last; releasePath lets go) and each level's bounds alias the pinned
 // page above it: stable for a caller that holds splitMu or the exclusive
-// lock, the only writers of internal pages. A nil leaf frame with a nil
-// error means there is no such leaf — the tree is empty, or (d.pred) holds
-// no key below d.key.
+// lock, the only writers of internal pages. With d.hint the leaf is not
+// read: its number and staged bounds come back with a nil frame. A nil leaf
+// frame and a zero page number with a nil error mean there is no such leaf —
+// the tree is empty, or (d.pred) holds no key below d.key.
 func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, error) {
 	f, err := t.pool.Get(0)
 	if err != nil {
@@ -103,6 +108,10 @@ func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, e
 		} else {
 			if p.Type() == page.TypeLeaf {
 				f.RUnlatch()
+				if d.hint { // a root that is a leaf: read already
+					f.Unpin()
+					f = nil
+				}
 				return pathEntry{no: no, frame: f, lo: lo, hi: hi, idx: -1}, path, nil
 			}
 			switch {
@@ -139,6 +148,12 @@ func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, e
 				// bounds staged one level up): stage them into the scratch's
 				// other buffer pair before the latch drops.
 				cLo, cHi = sc.stage(cLo, cHi)
+			}
+			if d.hint && level == 0 {
+				f.RUnlatch()
+				f.Unpin()
+				t.pool.Hint(it.child)
+				return pathEntry{no: it.child, lo: cLo, hi: cHi, idx: -1}, nil, nil
 			}
 		}
 		cf, gerr := t.pool.Get(it.child) // pin the child before the parent's latch drops
@@ -454,6 +469,35 @@ func (t *Tree) lookup(key, dst []byte, mode descentMode, v uint64) ([]byte, erro
 		}
 		curNo, f = rp, next
 	}
+}
+
+// HintLeaf asks the buffer pool to start reading the leaf that covers key and
+// returns that leaf's key range [lo, hi) (nil = unbounded) for the caller to
+// keep: a key inside it is on the same leaf and needs no hint of its own. The
+// descent reads what a lookup of key reads except the leaf, and changes
+// nothing. A hint is advice (buffer.Pool.Hint): of a resident leaf it costs a
+// lookup, and ok is false when the descent has none to give — an empty tree,
+// a split in flight, a page only a repairing descent may judge.
+func (t *Tree) HintLeaf(key []byte) (lo, hi []byte, ok bool) {
+	sc := getDescent()
+	defer putDescent(sc)
+	leaf, ok := t.hintLeaf(key, sc)
+	if !ok {
+		return nil, nil, false
+	}
+	return cloneBytes(leaf.lo), cloneBytes(leaf.hi), true
+}
+
+// hintLeaf is HintLeaf with the leaf's bounds staged in sc.
+func (t *Tree) hintLeaf(key []byte, sc *descentScratch) (pathEntry, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v := t.structVer.Load()
+	if v%2 != 0 {
+		return pathEntry{}, false
+	}
+	leaf, _, err := t.descend(descent{key: key, mode: readOnly, ver: v, hint: true}, sc)
+	return leaf, err == nil && leaf.no != 0
 }
 
 // Contains reports whether key is present.

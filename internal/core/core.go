@@ -230,6 +230,24 @@ func FaultDisks(s Storage) map[string]*storage.FaultDisk {
 	return nil
 }
 
+type countedStorage struct {
+	Storage
+	c *storage.IOCounter
+}
+
+func (s countedStorage) open(name string) (storage.Disk, error) {
+	d, err := s.Storage.open(name)
+	if err != nil {
+		return nil, err
+	}
+	return storage.NewCountingDisk(d, s.c), nil
+}
+
+// Counted returns s with every file it opens behind a storage.CountingDisk
+// counting into c: the whole store seen as one device, so that c's waves are
+// the device waits of everything the DB does.
+func Counted(s Storage, c *storage.IOCounter) Storage { return countedStorage{s, c} }
+
 type dirStorage struct{ dir string }
 
 func (d dirStorage) open(name string) (storage.Disk, error) {
@@ -318,7 +336,6 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 	r.Pool().SetObs(db.cfg.Obs)
 	db.attachHealth(r.Pool())
 	rel := &Relation{db: db, name: name, h: r}
-	rel.aheadAll = rel.newLookAhead(0)
 	db.rels[name] = rel
 	return rel, nil
 }
@@ -367,8 +384,6 @@ type Relation struct {
 	db   *DB
 	name string
 	h    *heap.Relation
-
-	aheadAll btree.LookAhead // newLookAhead(0), shared by every scan that wants all rows
 }
 
 // Name returns the relation name.

@@ -303,6 +303,16 @@ func (ix *Index) InsertTIDBatch(t *Txn, keys [][]byte, tids []heap.TID) error {
 	})
 }
 
+// HintLeaf starts reading the leaf of key's tree that covers key, and returns
+// that leaf's bounds for the caller to keep (btree.Tree.HintLeaf); ok is
+// false when no hint was given. It is advice and changes nothing.
+func (ix *Index) HintLeaf(key []byte) (lo, hi []byte, ok bool) {
+	if ix.db.readable() != nil {
+		return nil, nil, false
+	}
+	return ix.pick(key).HintLeaf(key)
+}
+
 // LookupTID resolves a key to the TID it indexes. While degraded, a key
 // inside a quarantined range fails with an error unwrapping to
 // ErrQuarantined rather than a wrong answer; a quarantined range in one
@@ -372,11 +382,7 @@ func (ix *Index) ScanAhead(rel *Relation, start, end []byte, rows int, fn func(k
 	if err := ix.db.readable(); err != nil {
 		return err
 	}
-	ahead := rel.aheadAll
-	if rows > 0 {
-		ahead = rel.newLookAhead(rows)
-	}
-	return ix.trees[0].ScanAhead(start, end, ahead, withTID(fn))
+	return ix.trees[0].ScanAhead(start, end, rel.newLookAhead(rows), withTID(fn))
 }
 
 // newLookAhead returns the look-ahead of an index scan whose caller fetches
@@ -386,7 +392,7 @@ func (ix *Index) ScanAhead(rel *Relation, start, end []byte, rows int, fn func(k
 // of the first entry, which the caller is about to read itself; more than a
 // pool reads at once it does not ask for. It wants the next leaf when this
 // one ran out before the rows did. With rows <= 0 it wants them all and keeps
-// no count, so one such look-ahead (r.aheadAll) serves every scan.
+// no count.
 func (r *Relation) newLookAhead(rows int) btree.LookAhead {
 	pool, counted := r.h.Pool(), rows > 0
 	return func(leaf []btree.Pair) bool {

@@ -4,58 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/storage"
 )
-
-// flightStorage opens every file of an inner storage behind a disk that
-// counts the reads issued and the most that were in flight at once. With
-// linger set, a read that arrives alone waits that long for company before it
-// goes ahead: if the code under test ever has two reads out together, they
-// meet, however the scheduler runs the goroutines.
-type flightStorage struct {
-	Storage
-	linger              time.Duration
-	reads, flying, peak atomic.Int64
-}
-
-type flightDisk struct {
-	storage.Disk
-	s *flightStorage
-}
-
-func (s *flightStorage) open(name string) (storage.Disk, error) {
-	d, err := s.Storage.open(name)
-	if err != nil {
-		return nil, err
-	}
-	return flightDisk{Disk: d, s: s}, nil
-}
-
-func (d flightDisk) ReadPage(no storage.PageNo, buf page.Page) error {
-	s := d.s
-	s.reads.Add(1)
-	n := s.flying.Add(1)
-	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
-	}
-	for deadline := time.Now().Add(s.linger); s.flying.Load() < 2 && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	err := d.Disk.ReadPage(no, buf)
-	s.flying.Add(-1)
-	return err
-}
-
-func (s *flightStorage) reset() {
-	s.reads.Store(0)
-	s.peak.Store(0)
-}
 
 func kvKey(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 
@@ -202,19 +157,19 @@ func TestScanAheadOverlapsReads(t *testing.T) {
 	store := kvStore(t, 50_000)
 	var reads, peak [2]int64
 	for i, ahead := range []bool{false, true} {
-		fs := &flightStorage{Storage: store}
+		c := &storage.IOCounter{}
 		if ahead {
-			fs.linger = 100 * time.Millisecond
+			c.Linger = 100 * time.Millisecond
 		}
-		s := openKV(t, fs)
+		s := openKV(t, Counted(store, c))
 		s.cold()
-		fs.reset()
+		c.Reset()
 		if rows := s.scan(t, ahead, 31_337, 100); rows != 100 {
 			t.Fatalf("ahead=%v: %d rows", ahead, rows)
 		}
 		s.rel.Heap().Pool().StopHints() // let the last ones land before counting
 		s.ix.Tree().Pool().StopHints()
-		reads[i], peak[i] = fs.reads.Load(), fs.peak.Load()
+		reads[i], peak[i] = c.Reads(), c.Peak()
 		if err := s.db.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -226,27 +181,27 @@ func TestScanAheadOverlapsReads(t *testing.T) {
 		t.Fatalf("ScanAhead issued %d reads, Scan %d", reads[1], reads[0])
 	}
 
-	fs := &flightStorage{Storage: store, linger: 100 * time.Millisecond}
-	s := openKV(t, fs)
+	c := &storage.IOCounter{Linger: 100 * time.Millisecond}
+	s := openKV(t, Counted(store, c))
 	defer s.db.Close()
 	s.rel.Heap().Pool().InvalidateAll() // the index stays warm: the leaf is no part of this
 	if _, err := s.ix.LookupTID(MakeUnique(kvKey(7), heap.TID{})); err == nil {
 		t.Fatal("lookup of an entry that does not exist")
 	}
-	fs.reset()
+	c.Reset()
 	if val := s.get(t, kvKey(7)); string(val) != "second" {
 		t.Fatalf("GET of the key with two versions: %q", val)
 	}
-	if fs.reads.Load() != 2 || fs.peak.Load() != 2 {
-		t.Fatalf("two versions on two cold heap pages: %d reads, %d in flight at once", fs.reads.Load(), fs.peak.Load())
+	if c.Reads() != 2 || c.Peak() != 2 {
+		t.Fatalf("two versions on two cold heap pages: %d reads, %d in flight at once", c.Reads(), c.Peak())
 	}
 }
 
 // TestResidentReadsStartNothing: on a store that is all in memory a GET and
 // a SCAN issue no read, start no goroutine and count no hint.
 func TestResidentReadsStartNothing(t *testing.T) {
-	fs := &flightStorage{Storage: kvStore(t, 5_000)}
-	s := openKV(t, fs)
+	c := &storage.IOCounter{}
+	s := openKV(t, Counted(kvStore(t, 5_000), c))
 	defer s.db.Close()
 	request := func() {
 		if rows := s.scan(t, true, 1_234, 100); rows != 100 {
@@ -265,15 +220,15 @@ func TestResidentReadsStartNothing(t *testing.T) {
 	s.rel.Heap().Pool().StopHints()
 	s.ix.Tree().Pool().StopHints()
 	hints := s.rec.Get(obs.HintIssued)
-	fs.reset()
+	c.Reset()
 	before := runtime.NumGoroutine()
 	request()
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines before the resident requests, %d after", before, after)
 	}
-	if fs.reads.Load() != 0 || s.rec.Get(obs.HintIssued) != hints || s.rec.Get(obs.HintDropped) != 0 {
+	if c.Reads() != 0 || s.rec.Get(obs.HintIssued) != hints || s.rec.Get(obs.HintDropped) != 0 {
 		t.Fatalf("resident requests: %d reads, %d hints issued, %d dropped",
-			fs.reads.Load(), s.rec.Get(obs.HintIssued)-hints, s.rec.Get(obs.HintDropped))
+			c.Reads(), s.rec.Get(obs.HintIssued)-hints, s.rec.Get(obs.HintDropped))
 	}
 }
 

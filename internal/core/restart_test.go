@@ -4,44 +4,26 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/heap"
-	"repro/internal/page"
 	"repro/internal/storage"
 )
 
-// heldStorage opens the index files of an inner storage behind disks that
-// count the reads they have completed and hold every read but the meta
-// page's until release is closed.
+// heldStorage opens the index files of an inner storage behind counting
+// disks that hold every read but the meta page's until c.Release is closed.
 type heldStorage struct {
 	Storage
-	reads   atomic.Int64
-	release chan struct{}
+	c *storage.IOCounter
 }
 
-type heldDisk struct {
-	storage.Disk
-	s *heldStorage
-}
-
-func (s *heldStorage) open(name string) (storage.Disk, error) {
+func (s heldStorage) open(name string) (storage.Disk, error) {
 	d, err := s.Storage.open(name)
 	if err != nil || !strings.HasPrefix(name, "idx_") {
 		return d, err
 	}
-	return heldDisk{Disk: d, s: s}, nil
-}
-
-func (d heldDisk) ReadPage(no storage.PageNo, buf page.Page) error {
-	if no != 0 {
-		<-d.s.release
-	}
-	err := d.Disk.ReadPage(no, buf)
-	d.s.reads.Add(1)
-	return err
+	return storage.NewCountingDisk(d, s.c), nil
 }
 
 // loadedStore returns a cleanly closed store holding index "pk" and 4-shard
@@ -86,23 +68,23 @@ func loadedStore(t *testing.T, n int) Storage {
 func TestCreateIndexReadBudget(t *testing.T) {
 	var single, sharded [2]int64
 	for i, n := range []int{1_000, 50_000} {
-		hs := &heldStorage{Storage: loadedStore(t, n), release: make(chan struct{})}
-		db, err := Open(hs, Config{})
+		c := &storage.IOCounter{Hold: func(no storage.PageNo) bool { return no != 0 }, Release: make(chan struct{})}
+		db, err := Open(heldStorage{loadedStore(t, n), c}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := hs.reads.Load()
+		base := c.Reads()
 		ix, err := db.CreateIndex("pk", Shadow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single[i] = hs.reads.Load() - base
+		single[i] = c.Reads() - base
 		six, err := db.CreateIndexN("spk", Shadow, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded[i] = hs.reads.Load() - base - single[i]
-		close(hs.release)
+		sharded[i] = c.Reads() - base - single[i]
+		close(c.Release)
 		last := []byte(fmt.Sprintf("k%08d", n-1))
 		if _, err := ix.LookupTID(last); err != nil {
 			t.Fatal(err)
@@ -157,25 +139,26 @@ func TestCloseJoinsBoundWalks(t *testing.T) {
 // what the tree's own ScanAhead allocates and a cold one completes the same
 // device reads — no routing hash, merge cursor, entry copy or goroutine in
 // between — and InsertTID, like the tree's no-split Insert, allocates nothing.
+// Under the race detector the calls run and their allocations go uncounted.
 func TestOneShardIndexCostsItsTree(t *testing.T) {
-	fs := &flightStorage{Storage: kvStore(t, 5000)}
-	s := openKV(t, fs)
+	c := &storage.IOCounter{}
+	s := openKV(t, Counted(kvStore(t, 5000), c))
 	defer s.db.Close()
 	tr := s.ix.Tree()
 	lo, hi := kvKey(100), kvKey(140)
 	entries := 0
 	fn := func([]byte, heap.TID) bool { entries++; return true }
 	viaIndex := func() error { return s.ix.ScanAhead(s.rel, lo, hi, 0, fn) }
-	viaTree := func() error { return tr.ScanAhead(lo, hi, s.rel.aheadAll, withTID(fn)) }
+	viaTree := func() error { return tr.ScanAhead(lo, hi, s.rel.newLookAhead(0), withTID(fn)) }
 
 	coldReads := func(scan func() error) int64 {
 		s.cold()
-		before := fs.reads.Load()
+		before := c.Reads()
 		if err := scan(); err != nil {
 			t.Fatal(err)
 		}
 		s.cold() // joins the hinted reads still in flight
-		return fs.reads.Load() - before
+		return c.Reads() - before
 	}
 	if ir, tr := coldReads(viaIndex), coldReads(viaTree); ir != tr || entries != 2*40 {
 		t.Fatalf("cold ScanAhead: %d device reads through the index, %d through its tree (%d entries)", ir, tr, entries)
@@ -188,7 +171,7 @@ func TestOneShardIndexCostsItsTree(t *testing.T) {
 			}
 		})
 	}
-	if ia, ta := allocs(viaIndex), allocs(viaTree); ia > ta {
+	if ia, ta := allocs(viaIndex), allocs(viaTree); ia > ta && !raceEnabled {
 		t.Fatalf("warm ScanAhead: %v allocations through the index, %v through its tree", ia, ta)
 	}
 
@@ -203,7 +186,7 @@ func TestOneShardIndexCostsItsTree(t *testing.T) {
 		next++
 		return s.ix.InsertTID(tx, keys[next-1], heap.TID{PageNo: 1, Slot: uint16(next)})
 	})
-	if ia != 0 {
+	if ia != 0 && !raceEnabled {
 		t.Fatalf("InsertTID: %v allocations per call, want 0", ia)
 	}
 }

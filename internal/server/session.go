@@ -9,10 +9,12 @@ import (
 	"hash/maphash"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/txn"
@@ -393,44 +395,127 @@ func (ss *session) cmdStats() {
 // Dead entries (aborted writers, superseded versions) are tolerated by
 // readers and reclaimed by the vacuum, never transactionally.
 
-// lookupVisible resolves key to its newest visible version. Multiple
-// visible versions can exist only under concurrent uncoordinated writers
-// (the engine has no write-write locking); the highest TID — the latest
-// heap placement — wins deterministically.
-//
-// The index scan ends at the successor of the largest entry the key could
-// own. Every entry in that range starts with key, so what the scan copies out
-// of the leaf is the key's versions (and the entries of longer keys that sort
-// among them, told apart by their length), not the rest of the leaf; and when
-// there are two versions or more, their heap pages are read together.
+// version is what a lookup found of one key: its newest visible version,
+// if any.
+type version struct {
+	tid   heap.TID
+	val   []byte
+	found bool
+}
+
+// lookupVisible resolves key to its newest visible version: the resolver
+// below, for one key.
 func (s *Server) lookupVisible(key []byte) (heap.TID, []byte, bool, error) {
-	// One variable for the callback to capture: one allocation, not three.
-	var best struct {
-		tid   heap.TID
-		val   []byte
-		found bool
-	}
-	end := make([]byte, len(key)+tidLen+1)
-	for i := copy(end, key); i < len(key)+tidLen; i++ {
-		end[i] = 0xFF
-	}
-	err := s.idx.ScanAhead(s.rel, key, end, 0, func(e []byte, tid heap.TID) bool {
-		if len(e) != len(key)+tidLen {
-			return true // a longer key's
+	r := s.newResolver([][]byte{key})
+	v, err := r.next()
+	return v.tid, v.val, v.found, err
+}
+
+// A resolver finds the newest visible version of each of its keys in turn.
+// Multiple visible versions can exist only under concurrent uncoordinated
+// writers (the engine has no write-write locking); the highest TID — the
+// latest heap placement — wins deterministically. A nil key is not looked
+// up: its version is not found.
+//
+// A key's versions are its entries in the index scan that ends at the
+// successor of the largest entry the key could own. Every entry in that range
+// starts with the key, so what the scan copies out of the leaf is the key's
+// versions (and the entries of longer keys that sort among them, told apart
+// by their length), not the rest of the leaf.
+//
+// Many keys are resolved in one windowed pass, W = buffer.FlushWorkers keys
+// ahead, so that their cold pages are read together rather than one after
+// another: the leaves of keys j+1…j+W are hinted before key j's entries are
+// collected, each hint covering the keys that fall inside its leaf's bounds;
+// the heap pages of key j's versions are hinted as they are collected; and
+// key j is handed out W keys later, its pages having arrived meanwhile. A
+// caller that writes as soon as it has a key's version finds the old
+// version's page still resident. With one key nothing is hinted but the
+// pages of its second and later versions, which are read together with the
+// first.
+type resolver struct {
+	s      *Server
+	heap   *buffer.Pool
+	keys   [][]byte
+	tids   []heap.TID // the versions collected so far, key after key
+	from   []int      // key j's versions are tids[from[j]:from[j+1]]
+	end    []byte     // the bound of the key being collected
+	lo, hi []byte     // the bounds of the leaf hinted last
+	hinted bool
+	leaves int // keys whose leaf has been hinted or found covered
+	done   int // keys next has handed out
+}
+
+// newResolver returns a value, not a pointer, so that a GET's resolver stays
+// on the stack: only its slices come from the heap.
+func (s *Server) newResolver(keys [][]byte) resolver {
+	return resolver{s: s, heap: s.rel.Heap().Pool(), keys: keys, from: make([]int, 1, len(keys)+1), leaves: 1}
+}
+
+// next returns the version of the next key, after moving the window: the
+// versions of every key up to W ahead of it are collected.
+func (r *resolver) next() (version, error) {
+	const w = buffer.FlushWorkers
+	i := r.done
+	for j := len(r.from) - 1; j < len(r.keys) && j <= i+w; j++ {
+		r.hintLeaves(j + w)
+		if err := r.collect(j); err != nil {
+			return version{}, err
 		}
-		data, err := s.rel.Fetch(tid)
+	}
+	r.done++
+	var v version
+	for _, tid := range r.tids[r.from[i]:r.from[i+1]] {
+		data, err := r.s.rel.Fetch(tid)
 		if err != nil {
-			return true // dead or invisible version
+			continue // dead or invisible version
 		}
-		if !best.found || tidLess(best.tid, tid) {
-			best.tid, best.val, best.found = tid, data, true
+		if !v.found || tidLess(v.tid, tid) {
+			v = version{tid, data, true}
 		}
-		return true
-	})
-	if err != nil {
-		return heap.TID{}, nil, false, err
 	}
-	return best.tid, best.val, best.found, nil
+	return v, nil
+}
+
+// hintLeaves hints the leaves of the keys up to upto that no hint covers yet.
+func (r *resolver) hintLeaves(upto int) {
+	for ; r.leaves < len(r.keys) && r.leaves <= upto; r.leaves++ {
+		k := r.keys[r.leaves]
+		if k == nil || r.hinted && bytes.Compare(k, r.lo) >= 0 && (r.hi == nil || bytes.Compare(k, r.hi) < 0) {
+			continue
+		}
+		if lo, hi, ok := r.s.idx.HintLeaf(k); ok {
+			r.lo, r.hi, r.hinted = lo, hi, true
+		}
+	}
+}
+
+// collect scans key j's index entries for its versions and hints their heap
+// pages.
+func (r *resolver) collect(j int) error {
+	if key := r.keys[j]; key != nil {
+		r.end = append(slices.Grow(r.end[:0], len(key)+tidLen+1), key...)
+		for range tidLen {
+			r.end = append(r.end, 0xFF)
+		}
+		r.end = append(r.end, 0)
+		err := r.s.idx.Scan(key, r.end, func(e []byte, tid heap.TID) bool {
+			if len(e) == len(key)+tidLen { // not a longer key's
+				r.tids = append(r.tids, tid)
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		for n, tid := range r.tids[r.from[j]:] {
+			if n > 0 || len(r.keys) > 1 {
+				r.heap.Hint(tid.PageNo)
+			}
+		}
+	}
+	r.from = append(r.from, len(r.tids))
+	return nil
 }
 
 func tidLess(a, b heap.TID) bool {
@@ -461,32 +546,36 @@ func (s *Server) put(tx *core.Txn, key, value []byte) error {
 	return s.idx.InsertTID(tx, core.MakeUnique(key, tid), tid)
 }
 
-// putBatch is put over many pairs: each pair resolves its visible version
-// and writes its heap tuple individually, then every index entry lands in
-// one InsertTIDBatch. MakeUnique appends the tuple's TID, so the batch's
-// index keys are distinct even when user keys repeat within it. A repeat
-// cannot resolve its predecessor through the index — that entry is not in
-// yet, and the version is not committed — so it updates from the TID the
-// batch itself wrote for the key: the last value wins and one version is
-// visible after commit.
+// putBatch is put over many pairs: the pairs resolve their visible versions
+// in one resolver pass and each writes its heap tuple as soon as its version
+// is known, then every index entry lands in one InsertTIDBatch. MakeUnique
+// appends the tuple's TID, so the batch's index keys are distinct even when
+// user keys repeat within it. A repeat cannot resolve its predecessor through
+// the index — that entry is not in yet, and the version is not committed —
+// so it is not looked up and updates from the TID the batch itself wrote for
+// the key: the last value wins and one version is visible after commit.
 func (s *Server) putBatch(tx *core.Txn, keys, values [][]byte) error {
 	ikeys := make([][]byte, len(keys))
 	tids := make([]heap.TID, len(keys))
 	prior := sameKeyBefore(keys)
+	lookup := make([][]byte, len(keys))
+	for i, j := range prior {
+		if j < 0 {
+			lookup[i] = keys[i]
+		}
+	}
+	r := s.newResolver(lookup)
 	for i := range keys {
-		var (
-			old    heap.TID
-			exists bool
-			err    error
-		)
-		if j := prior[i]; j >= 0 {
-			old, exists = tids[j], true
-		} else if old, _, exists, err = s.lookupVisible(keys[i]); err != nil {
+		v, err := r.next()
+		if err != nil {
 			return err
 		}
+		if j := prior[i]; j >= 0 {
+			v.tid, v.found = tids[j], true
+		}
 		var tid heap.TID
-		if exists {
-			tid, err = s.rel.Update(tx, old, values[i])
+		if v.found {
+			tid, err = s.rel.Update(tx, v.tid, values[i])
 		} else {
 			tid, err = s.rel.Insert(tx, values[i])
 		}
