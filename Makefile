@@ -48,11 +48,13 @@ repair-coverage:
 
 # The degraded-mode gate: quarantine registry semantics, skip-and-report
 # scans, supervisor heal/rebuild, and the health-state machine — including
-# the counter-backed Healthy -> Degraded -> Healthy acceptance scenario.
+# the counter-backed Healthy -> Degraded -> Healthy acceptance scenario — and
+# a quarantined heap page answered as such over TCP, never as a missing key.
 quarantine:
 	$(GO) test ./internal/buffer -run 'TestRetryExhausted|TestZeroRoute|TestMetaPageQuarantine|TestQuarantineBackoff|TestNewPageReleases'
 	$(GO) test ./internal/btree -run 'TestDegradedScan|TestHealQuarantined'
 	$(GO) test ./internal/core -run 'TestHealth|TestSupervisor'
+	$(GO) test ./internal/server -run TestServerQuarantinedHeapPage
 
 # Crash-during-recovery hardening: the in-process idempotence tests plus a
 # few fastrec-crash rounds that crash again while repair is in flight.
@@ -96,12 +98,14 @@ shard-smoke:
 	$(GO) test -race ./internal/server -run TestServerShard
 
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
-# hit and a no-split insert must not touch the heap), batched inserts racing
-# point inserts under the race detector, the scan-resistant eviction tests
-# (including the exact legacy-clock fallback for tiny stripes), and the
-# batched MPUT verb end to end over TCP.
+# hit and a no-split insert must not touch the heap) and the allocation bound
+# of a warm KV GET, batched inserts racing point inserts under the race
+# detector, the scan-resistant eviction tests (including the exact
+# legacy-clock fallback for tiny stripes), and the batched MPUT verb end to
+# end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
+	$(GO) test ./internal/server -run TestKVGetAllocs
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
 	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool'
 	$(GO) test -race ./internal/server -run TestServerMput

@@ -448,7 +448,7 @@ func (r *Relation) FetchAsOf(tid heap.TID, asOf heap.XID) ([]byte, error) {
 // by appending the tuple identifier, as POSTGRES does with <value,
 // object_id> keys (§2).
 func MakeUnique(key []byte, tid heap.TID) []byte {
-	out := make([]byte, 0, len(key)+tidLen)
+	out := make([]byte, 0, len(key)+heap.TIDLen)
 	out = append(out, key...)
 	return append(out, tid.Bytes()...)
 }

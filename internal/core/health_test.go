@@ -310,6 +310,23 @@ func TestHealthReadOnlyAndFailed(t *testing.T) {
 	}
 }
 
+// TestHealthFetchQuarantinedHeapPage: a tuple on a heap page the pool will
+// not serve fails with ErrQuarantined, not ErrNoSuchTuple, so that no reader
+// takes it for a dead version; released, the page serves it again.
+func TestHealthFetchQuarantinedHeapPage(t *testing.T) {
+	db, _, rel, _, tids := buildFaultyDB(t, obs.New(64), 10, 1)
+	defer db.Close()
+	p := rel.Heap().Pool()
+	p.QuarantinePage(tids[0].PageNo, "test: unreadable heap page", false)
+	if _, err := rel.Fetch(tids[0]); !errors.Is(err, ErrQuarantined) || errors.Is(err, ErrNoSuchTuple) {
+		t.Fatalf("Fetch on a quarantined heap page: %v, want ErrQuarantined and not ErrNoSuchTuple", err)
+	}
+	p.ReleaseQuarantine(tids[0].PageNo)
+	if data, err := rel.Fetch(tids[0]); err != nil || !bytes.Equal(data, healthKey(0)) {
+		t.Fatalf("Fetch after release: %q, %v", data, err)
+	}
+}
+
 // TestSupervisorGoroutineHealsHeapPage: the background goroutine (not a
 // manual SuperviseOnce) re-probes a quarantined heap page whose durable
 // image is intact and releases it, promoting the DB back to Healthy.

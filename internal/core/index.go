@@ -404,7 +404,7 @@ func (r *Relation) newLookAhead(rows int) btree.LookAhead {
 	entries:
 		for _, e := range leaf {
 			if counted {
-				if key := e.Key[:max(0, len(e.Key)-tidLen)]; row == nil || !bytes.Equal(key, row) {
+				if key := e.Key[:max(0, len(e.Key)-heap.TIDLen)]; row == nil || !bytes.Equal(key, row) {
 					if rows == 0 {
 						return false
 					}
@@ -428,9 +428,6 @@ func (r *Relation) newLookAhead(rows int) btree.LookAhead {
 		return true
 	}
 }
-
-// tidLen is the length of the suffix MakeUnique appends.
-const tidLen = 6
 
 // ScanDegraded visits index entries in [start, end) like Scan, but steps
 // over quarantined subtrees instead of failing, reporting each skipped key

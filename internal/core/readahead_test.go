@@ -138,7 +138,7 @@ func (s *kv) get(t *testing.T, key []byte) (val []byte) {
 	t.Helper()
 	end := append(append([]byte(nil), key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0)
 	err := s.ix.ScanAhead(s.rel, key, end, 0, func(e []byte, tid heap.TID) bool {
-		if data, err := s.rel.Fetch(tid); err == nil && len(e) == len(key)+tidLen {
+		if data, err := s.rel.Fetch(tid); err == nil && len(e) == len(key)+heap.TIDLen {
 			val = data
 		}
 		return true

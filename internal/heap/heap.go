@@ -30,17 +30,22 @@ type TID struct {
 	Slot   uint16
 }
 
-// Bytes encodes the TID in 6 bytes for storage in an index leaf.
+// TIDLen is the length of an encoded TID, and so of the suffix
+// core.MakeUnique appends to a key.
+const TIDLen = 6
+
+// Bytes encodes the TID in TIDLen bytes for storage in an index leaf.
 func (t TID) Bytes() []byte {
-	return []byte{
+	b := [TIDLen]byte{
 		byte(t.PageNo), byte(t.PageNo >> 8), byte(t.PageNo >> 16), byte(t.PageNo >> 24),
 		byte(t.Slot), byte(t.Slot >> 8),
 	}
+	return b[:]
 }
 
-// ParseTID decodes a 6-byte TID.
+// ParseTID decodes a TIDLen-byte TID.
 func ParseTID(b []byte) (TID, error) {
-	if len(b) != 6 {
+	if len(b) != TIDLen {
 		return TID{}, fmt.Errorf("heap: TID of %d bytes", len(b))
 	}
 	return TID{
@@ -324,10 +329,13 @@ func (r *Relation) NumPages() storage.PageNo {
 	return n
 }
 
+// rawTuple copies out the item at tid. A page the pool will not serve (a
+// quarantined one, a failed read) is an error of its own, not a missing
+// tuple; a page past the end of the file is served zeroed and so names none.
 func (r *Relation) rawTuple(tid TID) ([]byte, error) {
 	f, err := r.pool.Get(tid.PageNo)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v (%v)", ErrNoSuchTuple, tid, err)
+		return nil, fmt.Errorf("heap: tuple %v: %w", tid, err)
 	}
 	defer f.Unpin()
 	f.RLatch()

@@ -76,12 +76,12 @@ func TestServerMput(t *testing.T) {
 func visibleVersions(t *testing.T, srv *Server, key string) int {
 	t.Helper()
 	n := 0
-	err := srv.idx.Scan([]byte(key), nil, func(e []byte, tid heap.TID) bool {
+	err := srv.kv.idx.Scan([]byte(key), nil, func(e []byte, tid heap.TID) bool {
 		if !bytes.HasPrefix(e, []byte(key)) {
 			return false
 		}
-		if len(e) == len(key)+tidLen {
-			if _, err := srv.rel.Fetch(tid); err == nil {
+		if len(e) == len(key)+heap.TIDLen {
+			if _, err := srv.kv.rel.Fetch(tid); err == nil {
 				n++
 			}
 		}

@@ -17,17 +17,6 @@ import (
 
 func kvKey(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 
-// autocommit runs fn in a transaction of its own and commits it, as a session
-// runs a request outside BEGIN.
-func autocommit(db *core.DB, fn func(tx *core.Txn) error) error {
-	tx := db.Begin()
-	if err := fn(tx); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}
-
 // openKV opens a server over store as fastrec-server does, with pools of pool
 // frames (0: the default) and the flush daemon off, and waits for its bound
 // walk.
@@ -42,7 +31,7 @@ func openKV(t *testing.T, store core.Storage, pool int) (*core.DB, *Server, *obs
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.idx.Tree().AwaitBound(); err != nil {
+	if err := srv.kv.idx.Tree().AwaitBound(); err != nil {
 		t.Fatal(err)
 	}
 	return db, srv, rec
@@ -60,7 +49,7 @@ func loadedKV(t *testing.T, n int) (core.Storage, *core.DB) {
 			keys = append(keys, kvKey(i))
 			vals = append(vals, []byte(fmt.Sprintf("%-100d", i)))
 		}
-		if err := autocommit(db, func(tx *core.Txn) error { return srv.putBatch(tx, keys, vals) }); err != nil {
+		if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.PutBatch(tx, keys, vals) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,10 +79,10 @@ func mputPairs(n int) (keys, vals [][]byte) {
 }
 
 // singlePuts writes the pairs as one PUT each, every one its own transaction.
-func singlePuts(t *testing.T, db *core.DB, srv *Server, keys, vals [][]byte) {
+func singlePuts(t *testing.T, srv *Server, keys, vals [][]byte) {
 	t.Helper()
 	for i := range keys {
-		if err := autocommit(db, func(tx *core.Txn) error { return srv.put(tx, keys[i], vals[i]) }); err != nil {
+		if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.Put(tx, keys[i], vals[i]) }); err != nil {
 			t.Fatalf("PUT %s: %v", keys[i], err)
 		}
 	}
@@ -102,16 +91,16 @@ func singlePuts(t *testing.T, db *core.DB, srv *Server, keys, vals [][]byte) {
 // sameState fails unless a and b answer a SCAN of every key alike.
 func sameState(t *testing.T, a, b *Server, n int) {
 	t.Helper()
-	ra, err := a.scanVisible(nil, nil, n+1)
+	ra, err := a.kv.Scan(nil, nil, n+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.scanVisible(nil, nil, n+1)
+	rb, err := b.kv.Scan(nil, nil, n+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.EqualFunc(ra, rb, func(x, y kvRow) bool {
-		return string(x.key) == string(y.key) && string(x.val) == string(y.val)
+	if !slices.EqualFunc(ra, rb, func(x, y Row) bool {
+		return string(x.Key) == string(y.Key) && string(x.Value) == string(y.Value)
 	}) || len(ra) != n {
 		t.Fatalf("SCAN of every key: %d rows after the MPUT, %d after the single PUTs, want %d alike", len(ra), len(rb), n)
 	}
@@ -134,15 +123,15 @@ func coldMput(t *testing.T, store core.Storage, keys, vals [][]byte) (core.Stora
 	}
 	c := &storage.IOCounter{Linger: 5 * time.Millisecond}
 	db, srv, rec := openKV(t, core.Counted(img, c), 64)
-	srv.idx.Tree().Pool().InvalidateAll()
-	srv.rel.Heap().Pool().InvalidateAll()
+	srv.kv.idx.Tree().Pool().InvalidateAll()
+	srv.kv.rel.Heap().Pool().InvalidateAll()
 	c.Reset()
-	if err := autocommit(db, func(tx *core.Txn) error { return srv.putBatch(tx, keys, vals) }); err != nil {
+	if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.PutBatch(tx, keys, vals) }); err != nil {
 		t.Fatal(err)
 	}
 	// Let the reads of hints nobody took over land before counting.
-	srv.idx.Tree().Pool().StopHints()
-	srv.rel.Heap().Pool().StopHints()
+	srv.kv.idx.Tree().Pool().StopHints()
+	srv.kv.rel.Heap().Pool().StopHints()
 	counted := ioCounts{c.Reads(), c.Writes(), c.Syncs(), c.Waves(), c.Peak()}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -167,7 +156,7 @@ func TestMputOverlapsReads(t *testing.T) {
 
 	refDB, ref, _ := openKV(t, cloneStore(store), 64)
 	defer refDB.Close()
-	singlePuts(t, refDB, ref, keys, vals)
+	singlePuts(t, ref, keys, vals)
 
 	img, c, rec := coldMput(t, store, keys, vals)
 	t.Logf("cold MPUT-32: %d reads, %d writes, %d syncs in %d waves, at most %d in flight; %d hints, %d dropped",
@@ -205,19 +194,19 @@ func TestResidentMputStartsNothing(t *testing.T) {
 	defer db.Close()
 	keys, vals := mputPairs(n)
 	mput := func() {
-		if err := autocommit(db, func(tx *core.Txn) error { return srv.putBatch(tx, keys, vals) }); err != nil {
+		if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.PutBatch(tx, keys, vals) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Bring in every heap page and what a first MPUT needs beyond them.
-	if rows, err := srv.scanVisible(nil, nil, n); err != nil || len(rows) != n {
+	if rows, err := srv.kv.Scan(nil, nil, n); err != nil || len(rows) != n {
 		t.Fatalf("%d rows, %v", len(rows), err)
 	}
 	mput()
 	// Join the reads that started: from here on, a hint for a page that is
 	// not resident would be counted as dropped.
-	srv.rel.Heap().Pool().StopHints()
-	srv.idx.Tree().Pool().StopHints()
+	srv.kv.rel.Heap().Pool().StopHints()
+	srv.kv.idx.Tree().Pool().StopHints()
 	issued, dropped := rec.Get(obs.HintIssued), rec.Get(obs.HintDropped)
 	c.Reset()
 	before := runtime.NumGoroutine()
@@ -261,12 +250,12 @@ func TestPostCrashMputMatchesPuts(t *testing.T) {
 	c := &storage.IOCounter{}
 	probeDB, probe, _ := openKV(t, core.Counted(cloneStore(store), c), 0)
 	leafOf := func(k int) storage.PageNo {
-		tid, _, ok, err := probe.lookupVisible(kvKey(k))
+		tid, _, ok, err := probe.kv.lookup(kvKey(k))
 		if err != nil || !ok {
 			t.Fatalf("%s: %v %v", kvKey(k), ok, err)
 		}
-		probe.idx.Tree().Pool().InvalidateAll()
-		if _, err := probe.idx.LookupTID(core.MakeUnique(kvKey(k), tid)); err != nil {
+		probe.kv.idx.Tree().Pool().InvalidateAll()
+		if _, err := probe.kv.idx.LookupTID(core.MakeUnique(kvKey(k), tid)); err != nil {
 			t.Fatal(err)
 		}
 		return c.LastRead()
@@ -314,13 +303,13 @@ func TestPostCrashMputMatchesPuts(t *testing.T) {
 	defer mdb.Close()
 	pdb, psrv, prec := openKV(t, cloneStore(store), 64)
 	defer pdb.Close()
-	singlePuts(t, pdb, psrv, keys, vals)
+	singlePuts(t, psrv, keys, vals)
 	if m, p := mrec.Get(obs.RepairPeer), prec.Get(obs.RepairPeer); m != p || m != uint64(len(keys)) {
 		t.Fatalf("peer repairs: %d by the MPUT, %d by the single PUTs, want %d each", m, p, len(keys))
 	}
 	sameState(t, msrv, psrv, n)
 	for _, srv := range []*Server{msrv, psrv} {
-		if err := srv.idx.Tree().Check(btree.CheckStrict); err != nil {
+		if err := srv.kv.idx.Tree().Check(btree.CheckStrict); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,9 +59,8 @@ type Options struct {
 
 // Server serves the KV protocol over a core.DB.
 type Server struct {
-	db  *core.DB
-	rel *core.Relation
-	idx *core.Index
+	db *core.DB // for BEGIN and STATS; the store itself is kv's
+	kv *KV
 
 	drainTimeout time.Duration
 
@@ -96,13 +95,16 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	}
 	return &Server{
 		db:           db,
-		rel:          rel,
-		idx:          idx,
+		kv:           &KV{db: db, rel: rel, idx: idx},
 		drainTimeout: opts.DrainTimeout,
 		conns:        make(map[net.Conn]struct{}),
 		quit:         make(chan struct{}),
 	}, nil
 }
+
+// KV returns the store the server serves, for callers that drive its
+// semantics without the wire.
+func (s *Server) KV() *KV { return s.kv }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting sessions in
 // the background. The bound address is available via Addr.

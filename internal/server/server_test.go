@@ -464,7 +464,7 @@ func TestServerDropsTruncatedPartialLineOnDrain(t *testing.T) {
 		t.Fatalf("graceful Close: %v", err)
 	}
 
-	_, _, found, err := srv.lookupVisible([]byte("trunc"))
+	_, found, err := srv.kv.Get([]byte("trunc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestServerServesFinalLineOnCleanEOF(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, val, found, err := srv.lookupVisible([]byte("eof"))
+		val, found, err := srv.kv.Get([]byte("eof"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,7 +572,7 @@ func TestScanPrefixInterleavedKeys(t *testing.T) {
 	}
 	cl.expect("PUT a short", "OK")
 
-	tid, _, found, err := srv.lookupVisible([]byte("a"))
+	tid, _, found, err := srv.kv.lookup([]byte("a"))
 	if err != nil || !found {
 		t.Fatalf("lookup of key a: found=%v err=%v", found, err)
 	}
@@ -617,6 +617,38 @@ func TestScanPrefixInterleavedKeys(t *testing.T) {
 		if rows[i] != want[i] {
 			t.Fatalf("SCAN row %d = %q, want %q (all: %q)", i, rows[i], want[i], rows)
 		}
+	}
+}
+
+// TestServerQuarantinedHeapPage: a heap page the pool refuses to serve is
+// reported as what it is, never as a missing key. GET, DEL and SCAN of a key
+// whose versions sit on a quarantined page reply "ERR quarantined", and a PUT
+// writes no second live version beside the one it cannot read. Released, the
+// page serves the key's newest version again.
+func TestServerQuarantinedHeapPage(t *testing.T) {
+	db, srv := newTestServer(t, core.Memory())
+	defer db.Close()
+	defer srv.Close()
+	cl := dial(t, srv)
+
+	cl.expect("PUT alpha one", "OK")
+	cl.expect("PUT alpha two", "OK")
+	pool := srv.kv.rel.Heap().Pool()
+	pool.QuarantinePage(1, "test: unreadable heap page", false)
+	if got := db.Health(); got != core.Degraded {
+		t.Fatalf("health = %v, want degraded", got)
+	}
+	cl.expectPrefix("GET alpha", "ERR quarantined ")
+	cl.expectPrefix("DEL alpha", "ERR quarantined ")
+	cl.expectPrefix("PUT alpha three", "ERR quarantined ")
+	if rows, final := cl.scan("SCAN - - 10"); len(rows) != 0 || !strings.HasPrefix(final, "ERR quarantined ") {
+		t.Fatalf("SCAN over a quarantined heap page: rows=%v final=%q", rows, final)
+	}
+
+	pool.ReleaseQuarantine(1)
+	cl.expect("GET alpha", "OK two")
+	if rows, final := cl.scan("SCAN - - 10"); final != "OK 1" || len(rows) != 1 || rows[0] != "alpha two" {
+		t.Fatalf("SCAN after release: rows=%v final=%q", rows, final)
 	}
 }
 

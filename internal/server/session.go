@@ -2,27 +2,17 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"net"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/heap"
 	"repro/internal/txn"
 )
-
-// tidLen is the byte length of an encoded heap.TID, the suffix MakeUnique
-// appends to turn a user key into a unique index key.
-var tidLen = len(heap.TID{}.Bytes())
 
 const (
 	maxLine     = 1 << 20 // longest accepted request line
@@ -211,20 +201,6 @@ func (ss *session) cmdAbort() {
 	ss.reply("OK %d", tx.XID())
 }
 
-// withTxn runs fn under the session transaction, or under a fresh
-// autocommit transaction that commits (or aborts on error) around it.
-func (ss *session) withTxn(fn func(tx *core.Txn) error) error {
-	if ss.tx != nil {
-		return fn(ss.tx)
-	}
-	tx := ss.srv.db.Begin()
-	if err := fn(tx); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}
-
 func (ss *session) cmdPut(rest string) {
 	i := strings.IndexByte(rest, ' ')
 	if rest == "" || i <= 0 || i == len(rest)-1 {
@@ -232,7 +208,7 @@ func (ss *session) cmdPut(rest string) {
 		return
 	}
 	key, value := []byte(rest[:i]), []byte(rest[i+1:])
-	err := ss.withTxn(func(tx *core.Txn) error { return ss.srv.put(tx, key, value) })
+	err := ss.srv.kv.WithTxn(ss.tx, func(tx *core.Txn) error { return ss.srv.kv.Put(tx, key, value) })
 	if err != nil {
 		ss.fail(err)
 		return
@@ -257,7 +233,7 @@ func (ss *session) cmdMput(rest string) {
 		keys[i] = []byte(fields[2*i])
 		values[i] = []byte(fields[2*i+1])
 	}
-	err := ss.withTxn(func(tx *core.Txn) error { return ss.srv.putBatch(tx, keys, values) })
+	err := ss.srv.kv.WithTxn(ss.tx, func(tx *core.Txn) error { return ss.srv.kv.PutBatch(tx, keys, values) })
 	if err != nil {
 		ss.fail(err)
 		return
@@ -270,7 +246,7 @@ func (ss *session) cmdGet(rest string) {
 		ss.reply("ERR usage GET <key>")
 		return
 	}
-	_, val, ok, err := ss.srv.lookupVisible([]byte(rest))
+	val, ok, err := ss.srv.kv.Get([]byte(rest))
 	if err != nil {
 		ss.fail(err)
 		return
@@ -288,9 +264,9 @@ func (ss *session) cmdDel(rest string) {
 		return
 	}
 	found := false
-	err := ss.withTxn(func(tx *core.Txn) error {
+	err := ss.srv.kv.WithTxn(ss.tx, func(tx *core.Txn) error {
 		var err error
-		found, err = ss.srv.del(tx, []byte(rest))
+		found, err = ss.srv.kv.Del(tx, []byte(rest))
 		return err
 	})
 	if err != nil {
@@ -326,13 +302,13 @@ func (ss *session) cmdScan(rest string) {
 		}
 		limit = n
 	}
-	rows, err := ss.srv.scanVisible(lo, hi, limit)
+	rows, err := ss.srv.kv.Scan(lo, hi, limit)
 	if err != nil {
 		ss.fail(err)
 		return
 	}
 	for _, r := range rows {
-		ss.reply("ROW %s %s", r.key, r.val)
+		ss.reply("ROW %s %s", r.Key, r.Value)
 	}
 	ss.reply("OK %d", len(rows))
 }
@@ -374,9 +350,9 @@ func (ss *session) cmdStats() {
 		"hints_dropped": snap.Counters["hint.dropped"],
 		"hints_wasted":  snap.Counters["hint.wasted"],
 	}
-	if idx := ss.srv.idx; idx.Shards() > 1 {
-		stats["shards"] = idx.Shards()
-		stats["shard_stats"] = idx.ShardStats()
+	if st := ss.srv.kv.shardStats(); st != nil {
+		stats["shards"] = len(st)
+		stats["shard_stats"] = st
 	}
 	b, err := json.Marshal(stats)
 	if err != nil {
@@ -384,352 +360,4 @@ func (ss *session) cmdStats() {
 		return
 	}
 	ss.reply("OK %s", b)
-}
-
-// --- KV semantics over the heap + index ----------------------------------
-//
-// The index holds <user key, TID> made unique POSTGRES-style by appending
-// the 6-byte tuple identifier (core.MakeUnique, §2). A user key therefore
-// owns a contiguous run of index entries — one per tuple version — and
-// tuple visibility against the status table decides which one is current.
-// Dead entries (aborted writers, superseded versions) are tolerated by
-// readers and reclaimed by the vacuum, never transactionally.
-
-// version is what a lookup found of one key: its newest visible version,
-// if any.
-type version struct {
-	tid   heap.TID
-	val   []byte
-	found bool
-}
-
-// lookupVisible resolves key to its newest visible version: the resolver
-// below, for one key.
-func (s *Server) lookupVisible(key []byte) (heap.TID, []byte, bool, error) {
-	r := s.newResolver([][]byte{key})
-	v, err := r.next()
-	return v.tid, v.val, v.found, err
-}
-
-// A resolver finds the newest visible version of each of its keys in turn.
-// Multiple visible versions can exist only under concurrent uncoordinated
-// writers (the engine has no write-write locking); the highest TID — the
-// latest heap placement — wins deterministically. A nil key is not looked
-// up: its version is not found.
-//
-// A key's versions are its entries in the index scan that ends at the
-// successor of the largest entry the key could own. Every entry in that range
-// starts with the key, so what the scan copies out of the leaf is the key's
-// versions (and the entries of longer keys that sort among them, told apart
-// by their length), not the rest of the leaf.
-//
-// Many keys are resolved in one windowed pass, W = buffer.FlushWorkers keys
-// ahead, so that their cold pages are read together rather than one after
-// another: the leaves of keys j+1…j+W are hinted before key j's entries are
-// collected, each hint covering the keys that fall inside its leaf's bounds;
-// the heap pages of key j's versions are hinted as they are collected; and
-// key j is handed out W keys later, its pages having arrived meanwhile. A
-// caller that writes as soon as it has a key's version finds the old
-// version's page still resident. With one key nothing is hinted but the
-// pages of its second and later versions, which are read together with the
-// first.
-type resolver struct {
-	s      *Server
-	heap   *buffer.Pool
-	keys   [][]byte
-	tids   []heap.TID // the versions collected so far, key after key
-	from   []int      // key j's versions are tids[from[j]:from[j+1]]
-	end    []byte     // the bound of the key being collected
-	lo, hi []byte     // the bounds of the leaf hinted last
-	hinted bool
-	leaves int // keys whose leaf has been hinted or found covered
-	done   int // keys next has handed out
-}
-
-// newResolver returns a value, not a pointer, so that a GET's resolver stays
-// on the stack: only its slices come from the heap.
-func (s *Server) newResolver(keys [][]byte) resolver {
-	return resolver{s: s, heap: s.rel.Heap().Pool(), keys: keys, from: make([]int, 1, len(keys)+1), leaves: 1}
-}
-
-// next returns the version of the next key, after moving the window: the
-// versions of every key up to W ahead of it are collected.
-func (r *resolver) next() (version, error) {
-	const w = buffer.FlushWorkers
-	i := r.done
-	for j := len(r.from) - 1; j < len(r.keys) && j <= i+w; j++ {
-		r.hintLeaves(j + w)
-		if err := r.collect(j); err != nil {
-			return version{}, err
-		}
-	}
-	r.done++
-	var v version
-	for _, tid := range r.tids[r.from[i]:r.from[i+1]] {
-		data, err := r.s.rel.Fetch(tid)
-		if err != nil {
-			continue // dead or invisible version
-		}
-		if !v.found || tidLess(v.tid, tid) {
-			v = version{tid, data, true}
-		}
-	}
-	return v, nil
-}
-
-// hintLeaves hints the leaves of the keys up to upto that no hint covers yet.
-func (r *resolver) hintLeaves(upto int) {
-	for ; r.leaves < len(r.keys) && r.leaves <= upto; r.leaves++ {
-		k := r.keys[r.leaves]
-		if k == nil || r.hinted && bytes.Compare(k, r.lo) >= 0 && (r.hi == nil || bytes.Compare(k, r.hi) < 0) {
-			continue
-		}
-		if lo, hi, ok := r.s.idx.HintLeaf(k); ok {
-			r.lo, r.hi, r.hinted = lo, hi, true
-		}
-	}
-}
-
-// collect scans key j's index entries for its versions and hints their heap
-// pages.
-func (r *resolver) collect(j int) error {
-	if key := r.keys[j]; key != nil {
-		r.end = append(slices.Grow(r.end[:0], len(key)+tidLen+1), key...)
-		for range tidLen {
-			r.end = append(r.end, 0xFF)
-		}
-		r.end = append(r.end, 0)
-		err := r.s.idx.Scan(key, r.end, func(e []byte, tid heap.TID) bool {
-			if len(e) == len(key)+tidLen { // not a longer key's
-				r.tids = append(r.tids, tid)
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		for n, tid := range r.tids[r.from[j]:] {
-			if n > 0 || len(r.keys) > 1 {
-				r.heap.Hint(tid.PageNo)
-			}
-		}
-	}
-	r.from = append(r.from, len(r.tids))
-	return nil
-}
-
-func tidLess(a, b heap.TID) bool {
-	if a.PageNo != b.PageNo {
-		return a.PageNo < b.PageNo
-	}
-	return a.Slot < b.Slot
-}
-
-// put writes key=value under tx: an update of the current visible version
-// if one exists, an insert otherwise. The new version gets its own index
-// entry; the old entry stays behind pointing at the now-dead version, as
-// the no-overwrite discipline requires.
-func (s *Server) put(tx *core.Txn, key, value []byte) error {
-	old, _, exists, err := s.lookupVisible(key)
-	if err != nil {
-		return err
-	}
-	var tid heap.TID
-	if exists {
-		tid, err = s.rel.Update(tx, old, value)
-	} else {
-		tid, err = s.rel.Insert(tx, value)
-	}
-	if err != nil {
-		return err
-	}
-	return s.idx.InsertTID(tx, core.MakeUnique(key, tid), tid)
-}
-
-// putBatch is put over many pairs: the pairs resolve their visible versions
-// in one resolver pass and each writes its heap tuple as soon as its version
-// is known, then every index entry lands in one InsertTIDBatch. MakeUnique
-// appends the tuple's TID, so the batch's index keys are distinct even when
-// user keys repeat within it. A repeat cannot resolve its predecessor through
-// the index — that entry is not in yet, and the version is not committed —
-// so it is not looked up and updates from the TID the batch itself wrote for
-// the key: the last value wins and one version is visible after commit.
-func (s *Server) putBatch(tx *core.Txn, keys, values [][]byte) error {
-	ikeys := make([][]byte, len(keys))
-	tids := make([]heap.TID, len(keys))
-	prior := sameKeyBefore(keys)
-	lookup := make([][]byte, len(keys))
-	for i, j := range prior {
-		if j < 0 {
-			lookup[i] = keys[i]
-		}
-	}
-	r := s.newResolver(lookup)
-	for i := range keys {
-		v, err := r.next()
-		if err != nil {
-			return err
-		}
-		if j := prior[i]; j >= 0 {
-			v.tid, v.found = tids[j], true
-		}
-		var tid heap.TID
-		if v.found {
-			tid, err = s.rel.Update(tx, v.tid, values[i])
-		} else {
-			tid, err = s.rel.Insert(tx, values[i])
-		}
-		if err != nil {
-			return err
-		}
-		ikeys[i] = core.MakeUnique(keys[i], tid)
-		tids[i] = tid
-	}
-	return s.idx.InsertTIDBatch(tx, ikeys, tids)
-}
-
-// batchSeed seeds sameKeyBefore's hash; any value does.
-var batchSeed = maphash.MakeSeed()
-
-// sameKeyBefore returns, for each key, the index of the nearest earlier
-// equal key, or -1. It runs on every MPUT, nearly always to find nothing, so
-// it probes one flat table of indexes: 2 allocations and 7 µs on a 500-pair
-// load batch, where a map[string] took 504 and 32 µs, 3% of the request.
-func sameKeyBefore(keys [][]byte) []int32 {
-	size := 1
-	for size < 2*len(keys) {
-		size <<= 1
-	}
-	slots := make([]int32, size) // 1 + index of the latest key hashed here; 0 = free
-	prior := make([]int32, len(keys))
-	for i, k := range keys {
-		prior[i] = -1
-		at := int(maphash.Bytes(batchSeed, k) & uint64(size-1))
-		for ; slots[at] != 0; at = (at + 1) & (size - 1) {
-			if j := slots[at] - 1; bytes.Equal(keys[j], k) {
-				prior[i] = j
-				break
-			}
-		}
-		slots[at] = int32(i + 1)
-	}
-	return prior
-}
-
-// del stamps the current visible version dead. The index entry remains;
-// visibility filtering hides it immediately after commit.
-func (s *Server) del(tx *core.Txn, key []byte) (bool, error) {
-	tid, _, exists, err := s.lookupVisible(key)
-	if err != nil || !exists {
-		return false, err
-	}
-	return true, s.rel.Delete(tx, tid)
-}
-
-type kvRow struct{ key, val []byte }
-
-// scanVisible walks user keys in [lo, hi) (nil = open bound), resolving
-// each to its newest visible version, and returns up to limit rows in key
-// order.
-func (s *Server) scanVisible(lo, hi []byte, limit int) ([]kvRow, error) {
-	type cand struct {
-		tid heap.TID
-		val []byte
-	}
-	// best holds a candidate newest version for each of the (up to limit)
-	// smallest in-range keys seen so far; keys mirrors its key set in
-	// sorted order. Keys beyond the limit-th are evicted as smaller ones
-	// arrive — they can never appear in the result.
-	best := make(map[string]cand)
-	var keys []string
-	err := s.idx.ScanAhead(s.rel, lo, nil, limit, func(e []byte, tid heap.TID) bool {
-		if len(e) < tidLen {
-			return true
-		}
-		key := e[:len(e)-tidLen]
-		inRange := (lo == nil || bytes.Compare(key, lo) >= 0) &&
-			(hi == nil || bytes.Compare(key, hi) < 0)
-		if !inRange {
-			// Entries of a user key form the contiguous index range
-			// prefixed by that key, but entries of DIFFERENT keys that
-			// share a prefix interleave: "a"+tid entries straddle every
-			// "a?"+tid run. So an out-of-range entry only ends the scan
-			// once no in-range key could still prefix later entries.
-			if hi != nil && !hasInRangePrefix(e, lo, hi) {
-				return false
-			}
-			return true
-		}
-		ks := string(key)
-		if _, tracked := best[ks]; !tracked && len(keys) == limit && ks > keys[limit-1] {
-			// The result set is full and this key sorts past its largest
-			// member, so it cannot appear in the first limit rows. Keys
-			// are NOT visited in key order (the prefix interleaving
-			// above), so this alone does not end the scan: the only keys
-			// <= keys[limit-1] whose entries can still follow e are
-			// proper prefixes of e — a prefix key's entry run straddles
-			// its extensions' runs, every other key's run is fully
-			// behind us. Once no such prefix could exist, we are done.
-			if !hasPrefixThrough(e, lo, []byte(keys[limit-1])) {
-				return false
-			}
-			return true
-		}
-		data, err := s.rel.Fetch(tid)
-		if err != nil {
-			return true // dead version
-		}
-		if prev, ok := best[ks]; ok {
-			if tidLess(prev.tid, tid) {
-				best[ks] = cand{tid, data}
-			}
-			return true
-		}
-		best[ks] = cand{tid, data}
-		i := sort.SearchStrings(keys, ks)
-		keys = append(keys, "")
-		copy(keys[i+1:], keys[i:])
-		keys[i] = ks
-		if len(keys) > limit {
-			delete(best, keys[limit])
-			keys = keys[:limit]
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]kvRow, 0, len(keys))
-	for _, ks := range keys {
-		rows = append(rows, kvRow{key: []byte(ks), val: best[ks].val})
-	}
-	return rows, nil
-}
-
-// hasInRangePrefix reports whether any proper prefix of index entry e is a
-// user key inside [lo, hi) — conservatively, whether such a key COULD
-// exist: if one does, its remaining entries may still follow e, so the
-// scan must keep going.
-func hasInRangePrefix(e, lo, hi []byte) bool {
-	for n := 0; n < len(e); n++ {
-		p := e[:n]
-		if (lo == nil || bytes.Compare(p, lo) >= 0) && bytes.Compare(p, hi) < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// hasPrefixThrough is hasInRangePrefix with an INCLUSIVE upper bound: could
-// any proper prefix of e be a user key in [lo, ub]? Used for the limit
-// cutoff, where ub — the largest key currently in the result set — is
-// itself still a live candidate.
-func hasPrefixThrough(e, lo, ub []byte) bool {
-	for n := 0; n < len(e); n++ {
-		p := e[:n]
-		if (lo == nil || bytes.Compare(p, lo) >= 0) && bytes.Compare(p, ub) <= 0 {
-			return true
-		}
-	}
-	return false
 }
