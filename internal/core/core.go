@@ -418,7 +418,7 @@ func (r *Relation) Delete(t *Txn, tid heap.TID) error {
 		return err
 	}
 	t.tx.Touch(r.h)
-	return r.h.Delete(tid, t.XID())
+	return r.h.Delete(tid, t.XID(), r.db.mgr)
 }
 
 // Update writes a new version and invalidates the old one.
@@ -427,7 +427,7 @@ func (r *Relation) Update(t *Txn, tid heap.TID, data []byte) (heap.TID, error) {
 		return heap.TID{}, err
 	}
 	t.tx.Touch(r.h)
-	return r.h.Update(tid, t.XID(), data)
+	return r.h.Update(tid, t.XID(), data, r.db.mgr)
 }
 
 // Fetch returns the tuple if visible to current committed state.

@@ -48,7 +48,7 @@ func TestQuickVisibilityModel(t *testing.T) {
 				if versions[i].xmax != 0 {
 					continue
 				}
-				if err := r.Delete(versions[i].tid, xid); err != nil {
+				if err := r.Delete(versions[i].tid, xid, status); err != nil {
 					return false
 				}
 				versions[i].xmax = xid
@@ -97,7 +97,7 @@ func TestQuickTimeTravelMonotone(t *testing.T) {
 		xids = append(xids, x)
 		for i := 1; i < 8; i++ {
 			x += XID(1 + rng.Intn(3))
-			nt, err := r.Update(tids[len(tids)-1], x, []byte{byte(i)})
+			nt, err := r.Update(tids[len(tids)-1], x, []byte{byte(i)}, status)
 			if err != nil {
 				return false
 			}

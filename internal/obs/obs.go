@@ -91,6 +91,7 @@ const (
 	CommitFail     // a commit aborted by a force or status-write failure
 	CommitFanout   // a batch force fanned out over >1 sync domains in parallel
 	CommitTwoPhase // a status append filled its page: successors synced, then the tail page
+	CommitOverlap  // a batch began its force while an earlier batch's status append was pending
 	FlushDaemon    // background checkpoint pass flushed the DB's dirty pages
 
 	// Sharded multi-index router (internal/shard).
@@ -170,6 +171,7 @@ var metricNames = [numMetrics]string{
 	CommitFail:        "commit.fail",
 	CommitFanout:      "commit.fanout",
 	CommitTwoPhase:    "commit.status.twophase",
+	CommitOverlap:     "commit.overlap",
 	FlushDaemon:       "flush.daemon",
 	ShardRecover:      "shard.recover",
 	ShardScan:         "shard.scan",
@@ -217,6 +219,7 @@ const (
 	TBoundWalk                // background allocation-bound walk after btree.Open
 	TCommitQueue              // one committer: joining the queue -> start of the batch that carries it
 	TCommitForce              // the batched force of one commit batch (leader only)
+	TCommitTurn               // a forced batch waiting for its turn to append (leader only)
 	numTimers
 )
 
@@ -228,6 +231,7 @@ var timerNames = [numTimers]string{
 	TBoundWalk:   "open.boundwalk",
 	TCommitQueue: "commit.queue",
 	TCommitForce: "commit.force",
+	TCommitTurn:  "commit.turn",
 }
 
 func (t Timer) String() string {

@@ -2,10 +2,10 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"hash/maphash"
 	"slices"
-	"sort"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -80,11 +80,35 @@ type version struct {
 	found bool
 }
 
-// A resolver finds the newest visible version of each of its keys in turn.
-// Multiple visible versions can exist only under concurrent uncoordinated
-// writers (the engine has no write-write locking); the highest TID — the
-// latest heap placement — wins deterministically. A nil key is not looked
-// up: its version is not found.
+// newest returns the first visible one of a key's versions, given newest
+// first, and fetches none behind it. Multiple visible versions can exist only
+// under concurrent uncoordinated writers (the engine has no write-write
+// locking); the highest TID — the latest heap placement — wins
+// deterministically, and in this order it is the first visible one.
+func (kv *KV) newest(tids []heap.TID) (version, error) {
+	for _, tid := range tids {
+		data, ok, err := kv.fetch(tid)
+		if err != nil {
+			return version{}, err
+		}
+		if ok {
+			return version{tid, data, true}, nil
+		}
+	}
+	return version{}, nil
+}
+
+// newestFirst orders TIDs from the highest down. The index does not keep a
+// key's entries in this order: TID.Bytes is little-endian.
+func newestFirst(a, b heap.TID) int {
+	if c := cmp.Compare(b.PageNo, a.PageNo); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Slot, a.Slot)
+}
+
+// A resolver finds the newest visible version of each of its keys in turn
+// (KV.newest). A nil key is not looked up: its version is not found.
 //
 // A key's versions are its entries in the index scan that ends at the
 // successor of the largest entry the key could own. Every entry in that range
@@ -96,12 +120,11 @@ type version struct {
 // ahead, so that their cold pages are read together rather than one after
 // another: the leaves of keys j+1…j+W are hinted before key j's entries are
 // collected, each hint covering the keys that fall inside its leaf's bounds;
-// the heap pages of key j's versions are hinted as they are collected; and
-// key j is handed out W keys later, its pages having arrived meanwhile. A
-// caller that writes as soon as it has a key's version finds the old
-// version's page still resident. With one key nothing is hinted but the
-// pages of its second and later versions, which are read together with the
-// first.
+// the heap page of key j's newest version is hinted once its entries are
+// collected; and key j is handed out W keys later, that page having arrived
+// meanwhile. A caller that writes as soon as it has a key's version finds the
+// old version's page still resident. With one key nothing is hinted: its
+// newest version is read at once, and usually no other.
 type resolver struct {
 	kv     *KV
 	heap   *buffer.Pool
@@ -133,17 +156,7 @@ func (r *resolver) next() (version, error) {
 		}
 	}
 	r.done++
-	var v version
-	for _, tid := range r.tids[r.from[i]:r.from[i+1]] {
-		data, ok, err := r.kv.fetch(tid)
-		if err != nil {
-			return version{}, err
-		}
-		if ok && (!v.found || tidLess(v.tid, tid)) {
-			v = version{tid, data, true}
-		}
-	}
-	return v, nil
+	return r.kv.newest(r.tids[r.from[i]:r.from[i+1]])
 }
 
 // hintLeaves hints the leaves of the keys up to upto that no hint covers yet.
@@ -159,8 +172,9 @@ func (r *resolver) hintLeaves(upto int) {
 	}
 }
 
-// collect scans key j's index entries for its versions and hints their heap
-// pages.
+// collect scans key j's index entries for its versions, sorts them newest
+// first and, when other keys' reads can overlap it, hints the newest one's
+// heap page.
 func (r *resolver) collect(j int) error {
 	if key := r.keys[j]; key != nil {
 		r.end = append(slices.Grow(r.end[:0], len(key)+heap.TIDLen+1), key...)
@@ -177,21 +191,15 @@ func (r *resolver) collect(j int) error {
 		if err != nil {
 			return err
 		}
-		for n, tid := range r.tids[r.from[j]:] {
-			if n > 0 || len(r.keys) > 1 {
-				r.heap.Hint(tid.PageNo)
+		if vs := r.tids[r.from[j]:]; len(vs) > 0 {
+			slices.SortFunc(vs, newestFirst)
+			if len(r.keys) > 1 {
+				r.heap.Hint(vs[0].PageNo)
 			}
 		}
 	}
 	r.from = append(r.from, len(r.tids))
 	return nil
-}
-
-func tidLess(a, b heap.TID) bool {
-	if a.PageNo != b.PageNo {
-		return a.PageNo < b.PageNo
-	}
-	return a.Slot < b.Slot
 }
 
 // Put writes key=value under tx: an update of the current visible version
@@ -298,24 +306,68 @@ func (kv *KV) Del(tx *core.Txn, key []byte) (bool, error) {
 
 // Scan walks user keys in [lo, hi) (nil = open bound), resolving each to its
 // newest visible version, and returns up to limit rows in key order.
+//
+// A key's entries are all the index holds from key to key‖FF…FF, so they are
+// behind the scan once an entry arrives that does not start with key. Until
+// then the key is pending, collecting its TIDs; then it is resolved, newest
+// first. Entries of the longer keys a key prefixes sort among its own, so
+// several keys can be pending at once, each a prefix of the entry in hand.
 func (kv *KV) Scan(lo, hi []byte, limit int) ([]Row, error) {
-	type cand struct {
-		tid heap.TID
-		val []byte
+	// rows holds the newest visible version of each of the (up to limit)
+	// smallest in-range keys resolved so far, in key order. Keys beyond the
+	// limit-th are dropped as smaller ones arrive — they can never appear in
+	// the result. Once rows is full, past is its last key‖00, the exclusive
+	// upper bound of the keys that can still join it: for byte strings,
+	// p ≤ last ⇔ p < past. pending[:n] are the pending keys; the entries
+	// after them keep their buffers for the next.
+	var (
+		rows    []Row
+		past    []byte
+		pending []pendingKey
+		n       int
+		ferr    error // the fetch error that ended the scan
+	)
+	// settle resolves the pending keys e does not start with, or all of them
+	// when e is nil.
+	settle := func(e []byte) {
+		kept := 0
+		for i := range n {
+			p := &pending[i]
+			if e != nil && bytes.HasPrefix(e, p.key) {
+				pending[kept], pending[i] = pending[i], pending[kept]
+				kept++
+				continue
+			}
+			if ferr != nil {
+				continue
+			}
+			slices.SortFunc(p.tids, newestFirst)
+			v, err := kv.newest(p.tids)
+			if err != nil {
+				ferr = err
+				continue
+			}
+			at, _ := slices.BinarySearchFunc(rows, p.key, func(r Row, k []byte) int { return bytes.Compare(r.Key, k) })
+			if !v.found || at == limit {
+				continue
+			}
+			rows = slices.Insert(rows, at, Row{Key: bytes.Clone(p.key), Value: v.val})
+			if len(rows) > limit {
+				rows = rows[:limit]
+			}
+			if len(rows) == limit {
+				past = append(append(past[:0], rows[limit-1].Key...), 0)
+			}
+		}
+		n = kept
 	}
-	// best holds a candidate newest version for each of the (up to limit)
-	// smallest in-range keys seen so far; keys mirrors its key set in
-	// sorted order. Keys beyond the limit-th are evicted as smaller ones
-	// arrive — they can never appear in the result. Once keys is full, past
-	// is keys[limit-1]‖00, the exclusive upper bound of the keys that can
-	// still join it: for byte strings, p ≤ keys[limit-1] ⇔ p < past.
-	best := make(map[string]cand)
-	var keys []string
-	var past []byte
-	var ferr error // the fetch error that ended the scan
 	err := kv.idx.ScanAhead(kv.rel, lo, nil, limit, func(e []byte, tid heap.TID) bool {
 		if len(e) < heap.TIDLen {
 			return true
+		}
+		settle(e)
+		if ferr != nil {
+			return false
 		}
 		key := e[:len(e)-heap.TIDLen]
 		inRange := (lo == nil || bytes.Compare(key, lo) >= 0) &&
@@ -328,57 +380,47 @@ func (kv *KV) Scan(lo, hi []byte, limit int) ([]Row, error) {
 			// once no in-range key could still prefix later entries.
 			return hi == nil || hasInRangePrefix(e, lo, hi)
 		}
-		ks := string(key)
-		if _, tracked := best[ks]; !tracked && len(keys) == limit && ks > keys[limit-1] {
+		for i := range n {
+			if bytes.Equal(pending[i].key, key) {
+				pending[i].tids = append(pending[i].tids, tid)
+				return true
+			}
+		}
+		if len(rows) == limit && bytes.Compare(key, rows[limit-1].Key) > 0 {
 			// The result set is full and this key sorts past its largest
 			// member, so it cannot appear in the first limit rows. Keys
 			// are NOT visited in key order (the prefix interleaving
 			// above), so this alone does not end the scan: the only keys
-			// <= keys[limit-1] whose entries can still follow e are
+			// <= rows[limit-1] whose entries can still follow e are
 			// proper prefixes of e — a prefix key's entry run straddles
 			// its extensions' runs, every other key's run is fully
 			// behind us. Once no such prefix could exist, we are done.
 			return hasInRangePrefix(e, lo, past)
 		}
-		data, ok, err := kv.fetch(tid)
-		if err != nil {
-			ferr = err
-			return false
+		if n == len(pending) {
+			pending = append(pending, pendingKey{})
 		}
-		if !ok {
-			return true
-		}
-		if prev, ok := best[ks]; ok {
-			if tidLess(prev.tid, tid) {
-				best[ks] = cand{tid, data}
-			}
-			return true
-		}
-		best[ks] = cand{tid, data}
-		i := sort.SearchStrings(keys, ks)
-		keys = append(keys, "")
-		copy(keys[i+1:], keys[i:])
-		keys[i] = ks
-		if len(keys) > limit {
-			delete(best, keys[limit])
-			keys = keys[:limit]
-		}
-		if len(keys) == limit {
-			past = append(append(past[:0], keys[limit-1]...), 0)
-		}
+		p := &pending[n]
+		n++
+		p.key = append(p.key[:0], key...)
+		p.tids = append(p.tids[:0], tid)
 		return true
 	})
 	if err == nil {
+		settle(nil)
 		err = ferr
 	}
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Row, 0, len(keys))
-	for _, ks := range keys {
-		rows = append(rows, Row{Key: []byte(ks), Value: best[ks].val})
-	}
 	return rows, nil
+}
+
+// pendingKey is an in-range key a scan has met whose entries may still
+// follow, and the TIDs of its versions so far.
+type pendingKey struct {
+	key  []byte
+	tids []heap.TID
 }
 
 // hasInRangePrefix reports whether any proper prefix of index entry e is a

@@ -71,26 +71,36 @@ func TestServerMput(t *testing.T) {
 	}
 }
 
-// visibleVersions counts the committed-visible tuple versions the index
-// holds for user key.
-func visibleVersions(t *testing.T, srv *Server, key string) int {
+// versionsOf returns the TIDs of every version the index holds for key.
+func versionsOf(t *testing.T, srv *Server, key string) []heap.TID {
 	t.Helper()
-	n := 0
+	var out []heap.TID
 	err := srv.kv.idx.Scan([]byte(key), nil, func(e []byte, tid heap.TID) bool {
 		if !bytes.HasPrefix(e, []byte(key)) {
 			return false
 		}
 		if len(e) == len(key)+heap.TIDLen {
-			if _, err := srv.kv.rel.Fetch(tid); err == nil {
-				n++
-			}
+			out = append(out, tid)
 		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return out
+}
+
+// visibleVersions fetches every version the index holds for user key and
+// returns the committed-visible ones: the resolver by brute force.
+func visibleVersions(t *testing.T, srv *Server, key string) []version {
+	t.Helper()
+	var out []version
+	for _, tid := range versionsOf(t, srv, key) {
+		if data, err := srv.kv.rel.Fetch(tid); err == nil {
+			out = append(out, version{tid, data, true})
+		}
+	}
+	return out
 }
 
 // TestServerMputRepeatedKey: a key named twice (or more) in one MPUT —
@@ -106,7 +116,7 @@ func TestServerMputRepeatedKey(t *testing.T) {
 	one := func(key, want string) {
 		t.Helper()
 		cl.expect("GET "+key, "OK "+want)
-		if n := visibleVersions(t, srv, key); n != 1 {
+		if n := len(visibleVersions(t, srv, key)); n != 1 {
 			t.Fatalf("%s: %d visible versions, want 1", key, n)
 		}
 	}

@@ -3,7 +3,8 @@
 // autocommit transactions, and a graceful shutdown that drains in-flight
 // commits. Concurrency is where the engine's group commit earns its keep:
 // every connection that commits at the same instant coalesces onto one
-// unordered device sync and one status-table append (internal/txn), so
+// unordered device sync and one status-table append (internal/txn), and one
+// batch's sync runs while the batch before it writes its status page, so
 // committed-transactions/sec scales with client count instead of
 // serializing behind per-transaction fsyncs.
 //

@@ -161,7 +161,7 @@ func TestServerSmoke(t *testing.T) {
 	// STATS reports through the obs recorder.
 	stats := cl.expectPrefix("STATS", "OK {")
 	for _, field := range []string{`"commit_txns":`, `"health":`, `"commit_queue_ns":`, `"commit_force_ns":`,
-		`"commit_status_ns":`, `"commit_latency_ns":`, `"commit_status_twophase":0`} {
+		`"commit_status_ns":`, `"commit_latency_ns":`, `"commit_status_twophase":0`, `"commit_overlaps":0`, `"commit_turn_ns":`} {
 		if !strings.Contains(stats, field) {
 			t.Fatalf("STATS missing %s: %q", field, stats)
 		}
@@ -369,6 +369,12 @@ func TestServerXIDNotReusedAfterCrash(t *testing.T) {
 	if rows, final := cl2.scan("SCAN - -"); final != "OK 11" {
 		t.Fatalf("post-crash SCAN: rows=%v final=%q", rows, final)
 	}
+	// The dead transaction's xmax on stable-00 and stable-01 is neither
+	// committed nor live: both versions take their next writer.
+	cl2.expect("PUT stable-00 rewritten", "OK")
+	cl2.expect("GET stable-00", "OK rewritten")
+	cl2.expect("DEL stable-01", "OK")
+	cl2.expect("GET stable-01", "NOTFOUND")
 	cl2.expect("QUIT", "OK bye")
 	if err := srv2.Close(); err != nil {
 		t.Fatalf("graceful Close after recovery: %v", err)

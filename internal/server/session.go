@@ -337,6 +337,11 @@ func (ss *session) cmdStats() {
 		"commit_force_ns":        snap.Timers["commit.force"].TotalNs,
 		"commit_status_ns":       snap.Timers["commit.status"].TotalNs,
 		"commit_status_twophase": snap.Counters["commit.status.twophase"],
+		// The pipeline: batches that began to force while an earlier batch's
+		// status append was pending, and how long forced batches waited for
+		// their turn to append.
+		"commit_overlaps": snap.Counters["commit.overlap"],
+		"commit_turn_ns":  snap.Timers["commit.turn"].TotalNs,
 		// Restart: what the index opens left running in the background,
 		// and how many operations had to wait for it.
 		"open_boundwalks":      snap.Counters["open.boundwalk"],

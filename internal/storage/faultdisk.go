@@ -102,6 +102,7 @@ type FaultDisk struct {
 	runWrite map[PageNo]int
 	stats    FaultStats
 	closed   bool
+	syncErr  error // what every Sync returns while set (FailSyncs)
 	// rec annotates the observability trace with each injected fault, so a
 	// timeline pairs every cause with the repair it provoked. Guarded by mu.
 	rec *obs.Recorder
@@ -185,6 +186,15 @@ func (d *FaultDisk) ClearBadSector(no PageNo) bool {
 	delete(d.badSectors, no)
 	delete(d.permBad, no)
 	return ok
+}
+
+// FailSyncs makes every Sync fail with err, leaving the buffered writes
+// buffered, until it is called with nil: a device that for a while makes
+// nothing durable.
+func (d *FaultDisk) FailSyncs(err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.syncErr = err
 }
 
 // CorruptStable mutates the durable image of page no on the inner disk, for
@@ -288,6 +298,9 @@ func (d *FaultDisk) Sync() error {
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
+	}
+	if d.syncErr != nil {
+		return d.syncErr
 	}
 	for _, no := range d.pendingLocked() {
 		if err := d.raw.writePageRaw(no, d.pending[no]); err != nil {

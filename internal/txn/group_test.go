@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obs"
+	"repro/internal/page"
 	"repro/internal/storage"
 )
 
@@ -743,3 +746,165 @@ type failSyncer struct{ err error }
 func (f *failSyncer) Sync() error { return f.err }
 
 var errDeviceGone = errors.New("txn_test: device gone")
+
+// --- the pipeline --------------------------------------------------------
+
+// signalSyncer closes forcing when its one Sync runs.
+type signalSyncer struct{ forcing chan struct{} }
+
+func (s *signalSyncer) Sync() error {
+	close(s.forcing)
+	return nil
+}
+
+// heldWrite holds the first WritePage made once armed at the device: arrived
+// is closed when that write gets there, and it goes on when release closes.
+type heldWrite struct {
+	storage.Disk
+	armed   atomic.Bool
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (d *heldWrite) WritePage(no storage.PageNo, p page.Page) error {
+	if d.armed.CompareAndSwap(true, false) {
+		close(d.arrived)
+		<-d.release
+	}
+	return d.Disk.WritePage(no, p)
+}
+
+// TestForceOverlapsHeldStatusWrite is the pipeline: while batch A's status
+// page write is held at the device, batch B starts and finishes its force.
+// At that instant neither is committed, on the device or in memory. B
+// becomes visible only after A, and the status page holds A's XID before
+// B's, although B's is the lower. The serial coordinator made B wait for A's
+// append before it forced.
+func TestForceOverlapsHeldStatusWrite(t *testing.T) {
+	mem := storage.NewMemDisk()
+	d := &heldWrite{Disk: mem, arrived: make(chan struct{}), release: make(chan struct{})}
+	m, err := OpenManager(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New(0)
+	m.SetObs(rec)
+	txB, txA := m.Begin(), m.Begin()
+	txA.Touch(&countingSyncer{})
+	bForcing := make(chan struct{})
+	txB.Touch(&signalSyncer{bForcing})
+
+	d.armed.Store(true)
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	var aFirst atomic.Bool // A was visible when B's commit returned
+	go func() { errA <- txA.Commit() }()
+	<-d.arrived
+	go func() {
+		err := txB.Commit()
+		aFirst.Store(m.Committed(txA.XID()))
+		errB <- err
+	}()
+	var once sync.Once
+	release := func() { once.Do(func() { close(d.release) }) }
+	defer release()
+
+	deadline := time.After(5 * time.Second)
+	select {
+	case <-bForcing:
+	case <-deadline:
+		t.Fatal("batch B did not start its force while batch A's status write was held")
+	}
+	for rec.Snapshot().Timers["commit.force"].Count < 2 {
+		select {
+		case <-deadline:
+			t.Fatal("batch B's force did not return while batch A's status write was held")
+		default:
+			runtime.Gosched()
+		}
+	}
+	crashed, err := OpenManager(mem.CloneStable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*Txn{txA, txB} {
+		if m.Committed(tx.XID()) || crashed.Committed(tx.XID()) {
+			t.Fatalf("xid %d committed while A's status write was held", tx.XID())
+		}
+	}
+	select {
+	case err := <-errB:
+		t.Fatalf("B's commit returned (%v) while A's status write was held", err)
+	default:
+	}
+
+	release()
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatal(err)
+	}
+	if !aFirst.Load() {
+		t.Fatal("B's commit returned before A was visible")
+	}
+	wantAppendedInOrder(t, mem, txA.XID(), txB.XID())
+	if n := rec.Snapshot().Counters["commit.overlap"]; n != 1 {
+		t.Fatalf("commit.overlap = %d, want 1", n)
+	}
+}
+
+// TestAppendWaitsForTurn: a batch whose force returns before the batch ahead
+// of it has appended waits for its turn. A is held after its force, before
+// its append; B forces and must then neither append nor return until A has.
+func TestAppendWaitsForTurn(t *testing.T) {
+	m, mem := newMgr(t)
+	aForced, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	m.hookAfterForce = func([]heap.XID) {
+		if calls.Add(1) == 1 {
+			close(aForced)
+			<-release
+		}
+	}
+	txA, txB := m.Begin(), m.Begin()
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() { errA <- txA.Commit() }()
+	<-aForced
+	go func() { errB <- txB.Commit() }()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		m.gc.mu.Lock()
+		forced := m.gc.tickets == 2 && !m.gc.leading
+		m.gc.mu.Unlock()
+		if forced {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("batch B did not force while batch A waited to append")
+		}
+	}
+	select {
+	case err := <-errB:
+		t.Fatalf("B's commit returned (%v) before A appended", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if m.Committed(txB.XID()) {
+		t.Fatal("B committed before A appended")
+	}
+	close(release)
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatal(err)
+	}
+	wantAppendedInOrder(t, mem, txA.XID(), txB.XID())
+}
+
+// wantAppendedInOrder fails unless status page 0 holds a, then b.
+func wantAppendedInOrder(t *testing.T, d storage.Disk, a, b heap.XID) {
+	t.Helper()
+	xids := readStatusPage(d, 0, page.New()).xids
+	if i, j := slices.Index(xids, a), slices.Index(xids, b); i < 0 || j < i {
+		t.Fatalf("status page holds %v: want A (%d) before B (%d)", xids, a, b)
+	}
+}

@@ -156,6 +156,178 @@ func TestStatusAppendCrashEnumeration(t *testing.T) {
 			t.Logf("%d crash images", cases)
 		})
 	}
+	// Two batches that overlap: B forces while A's append is held before one
+	// of its device calls. Both force a data page on the status device, so
+	// B's sync also makes whatever A has written durable. A fits its tail
+	// page, or fills it exactly and writes its successor first.
+	for _, sh := range []struct {
+		name    string
+		prefill int
+	}{
+		{"overlap, A fits", xidsPerPage - 10},
+		{"overlap, A fills exactly", xidsPerPage - 2},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			cases := 0
+			for holdAt := 3; ; holdAt++ { // calls 1 and 2 are A's force
+				held := false
+				for cutAt := 1; ; cutAt++ {
+					finished := false
+					for mask := uint64(0); ; mask++ {
+						run := overlapRun(t, sh.prefill, holdAt, cutAt)
+						held, finished = run.held, run.finished
+						if mask >= 1<<len(run.pending) {
+							break
+						}
+						cases++
+						run.crash(t, mask)
+					}
+					if finished {
+						break
+					}
+				}
+				if !held {
+					break
+				}
+			}
+			t.Logf("%d crash images", cases)
+		})
+	}
+}
+
+// pageSyncer is a transaction's storage: one data page on d, written and
+// synced. done, if set, is closed when Sync returns.
+type pageSyncer struct {
+	d    storage.Disk
+	no   storage.PageNo
+	done chan struct{}
+}
+
+func (s *pageSyncer) Sync() error {
+	if s.done != nil {
+		defer close(s.done)
+	}
+	if err := s.d.WritePage(s.no, page.New()); err != nil {
+		return err
+	}
+	return s.d.Sync()
+}
+
+// holdCutDisk is a cutDisk that, once armed, holds its holdAt-th call until
+// release closes, closing arrived when that call gets there.
+type holdCutDisk struct {
+	*cutDisk
+	holdAt, calls    int
+	arrived, release chan struct{}
+}
+
+func (d *holdCutDisk) hold() {
+	if d.armed {
+		if d.calls++; d.calls == d.holdAt {
+			close(d.arrived)
+			<-d.release
+		}
+	}
+}
+
+func (d *holdCutDisk) WritePage(no storage.PageNo, data page.Page) error {
+	d.hold()
+	return d.cutDisk.WritePage(no, data)
+}
+
+func (d *holdCutDisk) Sync() error {
+	d.hold()
+	return d.cutDisk.Sync()
+}
+
+// overlapResult is one run of overlapRun, before the crash.
+type overlapResult struct {
+	d              *storage.MemDisk
+	acked          []heap.XID // the prefill
+	a, b           heap.XID
+	aOK, bOK       bool // the commits that returned nil
+	held, finished bool // A's append reached holdAt; no call was cut
+	pending        []storage.PageNo
+	what           string
+}
+
+// overlapRun commits A, holds the holdAt-th device call (of A's append) until
+// B's force has returned, then lets both finish, cutting the power at the
+// cutAt-th call. The order of the device calls is fixed: A's force, A's
+// append up to the hold, B's force, the rest of A's append, B's append.
+func overlapRun(t *testing.T, prefill, holdAt, cutAt int) overlapResult {
+	t.Helper()
+	mem := storage.NewMemDisk()
+	d := &holdCutDisk{cutDisk: &cutDisk{MemDisk: mem, cutAt: cutAt}, holdAt: holdAt,
+		arrived: make(chan struct{}), release: make(chan struct{})}
+	m, err := OpenManager(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := overlapResult{d: mem, acked: beginRun(m, prefill)}
+	if err := m.appendStatus(r.acked); err != nil {
+		t.Fatal(err)
+	}
+	txA, txB := m.Begin(), m.Begin()
+	r.a, r.b = txA.XID(), txB.XID()
+	bForced := make(chan struct{})
+	txA.Touch(&pageSyncer{d: d, no: 50})
+	txB.Touch(&pageSyncer{d: d, no: 51, done: bForced})
+
+	d.armed = true
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() { errA <- txA.Commit() }()
+	var aErr error
+	select {
+	case <-d.arrived:
+		r.held = true
+		go func() { errB <- txB.Commit() }()
+		<-bForced
+		close(d.release)
+		aErr = <-errA
+	case aErr = <-errA: // cut before the hold: B commits after A
+		d.holdAt = 0
+		go func() { errB <- txB.Commit() }()
+	}
+	bErr := <-errB
+	r.aOK, r.bOK = aErr == nil, bErr == nil
+	r.finished = d.step < cutAt
+	r.pending = mem.PendingPages()
+	r.what = fmt.Sprintf("hold at call %d, cut at call %d", holdAt, cutAt)
+	return r
+}
+
+// crash keeps the mask subset of the pending pages, reopens, and checks that
+// the committed set is the prefill plus a prefix of A, B — in ticket order —
+// that holds every acknowledged batch.
+func (r overlapResult) crash(t *testing.T, mask uint64) {
+	t.Helper()
+	what := fmt.Sprintf("%s, subset %b of %v", r.what, mask, r.pending)
+	if err := r.d.CrashPartial(storage.CrashSubsetMask(mask)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenManager(r.d)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", what, err)
+	}
+	a, b := m.committed[r.a], m.committed[r.b]
+	switch {
+	case b && !a:
+		t.Fatalf("%s: B committed without A", what)
+	case r.aOK && !a, r.bOK && !b:
+		t.Fatalf("%s: an acknowledged batch lost (A %v/%v, B %v/%v)", what, r.aOK, a, r.bOK, b)
+	}
+	var batches [][]heap.XID
+	if a {
+		batches = append(batches, []heap.XID{r.a})
+	}
+	if b {
+		batches = append(batches, []heap.XID{r.b})
+	}
+	wantCommitted(t, m, what, append([][]heap.XID{r.acked}, batches...)...)
+	if got := m.Begin().XID(); got <= r.b {
+		t.Fatalf("%s: XID %d handed out again (%d was)", what, got, r.b)
+	}
 }
 
 // TestStaleSuccessorNeverRead is hazard (a): a crossing batch that fails, or
@@ -512,7 +684,7 @@ func TestCommitTimers(t *testing.T) {
 		}
 	}
 	timers := rec.Snapshot().Timers
-	for _, name := range []string{"commit.queue", "commit.force", "commit.status", "commit.latency"} {
+	for _, name := range []string{"commit.queue", "commit.force", "commit.turn", "commit.status", "commit.latency"} {
 		if got := timers[name].Count; got != uint64(commits) {
 			t.Errorf("%s observed %d times, want %d", name, got, commits)
 		}
