@@ -112,12 +112,13 @@ hotpath-smoke:
 
 # The bulk-load gate: the loader's differential and property tests against
 # the insert path, the core bulk-load/rebuild-from-heap layer at one shard
-# and at four (and the supervisor's wholesale escalation) under the race
-# detector, the dump tool's rebuild round trip, and crash enumeration at
+# and at four (and the supervisor's one-pass heap reseed: every key back,
+# in-flight ones included, strict-clean, one heap pass per sweep) under the
+# race detector, the dump tool's rebuild round trip, and crash enumeration at
 # every sync point of a bulk load and a wholesale rebuild for two variants.
 bulkload-smoke:
 	$(GO) test -race ./internal/btree -run 'TestBulkLoad|TestBulkReplace|TestQuickBulkLoad'
-	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestIndexRebuildFromHeap|TestSupervisorWholesale'
+	$(GO) test -race ./internal/core -run 'TestIndexBulkLoad|TestIndexRebuildFromHeap|TestSupervisorRebuildsFromHeap|TestSupervisorReseed'
 	$(GO) test ./cmd/fastrec-dump -run TestRebuildDir
 	$(GO) run ./cmd/fastrec-crash -variant shadow -bulkload -bulk-keys 1200 -seed 1
 	$(GO) run ./cmd/fastrec-crash -variant reorg -bulkload -bulk-keys 1200 -faults -seed 1

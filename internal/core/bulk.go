@@ -5,7 +5,7 @@ package core
 // it: BulkLoad turns a key/TID run into an index without going through
 // the insert path, and Rebuild scans the heap relation — the
 // no-overwrite storage system's authoritative copy (§2) — collects every
-// visible tuple, and swaps a freshly packed tree over the old structure
+// live tuple version, and swaps a freshly packed tree over the old structure
 // in one durable root install. An index of several trees fans both out per
 // shard in parallel: the router's key hash is the ownership filter, so each
 // shard rebuilds exactly the keys it would serve.
@@ -16,13 +16,12 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/heap"
-	"repro/internal/obs"
 	"repro/internal/vacuum"
 )
 
 // RebuildStats describes a wholesale index reconstruction.
 type RebuildStats struct {
-	Keys     int           // visible heap tuples fed to the loader
+	Keys     int           // live heap tuple versions fed to the loader
 	Leaves   int           // leaf pages written
 	Internal int           // internal pages written
 	Levels   int           // height of the tallest rebuilt tree
@@ -63,7 +62,7 @@ func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 }
 
 // Rebuild reconstructs the index wholesale from the heap relation: one heap
-// scan feeds every visible tuple's key (via keyOf) to the bottom-up loader
+// scan feeds every live tuple version's key (via keyOf) to the bottom-up loader
 // of the tree that owns it, and each new tree atomically replaces the old
 // one. Unlike the insert path it is deliberately not gated on DB health —
 // rebuilding a damaged index is how a degraded DB gets back to Healthy.
@@ -104,14 +103,16 @@ func loadItems(keys [][]byte, tids []heap.TID) ([]btree.Item, error) {
 	return items, nil
 }
 
-// collectHeapItems gathers every visible tuple's <key, tid> from the
-// relation, applying the same visibility rule the supervisor's
-// insert-at-a-time reseed uses: a version the status table calls dead or
-// invisible must not be resurrected into the index.
+// collectHeapItems gathers the <key, tid> of every tuple version the index
+// may need from the relation, in one heap scan; filter, when non-nil, keeps
+// only the keys it accepts. A version is left out only when it can never be
+// seen again: its creator aborted, or its deleter committed. Every other
+// one is indexed, an in-flight version included — §2 tolerates an entry
+// for a version that later dies, but not a committed version without one.
 func (db *DB) collectHeapItems(rel *Relation, keyOf vacuum.KeyOf, filter func([]byte) bool) ([]btree.Item, error) {
 	var items []btree.Item
 	err := rel.h.ScanAll(func(tid heap.TID, xmin, xmax heap.XID, data []byte) bool {
-		if _, err := rel.h.Fetch(tid, db.mgr); err != nil {
+		if db.mgr.Aborted(xmin) || xmax != 0 && db.mgr.Committed(xmax) {
 			return true
 		}
 		key := keyOf(data)
@@ -128,20 +129,4 @@ func (db *DB) collectHeapItems(rel *Relation, keyOf vacuum.KeyOf, filter func([]
 		return nil, err
 	}
 	return items, nil
-}
-
-// rebuildWholesale is the supervisor's bulk alternative to the
-// insert-at-a-time reseed: instead of abandoning one quarantined page and
-// re-inserting its key range, reconstruct the whole tree bottom-up from
-// the heap. keyFilter keeps a shard's rebuild on the shard's own keys.
-func (db *DB) rebuildWholesale(t *btree.Tree, src healSource, keyFilter func([]byte) bool) error {
-	items, err := db.collectHeapItems(src.rel, src.keyOf, keyFilter)
-	if err != nil {
-		return err
-	}
-	_, err = t.BulkReplace(items, db.loadOptions())
-	if err == nil {
-		db.cfg.Obs.Count(obs.RepairRebuild)
-	}
-	return err
 }

@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/btree"
 	"repro/internal/heap"
-	"repro/internal/obs"
-	"repro/internal/page"
 	"repro/internal/shard"
 )
 
@@ -186,61 +183,5 @@ func TestIndexRebuildFromHeap(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The supervisor's wholesale escalation: same scenario as
-// TestSupervisorRebuildsFromHeap, but RebuildAfter now triggers a
-// bottom-up reconstruction of the whole tree instead of re-inserting the
-// damaged range, and the quarantine backlog clears with the swap.
-func TestSupervisorWholesaleRebuild(t *testing.T) {
-	const n = 1500
-	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, 1)
-	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
-	db.cfg.Supervisor.WholesaleRebuild = true
-	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
-
-	fd := FaultDisks(st)["idx_acct_pk"]
-	leaves := liveLeaves(t, fd, 1)
-	if len(leaves) == 0 {
-		t.Fatal("no live leaf found")
-	}
-	if !fd.CorruptStable(leaves[0], func(img page.Page) { img[page.HeaderSize] ^= 0xFF }) {
-		t.Fatalf("no durable image to corrupt at page %d", leaves[0])
-	}
-	ix.Tree().Pool().InvalidateAll()
-
-	rep, err := ix.ScanDegraded(nil, nil, func([]byte, heap.TID) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Complete() {
-		t.Fatal("stable corruption did not quarantine anything — scenario is vacuous")
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for db.Health() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("wholesale rebuild never completed; report: %+v", db.HealthReport())
-		}
-		time.Sleep(5 * time.Millisecond)
-		db.SuperviseOnce()
-	}
-	if rec.Get(obs.RebuildRun) == 0 {
-		t.Fatal("rebuild.run not counted — the bulk path never ran")
-	}
-	if rec.Get(obs.RepairRebuild) == 0 {
-		t.Fatal("repair.rebuild not counted")
-	}
-	for i := 0; i < n; i++ {
-		data, err := ix.FetchVisible(rel, healthKey(i))
-		if err != nil || !bytes.Equal(data, healthKey(i)) {
-			t.Fatalf("key %d after wholesale rebuild: %q, %v", i, data, err)
-		}
-	}
-	if err := ix.Tree().Check(btree.CheckStrict); err != nil {
-		t.Fatalf("Check: %v", err)
 	}
 }

@@ -475,9 +475,19 @@ func (db *DB) VacuumRelation(rel *Relation, ix *Index, keyOf vacuum.KeyOf) (vacu
 	oldest := db.mgr.HighestCommitted() + 1
 	var keys vacuum.KeyIndex
 	if ix != nil {
-		keys = ix.r
+		keys = indexKeys{ix}
 	}
 	return vacuum.Heap(rel.h, db.mgr, oldest, keys, keyOf)
+}
+
+// indexKeys is an index as the vacuum's KeyIndex: a key's lookup and delete
+// go to the tree that owns it, and a sync forces every tree.
+type indexKeys struct{ ix *Index }
+
+func (k indexKeys) Lookup(key []byte) ([]byte, error) { return k.ix.pick(key).Lookup(key) }
+func (k indexKeys) Delete(key []byte) error           { return k.ix.pick(key).Delete(key) }
+func (k indexKeys) Sync() error {
+	return k.ix.eachTree(func(_ int, t *btree.Tree) error { return t.Sync() })
 }
 
 // Relations lists the open relations, sorted by name.

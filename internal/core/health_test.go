@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/page"
@@ -25,16 +27,20 @@ func healthKey(i int) []byte {
 // shards trees (tuple data = index key).
 func buildFaultyDB(t *testing.T, rec *obs.Recorder, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
+	return buildFaultyDBWith(t, Config{Obs: rec}, n, shards)
+}
+
+// buildFaultyDBWith is buildFaultyDB with cfg's pool sizes and recorder.
+func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
+	t.Helper()
 	st := FaultyMemory(storage.FaultConfig{})
-	db, err := Open(st, Config{
-		Variant: Shadow,
-		Obs:     rec,
-		Supervisor: SupervisorConfig{
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			GiveUpAfter: 50,
-		},
-	})
+	cfg.Variant = Shadow
+	cfg.Supervisor = SupervisorConfig{
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  20 * time.Millisecond,
+		GiveUpAfter: 50,
+	}
+	db, err := Open(st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,18 +382,254 @@ func TestSupervisorGoroutineHealsHeapPage(t *testing.T) {
 	}
 }
 
+// damageLeaves corrupts the durable image of perTree live leaves in every
+// tree of ix, drops the trees' cached pages, and quarantines the leaves with
+// a degraded scan. It returns how many pages the scan skipped.
+func damageLeaves(t *testing.T, st Storage, ix *Index, perTree int) int {
+	t.Helper()
+	for i, tr := range ix.Trees() {
+		fd := FaultDisks(st)[ix.fileName(i)]
+		leaves := liveLeaves(t, fd, perTree)
+		if len(leaves) < perTree {
+			t.Fatalf("tree %d has %d live leaves, want %d", i, len(leaves), perTree)
+		}
+		for _, no := range leaves {
+			if !fd.CorruptStable(no, func(img page.Page) { img[page.HeaderSize] ^= 0xFF }) {
+				t.Fatalf("no durable image to corrupt at page %d of tree %d", no, i)
+			}
+		}
+		tr.Pool().InvalidateAll()
+	}
+	rep, err := ix.ScanDegraded(nil, nil, func([]byte, heap.TID) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Complete() {
+		t.Fatal("stable corruption did not quarantine anything — scenario is vacuous")
+	}
+	return len(rep.Skipped)
+}
+
+// checkReseeded asserts that the DB is Healthy, that each of the n keys
+// resolves to its tuple, and that every tree passes the strict check.
+func checkReseeded(t *testing.T, db *DB, rel *Relation, ix *Index, n int) {
+	t.Helper()
+	if got := db.Health(); got != Healthy {
+		t.Fatalf("health = %v, want Healthy; report: %+v", got, db.HealthReport())
+	}
+	for i := 0; i < n; i++ {
+		data, err := ix.FetchVisible(rel, healthKey(i))
+		if err != nil || !bytes.Equal(data, healthKey(i)) {
+			t.Fatalf("key %d after reseed: %q, %v", i, data, err)
+		}
+	}
+	for s, tr := range ix.Trees() {
+		if err := tr.Check(btree.CheckStrict); err != nil {
+			t.Fatalf("tree %d Check(CheckStrict) after reseed: %v", s, err)
+		}
+	}
+}
+
 // TestSupervisorRebuildsFromHeap: when the index's durable source is truly
-// gone (stable corruption of both a leaf and its prevPtr), the supervisor
-// abandons the page after RebuildAfter failed heals and re-seeds its key
-// range from the heap relation — the authoritative copy.
+// gone (stable corruption of several leaves in every tree), the supervisor
+// abandons the pages after RebuildAfter failed heals and re-seeds their key
+// ranges from the heap relation — the authoritative copy. Every key comes
+// back, and every tree is strict-clean.
 func TestSupervisorRebuildsFromHeap(t *testing.T) {
-	const n = 1500
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n := 1500 * shards
+			rec := obs.New(obs.DefaultRingCap)
+			db, st, rel, ix, _ := buildFaultyDB(t, rec, n, shards)
+			defer db.Close()
+			db.cfg.Supervisor.RebuildAfter = 1
+			db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
+
+			damageLeaves(t, st, ix, 3)
+			if got := db.Health(); got != Degraded {
+				t.Fatalf("health = %v, want Degraded", got)
+			}
+			// Attempt 1 fails (corruption persists); the next sweep crosses
+			// RebuildAfter and rebuilds from the heap.
+			deadline := time.Now().Add(10 * time.Second)
+			for db.Health() != Healthy {
+				if time.Now().After(deadline) {
+					t.Fatalf("rebuild never completed; report: %+v", db.HealthReport())
+				}
+				time.Sleep(5 * time.Millisecond)
+				db.SuperviseOnce()
+			}
+			if rec.Get(obs.RepairRebuild) == 0 {
+				t.Fatal("repair.rebuild not counted")
+			}
+			checkReseeded(t, db, rel, ix, n)
+		})
+	}
+}
+
+// TestSupervisorWholesaleRebuild: damage to a large share of a tree — a
+// third of its leaves, the case the bottom-up wholesale escalation once
+// served — heals through the same per-range reseed as a single lost leaf.
+// Every key comes back, the tree is strict-clean, and no bulk rebuild runs.
+func TestSupervisorWholesaleRebuild(t *testing.T) {
+	const n = 6000
 	rec := obs.New(obs.DefaultRingCap)
 	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, 1)
 	defer db.Close()
 	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
+	all := liveLeaves(t, FaultDisks(st)[ix.fileName(0)], 1<<20)
+	third := len(all) / 3
+	if third < 5 {
+		t.Fatalf("tree has %d live leaves — too few for a third to be heavy damage", len(all))
+	}
+	if k := damageLeaves(t, st, ix, third); k != third {
+		t.Fatalf("degraded scan skipped %d pages, want %d", k, third)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Health() != Healthy {
+		if time.Now().After(deadline) {
+			t.Fatalf("reseed never completed; report: %+v", db.HealthReport())
+		}
+		time.Sleep(5 * time.Millisecond)
+		db.SuperviseOnce()
+	}
+	if rec.Get(obs.RepairRebuild) == 0 {
+		t.Fatal("repair.rebuild not counted")
+	}
+	if got := rec.Get(obs.RebuildRun); got != 0 {
+		t.Fatalf("rebuild.run = %d, want 0: the supervisor has no bulk escalation", got)
+	}
+	checkReseeded(t, db, rel, ix, n)
+}
+
+// TestSupervisorReseedReadsHeapOnce: one sweep re-seeds every abandoned
+// range of an index — twelve leaves across four trees — from one pass over
+// the heap, so with a heap pool smaller than the heap it reads each heap
+// page exactly once: 18 misses. The per-page reseed it replaced scanned the
+// heap once per abandoned page, twelve passes here, and missed the pool 168
+// times (12 x 18 pages, less those the last pass left resident).
+func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
+	const shards, perTree = 4, 3
+	const n = 1500 * shards
+	db, st, rel, ix, _ := buildFaultyDBWith(t, Config{
+		PoolSize:     8, // heap frames: fewer than the heap's pages
+		IndexOptions: btree.Options{PoolSize: buffer.DefaultCapacity},
+	}, n, shards)
+	defer db.Close()
+	db.cfg.Supervisor.RebuildAfter = 1
+	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
+	heapPages := int64(rel.h.NumPages() - 1) // page 0 is the meta page
+	if heapPages <= 8 {
+		t.Fatalf("heap of %d pages fits its 8-frame pool — scenario is vacuous", heapPages)
+	}
+
+	if k := damageLeaves(t, st, ix, perTree); k != shards*perTree {
+		t.Fatalf("degraded scan skipped %d pages, want %d", k, shards*perTree)
+	}
+	db.SuperviseOnce() // attempt 1 heals nothing: the durable images are gone
+	if got := db.Health(); got != Degraded {
+		t.Fatalf("health after the first sweep = %v, want Degraded", got)
+	}
+	time.Sleep(2 * db.cfg.Supervisor.MaxBackoff) // every page due again
+	if err := rel.h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	pool := rel.h.Pool()
+	pool.InvalidateAll()
+	_, before := pool.Stats()
+	db.SuperviseOnce()
+	_, after := pool.Stats()
+	if reads := after - before; reads != heapPages {
+		t.Errorf("reseed sweep missed the heap pool %d times, want %d: one pass over the heap", reads, heapPages)
+	}
+	checkReseeded(t, db, rel, ix, n)
+}
+
+// TestSupervisorReseedFailureKeepsTickets: a reseed that cannot finish —
+// here its heap scan meets a quarantined heap page — gives every abandoned
+// page its quarantine ticket back, range and attempt count included. The
+// range's keys read as quarantined, never as missing, and a later sweep
+// re-seeds them.
+func TestSupervisorReseedFailureKeepsTickets(t *testing.T) {
+	const n = 1500
+	db, st, rel, ix, tids := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
+	defer db.Close()
+	db.cfg.Supervisor.RebuildAfter = 1
+	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
+	q := ix.Tree().Pool().Quarantine()
+
+	damageLeaves(t, st, ix, 2)
+	db.SuperviseOnce() // attempt 1 heals nothing
+	before := make(map[storage.PageNo]buffer.QuarantinedPage)
+	for _, e := range q.List() {
+		before[e.PageNo] = e
+	}
+	if len(before) != 2 {
+		t.Fatalf("%d pages quarantined, want 2", len(before))
+	}
+	time.Sleep(2 * db.cfg.Supervisor.MaxBackoff)
+	rel.Heap().Pool().QuarantinePage(tids[0].PageNo, "test: unreadable heap page", false)
+	db.SuperviseOnce() // attempt 2 abandons both pages; the heap scan fails
+	after := q.List()
+	if len(after) != len(before) {
+		t.Fatalf("%d pages quarantined after the failed reseed, want %d", len(after), len(before))
+	}
+	for _, e := range after {
+		b, ok := before[e.PageNo]
+		if !ok || !e.HasRange || !bytes.Equal(e.Lo, b.Lo) || !bytes.Equal(e.Hi, b.Hi) || e.Attempts != b.Attempts+1 {
+			t.Fatalf("ticket after the failed reseed %+v, want %+v with one more attempt", e, b)
+		}
+	}
+	if _, err := ix.LookupTID(healthKey(0)); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("LookupTID in an abandoned range: %v, want ErrQuarantined", err)
+	}
+
+	// The heap page's durable image is intact: the same sweep released it,
+	// and the next one due re-seeds both ranges.
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Health() != Healthy {
+		if time.Now().After(deadline) {
+			t.Fatalf("reseed never completed; report: %+v", db.HealthReport())
+		}
+		time.Sleep(5 * time.Millisecond)
+		db.SuperviseOnce()
+	}
+	checkReseeded(t, db, rel, ix, n)
+}
+
+// TestSupervisorReseedKeepsInFlightKeys: a transaction writes one key into a
+// leaf whose durable image is then lost, after its entry was flushed there,
+// and one key elsewhere. The supervisor abandons the leaf and re-seeds its
+// range from the heap while the transaction is still open. Once it commits,
+// both keys resolve: the reseed indexed the in-flight version, because §2
+// tolerates an entry for a version that later dies but not a committed
+// version without one.
+func TestSupervisorReseedKeepsInFlightKeys(t *testing.T) {
+	const n = 1500
+	db, st, rel, ix, _ := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
+	defer db.Close()
+	db.cfg.Supervisor.RebuildAfter = 1
+	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
+
+	// inside sorts between keys 0 and 1, so it lands in the leftmost leaf,
+	// the first one liveLeaves returns; outside lands in the rightmost.
+	inside, outside := []byte{0, 0, 0, 0, 1}, healthKey(n+100)
+	tx := db.Begin()
+	for _, k := range [][]byte{inside, outside} {
+		tid, err := rel.Insert(tx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.InsertTID(tx, k, tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Tree().Sync(); err != nil {
+		t.Fatal(err)
+	}
 	fd := FaultDisks(st)["idx_acct_pk"]
 	leaves := liveLeaves(t, fd, 1)
 	if len(leaves) == 0 {
@@ -397,38 +639,34 @@ func TestSupervisorRebuildsFromHeap(t *testing.T) {
 		t.Fatalf("no durable image to corrupt at page %d", leaves[0])
 	}
 	ix.Tree().Pool().InvalidateAll()
-
-	// First touch quarantines the subtree.
 	rep, err := ix.ScanDegraded(nil, nil, func([]byte, heap.TID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Complete() {
-		t.Fatal("stable corruption did not quarantine anything — scenario is vacuous")
-	}
-	if got := db.Health(); got != Degraded {
-		t.Fatalf("health = %v, want Degraded", got)
+	if len(rep.Skipped) != 1 || bytes.Compare(inside, rep.Skipped[0].Hi) >= 0 {
+		t.Fatalf("skipped %+v, want one range holding the in-flight key", rep.Skipped)
 	}
 
-	// Attempt 1 fails (corruption persists); the next sweep crosses
-	// RebuildAfter and rebuilds from the heap.
 	deadline := time.Now().Add(10 * time.Second)
 	for db.Health() != Healthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("rebuild never completed; report: %+v", db.HealthReport())
+			t.Fatalf("reseed never completed; report: %+v", db.HealthReport())
 		}
 		time.Sleep(5 * time.Millisecond)
 		db.SuperviseOnce()
 	}
-	if rec.Get(obs.RepairRebuild) == 0 {
-		t.Fatal("repair.rebuild not counted")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
-
-	// The whole key space is back, re-seeded from the heap.
+	for _, k := range [][]byte{inside, outside} {
+		data, err := ix.FetchVisible(rel, k)
+		if err != nil || !bytes.Equal(data, k) {
+			t.Fatalf("committed key %x after reseed: %q, %v", k, data, err)
+		}
+	}
 	for i := 0; i < n; i++ {
-		data, err := ix.FetchVisible(rel, healthKey(i))
-		if err != nil || !bytes.Equal(data, healthKey(i)) {
-			t.Fatalf("key %d after rebuild: %q, %v", i, data, err)
+		if data, err := ix.FetchVisible(rel, healthKey(i)); err != nil || !bytes.Equal(data, healthKey(i)) {
+			t.Fatalf("key %d after reseed: %q, %v", i, data, err)
 		}
 	}
 }

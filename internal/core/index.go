@@ -190,13 +190,17 @@ func (ix *Index) Tree() *btree.Tree { return ix.trees[0] }
 // Trees exposes every shard's B-link tree, in shard order.
 func (ix *Index) Trees() []*btree.Tree { return ix.trees }
 
-// pick returns the tree that owns key: the only one, or the one key hashes to.
-func (ix *Index) pick(key []byte) *btree.Tree {
+// shardOf returns the number of the tree that owns key: the only one, or
+// the one key hashes to.
+func (ix *Index) shardOf(key []byte) int {
 	if len(ix.trees) == 1 {
-		return ix.trees[0]
+		return 0
 	}
-	return ix.trees[ix.r.Pick(key)]
+	return ix.r.Pick(key)
 }
+
+// pick returns the tree that owns key.
+func (ix *Index) pick(key []byte) *btree.Tree { return ix.trees[ix.shardOf(key)] }
 
 // partition splits a run of loader items by owning tree.
 func (ix *Index) partition(items []btree.Item) [][]btree.Item {
@@ -209,16 +213,6 @@ func (ix *Index) partition(items []btree.Item) [][]btree.Item {
 		parts[s] = append(parts[s], it)
 	}
 	return parts
-}
-
-// owns returns the filter that keeps a heap rebuild of tree i on the keys
-// the router sends there, so it never plants a key in a tree lookups would
-// not search; nil when the only tree owns them all.
-func (ix *Index) owns(i int) func(key []byte) bool {
-	if len(ix.trees) == 1 {
-		return nil
-	}
-	return func(key []byte) bool { return ix.r.Pick(key) == i }
 }
 
 // eachTree runs fn on every tree and joins the errors: in the caller's
@@ -445,16 +439,16 @@ func (ix *Index) ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TI
 	return ix.r.ScanDegraded(start, end, withTID(fn))
 }
 
-// Recover runs the repair-on-first-use sweep over every shard — in
-// parallel goroutines when parallel is set — returning per-shard and
-// wall timings plus the merged skip report. This is the post-crash heal:
-// after a restart it brings every pending §3.3/§3.4 repair forward
-// instead of leaving it to first use, at 1/N of the sequential time.
-func (ix *Index) Recover(parallel bool) (shard.RecoveryStats, btree.ScanReport, error) {
+// Recover runs the repair-on-first-use sweep over every shard in parallel
+// goroutines, returning per-shard and wall timings plus the merged skip
+// report. This is the post-crash heal: after a restart it brings every
+// pending §3.3/§3.4 repair forward instead of leaving it to first use, at
+// 1/N of the sequential time.
+func (ix *Index) Recover() (shard.RecoveryStats, btree.ScanReport, error) {
 	if err := ix.db.readable(); err != nil {
 		return shard.RecoveryStats{}, btree.ScanReport{}, err
 	}
-	return ix.r.Recover(parallel, ix.db.cfg.Obs)
+	return ix.r.Recover(ix.db.cfg.Obs)
 }
 
 // ShardStat is one shard's slice of the index's cache and quarantine

@@ -278,11 +278,11 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, rep, err := ix2.Recover(true)
+	st, rep, err := ix2.Recover()
 	if err != nil {
 		t.Fatalf("parallel recover: %v", err)
 	}
-	if !st.Parallel || st.Shards != nShards || len(st.PerShard) != nShards {
+	if st.Shards != nShards || len(st.PerShard) != nShards {
 		t.Fatalf("recovery stats: %+v", st)
 	}
 	for i, d := range st.PerShard {

@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
-	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/vacuum"
 )
@@ -19,8 +20,9 @@ import (
 // each pool's quarantine registry, re-runs the §3.3/§3.4 repair machinery
 // off the caller's latency path with exponential backoff between attempts,
 // and — for index pages whose durable source is truly gone — abandons the
-// page and re-seeds its key range from the heap relation, which the
-// no-overwrite storage system keeps as the authoritative copy (§2). Each
+// pages and re-seeds their key ranges from one pass over the heap relation,
+// which the no-overwrite storage system keeps as the authoritative copy
+// (§2). Each
 // successful heal shrinks the registry, and the lazy health recompute
 // promotes the DB back toward Healthy.
 
@@ -40,16 +42,10 @@ type SupervisorConfig struct {
 	GiveUpAfter int
 	// RebuildAfter is the attempt count after which an index page with a
 	// registered heal source (RegisterHeal) is abandoned and its key range
-	// rebuilt from the heap relation instead of repaired from index state.
-	// Zero disables heap rebuilds.
+	// rebuilt from the heap relation instead of repaired from index state;
+	// one heap scan per sweep serves every range the sweep abandons. Zero
+	// disables heap rebuilds.
 	RebuildAfter int
-	// WholesaleRebuild switches the RebuildAfter escalation from the
-	// insert-at-a-time reseed of the damaged key range to a bottom-up
-	// reconstruction of the whole tree (btree.BulkReplace): one heap scan,
-	// packed pages at the configured fill factor, and a single durable
-	// root swap that also clears the tree's quarantine backlog. Cheaper
-	// once damage is widespread; see EXPERIMENTS.md E12 for the crossover.
-	WholesaleRebuild bool
 }
 
 const defaultSupervisorInterval = 25 * time.Millisecond
@@ -134,14 +130,8 @@ func (db *DB) SuperviseOnce() {
 	}
 	db.mu.Unlock()
 
-	// The shards of one index are swept side by side: each owns its own
-	// quarantine registry and tree, so concurrent heals share no state (the
-	// same independence that lets post-crash recovery parallelize).
 	for _, ix := range indexes {
-		_ = ix.eachTree(func(i int, t *btree.Tree) error {
-			db.superviseTree(ix.name, t, ix.owns(i), now)
-			return nil // failures are counted and retried per page
-		})
+		db.superviseIndex(ix, now)
 	}
 	for _, r := range rels {
 		db.superviseRelation(r, now)
@@ -152,66 +142,160 @@ func (db *DB) SuperviseOnce() {
 	db.Health()
 }
 
-// superviseTree attempts one repair per due quarantined page of t, one of
-// index name's trees. keyFilter, when non-nil, restricts heap rebuilds to
-// keys owned by this tree.
-func (db *DB) superviseTree(name string, t *btree.Tree, keyFilter func([]byte) bool, now time.Time) {
-	q := t.Pool().Quarantine()
-	for _, e := range q.Due(now) {
-		var err error
-		rebuild := false
-		db.mu.Lock()
-		src, hasSrc := db.healSources[name]
-		db.mu.Unlock()
-		wholesale := false
-		if hasSrc && db.cfg.Supervisor.RebuildAfter > 0 &&
-			e.Attempts >= db.cfg.Supervisor.RebuildAfter {
-			rebuild = true
-			if db.cfg.Supervisor.WholesaleRebuild {
-				wholesale = true
-				err = db.rebuildWholesale(t, src, keyFilter)
-			} else {
-				err = db.rebuildFromHeap(t, src, keyFilter, e)
-			}
-		} else {
-			err = t.HealQuarantined(e.PageNo, e.Lo)
-		}
-		if err != nil {
-			if rebuild && !q.IsQuarantined(e.PageNo) {
-				// AbandonQuarantined released the entry before the heap
-				// reseed finished (e.g. the re-insert descent hit another
-				// damaged page). Restore it — range and attempt count
-				// included, so the escalation stays on the rebuild path —
-				// or the range's keys would be silently lost while the DB
-				// reads Healthy.
-				q.Add(e.PageNo, "heap reseed incomplete: "+err.Error(), e.Critical)
-				if e.HasRange {
-					q.SetRange(e.PageNo, e.Lo, e.Hi)
+// superviseIndex gives every due quarantined page of ix one repair attempt.
+// The trees of the index are swept side by side: each owns its own
+// quarantine registry, so concurrent heals share no state (the same
+// independence that lets post-crash recovery parallelize). A page below
+// RebuildAfter attempts is healed from index state; one at or past it is
+// abandoned, and every abandoned range of the index is then re-seeded from
+// one heap pass.
+func (db *DB) superviseIndex(ix *Index, now time.Time) {
+	db.mu.Lock()
+	src, hasSrc := db.healSources[ix.name]
+	db.mu.Unlock()
+	rebuildAfter := db.cfg.Supervisor.RebuildAfter
+	abandoned := make([][]buffer.QuarantinedPage, len(ix.trees))
+	_ = ix.eachTree(func(i int, t *btree.Tree) error {
+		q := t.Pool().Quarantine()
+		for _, e := range q.Due(now) {
+			if hasSrc && rebuildAfter > 0 && e.Attempts >= rebuildAfter {
+				if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
+					db.repairFailed(q, e, err, true)
+				} else {
+					abandoned[i] = append(abandoned[i], e)
 				}
-				for i := 0; i < e.Attempts; i++ {
-					q.MarkAttempt(e.PageNo)
-				}
+				continue
 			}
-			q.MarkAttempt(e.PageNo)
-			db.cfg.Obs.Count(obs.SupervisorFail)
-			db.cfg.Obs.Eventf(obs.SupervisorFail, e.PageNo,
-				"supervisor repair attempt %d failed: %v", e.Attempts+1, err)
-			continue
-		}
-		db.cfg.Obs.Count(obs.SupervisorRepair)
-		if rebuild {
-			db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
-				"supervisor rebuilt page from heap after %d attempts", e.Attempts)
-		} else {
+			if err := t.HealQuarantined(e.PageNo, e.Lo); err != nil {
+				db.repairFailed(q, e, err, false)
+				continue
+			}
+			db.cfg.Obs.Count(obs.SupervisorRepair)
 			db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
 				"supervisor healed page after %d attempts", e.Attempts)
 		}
-		if wholesale {
-			// The whole tree was reconstructed and its quarantine registry
-			// cleared; the remaining Due entries for it are gone too.
+		return nil // failures are counted and retried per page
+	})
+	if slices.ContainsFunc(abandoned, func(es []buffer.QuarantinedPage) bool { return len(es) > 0 }) {
+		db.reseed(ix, src, abandoned)
+	}
+}
+
+// reseed re-inserts the keys of the abandoned pages' ranges (abandoned[i]
+// are tree i's) from the heap relation, which the no-overwrite storage
+// system keeps as the authoritative copy (§2). One heap scan collects the
+// keys inside any tree's ranges that hash to that tree; each tree then
+// re-inserts its share in key order, skipping keys already present. A range
+// the reseed did not finish gets its quarantine ticket back.
+func (db *DB) reseed(ix *Index, src healSource, abandoned [][]buffer.QuarantinedPage) {
+	ranges := make([]keyRanges, len(ix.trees))
+	for i, es := range abandoned {
+		ranges[i] = mergeRanges(es)
+	}
+	items, err := db.collectHeapItems(src.rel, src.keyOf, func(key []byte) bool {
+		return ranges[ix.shardOf(key)].contain(key)
+	})
+	// stopped[i] is the key tree i's reseed failed at: every range below it
+	// is back. A nil stopped[i] with errs[i] set means none is.
+	stopped := make([][]byte, len(ix.trees))
+	errs := make([]error, len(ix.trees))
+	if err == nil {
+		parts := ix.partition(items)
+		_ = ix.eachTree(func(i int, t *btree.Tree) error {
+			if len(abandoned[i]) > 0 {
+				stopped[i], errs[i] = reinsert(t, parts[i])
+			}
+			return nil
+		})
+	}
+	for i, es := range abandoned {
+		q, failed := ix.trees[i].Pool().Quarantine(), cmp.Or(err, errs[i])
+		for _, e := range es {
+			if failed != nil && (stopped[i] == nil || e.Hi == nil || bytes.Compare(e.Hi, stopped[i]) > 0) {
+				db.repairFailed(q, e, failed, true)
+				continue
+			}
+			db.cfg.Obs.Count(obs.SupervisorRepair)
+			db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
+				"supervisor rebuilt page from heap after %d attempts", e.Attempts)
+		}
+	}
+}
+
+// reinsert inserts items into t in key order, skipping keys t already
+// holds, and syncs what it inserted. If an insert fails it returns the key
+// it stopped at: every item below it is in, and durable.
+func reinsert(t *btree.Tree, items []btree.Item) (stopped []byte, err error) {
+	slices.SortFunc(items, func(a, b btree.Item) int { return bytes.Compare(a.Key, b.Key) })
+	for _, it := range items {
+		if e := t.Insert(it.Key, it.Value); e != nil && !errors.Is(e, btree.ErrDuplicateKey) {
+			stopped, err = it.Key, e
 			break
 		}
 	}
+	if syncErr := t.Sync(); syncErr != nil {
+		return nil, syncErr
+	}
+	return stopped, err
+}
+
+// repairFailed records a failed repair attempt on e. After an abandon the
+// registry may no longer hold e — AbandonQuarantined released it before the
+// reseed finished, e.g. because the re-insert descent hit another damaged
+// page. It is restored with its range (Add resumes its attempt count), so
+// the escalation stays on the rebuild path; otherwise the range's keys
+// would be silently lost while the DB reads Healthy.
+func (db *DB) repairFailed(q *buffer.Quarantine, e buffer.QuarantinedPage, err error, abandoned bool) {
+	if abandoned && !q.IsQuarantined(e.PageNo) {
+		q.Add(e.PageNo, "heap reseed incomplete: "+err.Error(), e.Critical)
+		if e.HasRange {
+			q.SetRange(e.PageNo, e.Lo, e.Hi)
+		}
+	}
+	q.MarkAttempt(e.PageNo)
+	db.cfg.Obs.Count(obs.SupervisorFail)
+	db.cfg.Obs.Eventf(obs.SupervisorFail, e.PageNo,
+		"supervisor repair attempt %d failed: %v", e.Attempts+1, err)
+}
+
+// keyRange is the half-open key range [lo, hi); a nil hi is unbounded.
+type keyRange struct{ lo, hi []byte }
+
+// keyRanges is a sorted run of disjoint key ranges.
+type keyRanges []keyRange
+
+// mergeRanges merges the ranges of abandoned pages, nested and overlapping
+// ones included: an abandoned internal page's range contains its leaves'.
+// A page with no recorded range stands for the whole key space.
+func mergeRanges(es []buffer.QuarantinedPage) keyRanges {
+	var rs keyRanges
+	for _, e := range es {
+		if !e.HasRange {
+			return keyRanges{{}}
+		}
+		rs = append(rs, keyRange{e.Lo, e.Hi})
+	}
+	slices.SortFunc(rs, func(a, b keyRange) int { return bytes.Compare(a.lo, b.lo) })
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 && (out[n-1].hi == nil || bytes.Compare(r.lo, out[n-1].hi) <= 0) {
+			if out[n-1].hi != nil && (r.hi == nil || bytes.Compare(r.hi, out[n-1].hi) > 0) {
+				out[n-1].hi = r.hi
+			}
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// contain reports whether key lies in one of the ranges.
+func (rs keyRanges) contain(key []byte) bool {
+	i, found := slices.BinarySearchFunc(rs, key, func(r keyRange, k []byte) int {
+		return bytes.Compare(r.lo, k)
+	})
+	// Otherwise rs[i-1] is the last range starting before key.
+	return found || i > 0 && (rs[i-1].hi == nil || bytes.Compare(key, rs[i-1].hi) < 0)
 }
 
 // superviseRelation re-probes quarantined heap pages: a heap page enters
@@ -233,49 +317,4 @@ func (db *DB) superviseRelation(r *Relation, now time.Time) {
 		db.cfg.Obs.Eventf(obs.SupervisorFail, e.PageNo,
 			"supervisor probe attempt %d: heap page still unreadable", e.Attempts+1)
 	}
-}
-
-// rebuildFromHeap abandons quarantined index page e (initializing it empty
-// via the rebuild fallback) and re-inserts its key range from the heap
-// relation. Only tuple versions visible to current committed state are
-// re-indexed; keys already present elsewhere in the tree are skipped.
-// keyFilter, when non-nil, drops keys another shard owns.
-func (db *DB) rebuildFromHeap(t *btree.Tree, src healSource, keyFilter func([]byte) bool, e buffer.QuarantinedPage) error {
-	if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
-		return err
-	}
-	var scanErr error
-	err := src.rel.h.ScanAll(func(tid heap.TID, xmin, xmax heap.XID, data []byte) bool {
-		if _, err := src.rel.h.Fetch(tid, db.mgr); err != nil {
-			return true // dead or invisible version; the index must not resurrect it
-		}
-		key := src.keyOf(data)
-		if key == nil {
-			return true
-		}
-		if keyFilter != nil && !keyFilter(key) {
-			return true
-		}
-		if e.HasRange {
-			if bytes.Compare(key, e.Lo) < 0 {
-				return true
-			}
-			if e.Hi != nil && bytes.Compare(key, e.Hi) >= 0 {
-				return true
-			}
-		}
-		if err := t.Insert(key, tid.Bytes()); err != nil &&
-			!errors.Is(err, btree.ErrDuplicateKey) {
-			scanErr = err
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if scanErr != nil {
-		return scanErr
-	}
-	return t.Sync()
 }

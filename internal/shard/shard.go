@@ -5,9 +5,9 @@
 // singletons — the tree itself, its sync counter, its split lock, and
 // its quarantine registry — into per-shard copies that never contend.
 //
-// The Router hashes each key to a shard and fans point operations out
-// lock-free: routing is a pure function of the key bytes, so concurrent
-// operations on different shards share no mutable state at all. Range
+// The Router hashes each key to a shard: routing is a pure function of the
+// key bytes, so its owner sends point operations straight to one tree and
+// concurrent operations on different shards share no mutable state. Range
 // scans see the union keyspace in key order via a k-way merge over
 // per-shard cursors (each shard's tree is internally sorted; keys are
 // disjoint across shards because routing is deterministic), preserving
@@ -33,20 +33,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Tree is the per-shard index surface the router routes over. *btree.Tree
-// satisfies it; tests substitute stubs to drive merge edge cases.
+// Tree is the per-shard index surface the router merges and recovers over.
+// *btree.Tree satisfies it; tests substitute stubs to drive merge edge cases.
 type Tree interface {
-	Insert(key, value []byte) error
-	Lookup(key []byte) ([]byte, error)
-	Delete(key []byte) error
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
 	ScanDegraded(start, end []byte, fn func(key, value []byte) bool) (btree.ScanReport, error)
-	Sync() error
 	RecoverAvailable() (btree.ScanReport, error)
 }
 
-// Router fans operations out over N shards. All methods are safe for
-// concurrent use; the router itself holds no locks — cross-shard
+// Router merges scans and recovery sweeps over N shards. All methods are
+// safe for concurrent use; the router itself holds no locks — cross-shard
 // coordination exists only inside range scans, which are per-call state.
 type Router struct {
 	shards []Tree
@@ -59,12 +55,6 @@ func New(shards []Tree) (*Router, error) {
 	}
 	return &Router{shards: append([]Tree(nil), shards...)}, nil
 }
-
-// N returns the shard count.
-func (r *Router) N() int { return len(r.shards) }
-
-// Shard returns shard i's tree (tools, stats, tests).
-func (r *Router) Shard(i int) Tree { return r.shards[i] }
 
 // Pick maps a key to its owning shard: FNV-1a over the key bytes, mod N.
 // Hash (not range) partitioning spreads ascending-key insert storms — the
@@ -90,42 +80,6 @@ func fnv1a(key []byte) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// Insert routes key to its shard.
-func (r *Router) Insert(key, value []byte) error {
-	return r.shards[r.Pick(key)].Insert(key, value)
-}
-
-// Lookup routes key to its shard.
-func (r *Router) Lookup(key []byte) ([]byte, error) {
-	return r.shards[r.Pick(key)].Lookup(key)
-}
-
-// Delete routes key to its shard.
-func (r *Router) Delete(key []byte) error {
-	return r.shards[r.Pick(key)].Delete(key)
-}
-
-// Sync forces every shard's dirty pages, fanning the per-shard syncs out
-// in parallel: each shard is its own sync domain (its own counter, its
-// own unordered §2 force), so nothing orders one shard's flush against
-// another's.
-func (r *Router) Sync() error {
-	if len(r.shards) == 1 {
-		return r.shards[0].Sync()
-	}
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, t := range r.shards {
-		wg.Add(1)
-		go func(i int, t Tree) {
-			defer wg.Done()
-			errs[i] = t.Sync()
-		}(i, t)
-	}
-	wg.Wait()
-	return firstError(errs)
 }
 
 func firstError(errs []error) error {
@@ -304,51 +258,39 @@ func (r *Router) mergeScan(start, end []byte, degraded bool, fn func(key, value 
 // RecoveryStats reports one post-crash recovery sweep across all shards.
 type RecoveryStats struct {
 	Shards   int             `json:"shards"`
-	Parallel bool            `json:"parallel"`
 	Wall     time.Duration   `json:"wall_ns"`
 	PerShard []time.Duration `json:"per_shard_ns"`
 }
 
 // Recover runs every shard's repair-on-first-use sweep
 // (btree.RecoverAvailable): each pending §3.3/§3.4 repair is triggered
-// and quarantined subtrees are collected into the merged report. With
-// parallel set, shards heal concurrently in goroutines — they share no
-// state, so an N-shard heal approaches 1/N of the sequential wall time
-// on a device that overlaps I/O. A sweep begins by waiting for its shard's
-// allocation-bound walk; those have all been running side by side since
-// the shards were opened, in either mode. The recorder, when non-nil,
-// counts one shard.recover per finished shard.
-func (r *Router) Recover(parallel bool, rec *obs.Recorder) (RecoveryStats, btree.ScanReport, error) {
+// and quarantined subtrees are collected into the merged report. Shards
+// heal concurrently in goroutines — they share no state, so an N-shard heal
+// approaches 1/N of the sequential wall time on a device that overlaps I/O.
+// A sweep begins by waiting for its shard's allocation-bound walk; those
+// have all been running side by side since the shards were opened. The
+// recorder, when non-nil, counts one shard.recover per finished shard.
+func (r *Router) Recover(rec *obs.Recorder) (RecoveryStats, btree.ScanReport, error) {
 	st := RecoveryStats{
 		Shards:   len(r.shards),
-		Parallel: parallel,
 		PerShard: make([]time.Duration, len(r.shards)),
 	}
 	reps := make([]btree.ScanReport, len(r.shards))
 	errs := make([]error, len(r.shards))
 	start := time.Now()
-	heal := func(i int, t Tree) {
-		s := time.Now()
-		reps[i], errs[i] = t.RecoverAvailable()
-		st.PerShard[i] = time.Since(s)
-		rec.Eventf(obs.ShardRecover, 0, "shard %d/%d recovered in %v (skipped %d ranges)",
-			i, len(r.shards), st.PerShard[i], len(reps[i].Skipped))
+	var wg sync.WaitGroup
+	for i, t := range r.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := time.Now()
+			reps[i], errs[i] = t.RecoverAvailable()
+			st.PerShard[i] = time.Since(s)
+			rec.Eventf(obs.ShardRecover, 0, "shard %d/%d recovered in %v (skipped %d ranges)",
+				i, len(r.shards), st.PerShard[i], len(reps[i].Skipped))
+		}()
 	}
-	if parallel {
-		var wg sync.WaitGroup
-		for i, t := range r.shards {
-			wg.Add(1)
-			go func(i int, t Tree) {
-				defer wg.Done()
-				heal(i, t)
-			}(i, t)
-		}
-		wg.Wait()
-	} else {
-		for i, t := range r.shards {
-			heal(i, t)
-		}
-	}
+	wg.Wait()
 	st.Wall = time.Since(start)
 	var merged btree.ScanReport
 	for _, rp := range reps {

@@ -13,9 +13,9 @@ import (
 )
 
 // openShards builds n real B-link trees over fresh MemDisks.
-func openShards(t *testing.T, n int, v btree.Variant) ([]Tree, []*storage.MemDisk) {
+func openShards(t *testing.T, n int, v btree.Variant) ([]*btree.Tree, []*storage.MemDisk) {
 	t.Helper()
-	shards := make([]Tree, n)
+	trees := make([]*btree.Tree, n)
 	disks := make([]*storage.MemDisk, n)
 	for i := 0; i < n; i++ {
 		d := storage.NewMemDisk()
@@ -23,9 +23,31 @@ func openShards(t *testing.T, n int, v btree.Variant) ([]Tree, []*storage.MemDis
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i], disks[i] = tr, d
+		trees[i], disks[i] = tr, d
 	}
-	return shards, disks
+	return trees, disks
+}
+
+// newRouter builds a router over real trees.
+func newRouter(t *testing.T, trees []*btree.Tree) *Router {
+	t.Helper()
+	legs := make([]Tree, len(trees))
+	for i, tr := range trees {
+		legs[i] = tr
+	}
+	r, err := New(legs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// insert puts key -> value into the tree the router routes key to.
+func insert(t *testing.T, r *Router, trees []*btree.Tree, key, value []byte) {
+	t.Helper()
+	if err := trees[r.Pick(key)].Insert(key, value); err != nil {
+		t.Fatalf("insert %q: %v", key, err)
+	}
 }
 
 func key(i int) []byte {
@@ -40,17 +62,12 @@ func key(i int) []byte {
 // always cross a shard boundary.
 func TestMergeScanOrdering(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
-		shards, _ := openShards(t, n, btree.Shadow)
-		r, err := New(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		trees, _ := openShards(t, n, btree.Shadow)
+		r := newRouter(t, trees)
 		const total = 1000 // >> scanChunk, forcing multiple refills per cursor
 		perShard := make(map[int]int)
 		for i := 0; i < total; i++ {
-			if err := r.Insert(key(i), key(i)); err != nil {
-				t.Fatalf("n=%d insert %d: %v", n, i, err)
-			}
+			insert(t, r, trees, key(i), key(i))
 			perShard[r.Pick(key(i))]++
 		}
 		if n > 1 {
@@ -62,7 +79,7 @@ func TestMergeScanOrdering(t *testing.T) {
 			}
 		}
 		var got []int
-		err = r.Scan(nil, nil, func(k, v []byte) bool {
+		err := r.Scan(nil, nil, func(k, v []byte) bool {
 			if !bytes.Equal(k, v) {
 				t.Fatalf("value mismatch for key %x", k)
 			}
@@ -84,13 +101,11 @@ func TestMergeScanOrdering(t *testing.T) {
 // TestMergeScanBounds checks half-open [start, end) ranges and the early
 // stop (fn returning false) across shard boundaries.
 func TestMergeScanBounds(t *testing.T) {
-	shards, _ := openShards(t, 4, btree.Reorg)
-	r, _ := New(shards)
+	trees, _ := openShards(t, 4, btree.Reorg)
+	r := newRouter(t, trees)
 	const total = 500
 	for i := 0; i < total; i++ {
-		if err := r.Insert(key(i), key(i)); err != nil {
-			t.Fatal(err)
-		}
+		insert(t, r, trees, key(i), key(i))
 	}
 	var got []int
 	if err := r.Scan(key(100), key(300), func(k, _ []byte) bool {
@@ -120,15 +135,13 @@ func TestMergeScanBounds(t *testing.T) {
 // extension of a prefix hashes to an arbitrary shard, so a prefix scan is
 // the worst case for merge ordering.
 func TestMergeScanPrefixSpansShards(t *testing.T) {
-	shards, _ := openShards(t, 4, btree.Shadow)
-	r, _ := New(shards)
+	trees, _ := openShards(t, 4, btree.Shadow)
+	r := newRouter(t, trees)
 	var want []string
 	for _, p := range []string{"app", "apple", "applied", "apply", "apt", "base", "basil"} {
 		for i := 0; i < 30; i++ {
 			k := fmt.Sprintf("%s/%04d", p, i)
-			if err := r.Insert([]byte(k), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
+			insert(t, r, trees, []byte(k), []byte("v"))
 			if len(k) >= 3 && k[:3] == "app" {
 				want = append(want, k)
 			}
@@ -162,10 +175,6 @@ type stubShard struct {
 	visits int // ScanDegraded calls, to verify chunked resume
 }
 
-func (s *stubShard) Insert(k, v []byte) error        { return nil }
-func (s *stubShard) Lookup(k []byte) ([]byte, error) { return nil, btree.ErrKeyNotFound }
-func (s *stubShard) Delete(k []byte) error           { return btree.ErrKeyNotFound }
-func (s *stubShard) Sync() error                     { return nil }
 func (s *stubShard) RecoverAvailable() (btree.ScanReport, error) {
 	if s.qLo != "" {
 		return btree.ScanReport{Skipped: []btree.SkippedRange{
@@ -274,7 +283,8 @@ func TestDegradedShardDoesNotPoisonMerge(t *testing.T) {
 
 // TestRouterRecoverParallel asserts the per-shard recovery fan-out: every
 // shard's sweep runs, per-shard timings are recorded, the merged report
-// aggregates skips, and the recorder counts one shard.recover per shard.
+// aggregates skips, and the recorder counts one shard.recover per shard
+// and sweep.
 func TestRouterRecoverParallel(t *testing.T) {
 	shards := []Tree{
 		&stubShard{keys: []string{"a"}},
@@ -284,16 +294,16 @@ func TestRouterRecoverParallel(t *testing.T) {
 	}
 	r, _ := New(shards)
 	rec := obs.New(64)
-	for _, parallel := range []bool{false, true} {
-		st, rep, err := r.Recover(parallel, rec)
+	for sweep := 0; sweep < 2; sweep++ {
+		st, rep, err := r.Recover(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Shards != 4 || len(st.PerShard) != 4 {
-			t.Fatalf("parallel=%v: stats %+v", parallel, st)
+			t.Fatalf("sweep %d: stats %+v", sweep, st)
 		}
 		if len(rep.Skipped) != 1 || rep.Skipped[0].PageNo != 7 {
-			t.Fatalf("parallel=%v: merged recovery report %+v", parallel, rep)
+			t.Fatalf("sweep %d: merged recovery report %+v", sweep, rep)
 		}
 	}
 	if got := rec.Get(obs.ShardRecover); got != 8 { // 4 shards x 2 sweeps
@@ -305,25 +315,23 @@ func TestRouterRecoverParallel(t *testing.T) {
 // trees that crashed with pending writes in every shard.
 func TestRealTreeRecoverThroughRouter(t *testing.T) {
 	const n = 4
-	shards, disks := openShards(t, n, btree.Shadow)
-	r, _ := New(shards)
+	trees, disks := openShards(t, n, btree.Shadow)
+	r := newRouter(t, trees)
 	const committed = 400
 	for i := 0; i < committed; i++ {
-		if err := r.Insert(key(i), key(i)); err != nil {
+		insert(t, r, trees, key(i), key(i))
+	}
+	for _, tr := range trees {
+		if err := tr.Sync(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := r.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	for i := committed; i < committed+200; i++ {
-		if err := r.Insert(key(i), key(i)); err != nil {
-			t.Fatal(err)
-		}
+		insert(t, r, trees, key(i), key(i))
 	}
 	// Crash every shard: dirty pages reach the OS but only half survive.
-	for i, tr := range shards {
-		if err := tr.(*btree.Tree).Pool().FlushDirty(); err != nil {
+	for i, tr := range trees {
+		if err := tr.Pool().FlushDirty(); err != nil {
 			t.Fatal(err)
 		}
 		if err := disks[i].CrashPartial(func(pending []storage.PageNo) []storage.PageNo {
@@ -333,7 +341,7 @@ func TestRealTreeRecoverThroughRouter(t *testing.T) {
 		}
 	}
 	// Reopen each shard over its crashed disk and heal them in parallel.
-	reopened := make([]Tree, n)
+	reopened := make([]*btree.Tree, n)
 	for i, d := range disks {
 		tr, err := btree.Open(d, btree.Shadow, btree.Options{})
 		if err != nil {
@@ -341,8 +349,8 @@ func TestRealTreeRecoverThroughRouter(t *testing.T) {
 		}
 		reopened[i] = tr
 	}
-	r2, _ := New(reopened)
-	if _, rep, err := r2.Recover(true, nil); err != nil {
+	r2 := newRouter(t, reopened)
+	if _, rep, err := r2.Recover(nil); err != nil {
 		t.Fatal(err)
 	} else if len(rep.Skipped) != 0 {
 		t.Fatalf("recovery skipped ranges on a MemDisk crash: %+v", rep.Skipped)
