@@ -84,15 +84,18 @@ server-smoke:
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'
 
-# The sharding gate, all under the race detector: the router's merged
-# scans and parallel recovery, the core index at four shards (crash/recover
-# with every shard dirty, a shard count other than the one on disk refused in
-# every direction, the checkpoint reaching every shard, supervisor healing a
-# fault in every shard, heap rebuilds that respect shard routing), the txn
-# layer's parallel force fan-out across sync domains, and a multi-shard
-# server crash/recover round and the refused restarts over real TCP.
+# The sharding gate, all under the race detector: core.Index's merged scans
+# (order, bounds, prefixes, a degraded leg reported once, the merge over one
+# leg) and its parallel recovery sweep (one corrupted leaf reported by every
+# sweep, a crash with pending writes in every tree), the core index at four
+# shards (crash/recover with every shard dirty, a shard count other than the
+# one on disk refused in every direction, the checkpoint reaching every
+# shard, supervisor healing a fault in every shard, heap rebuilds that
+# respect shard routing), the txn layer's parallel force fan-out across sync
+# domains, and a multi-shard server crash/recover round and the refused
+# restarts over real TCP.
 shard-smoke:
-	$(GO) test -race ./internal/shard
+	$(GO) test -race ./internal/core -run 'TestMergeScanOrdering|TestMergeScanBounds|TestMergeScanPrefixSpansShards|TestDegradedShardDoesNotPoisonMerge|TestRouterRecoverParallel|TestRealTreeRecoverThroughRouter'
 	$(GO) test -race ./internal/core -run 'TestShard|TestFlushAllCoversEveryShard|TestHealthDegradedServesAndSupervisorHeals'
 	$(GO) test -race ./internal/txn -run TestBatchForce
 	$(GO) test -race ./internal/server -run TestServerShard

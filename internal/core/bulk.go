@@ -7,7 +7,7 @@ package core
 // no-overwrite storage system's authoritative copy (§2) — collects every
 // live tuple version, and swaps a freshly packed tree over the old structure
 // in one durable root install. An index of several trees fans both out per
-// shard in parallel: the router's key hash is the ownership filter, so each
+// shard in parallel: Index.shardOf's key hash is the ownership filter, so each
 // shard rebuilds exactly the keys it would serve.
 
 import (

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/heap"
-	"repro/internal/shard"
 )
 
 // commitRun inserts n tuples (data = key) into rel and returns the
@@ -170,7 +169,7 @@ func TestIndexRebuildFromHeap(t *testing.T) {
 			// Ownership: every tree must hold exactly the keys routed to it.
 			for s, tr := range ix.Trees() {
 				err := tr.Scan(nil, nil, func(k, _ []byte) bool {
-					if got := shard.PickN(k, shards); got != s {
+					if got := ix.shardOf(k); got != s {
 						t.Fatalf("key %q rebuilt into shard %d, routed to %d", k, s, got)
 					}
 					return true

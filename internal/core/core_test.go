@@ -293,6 +293,48 @@ func TestVacuumRemovesDeadKeys(t *testing.T) {
 	}
 }
 
+// TestVacuumKeepsInFlightVersions: a version whose transaction is still open
+// is not dead, however many later transactions commit before the vacuum
+// runs. Once its transaction commits, its key resolves to it.
+func TestVacuumKeepsInFlightVersions(t *testing.T) {
+	db, _ := openMem(t, Reorg)
+	rel, _ := db.CreateRelation("t")
+	idx, _ := db.CreateIndex("t_pk", Reorg)
+	insert := func(tx *Txn, key string) {
+		tid, err := rel.Insert(tx, []byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.InsertTID(tx, []byte(key), tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := db.Begin()
+	insert(open, "inflight")
+	later := db.Begin()
+	insert(later, "committed")
+	if err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := db.VacuumRelation(rel, idx, func(data []byte) []byte { return data })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Dead != 0 || st.IndexRemoved != 0 {
+		t.Fatalf("vacuum reaped a live or in-flight version: %+v", st)
+	}
+	if err := open.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"inflight", "committed"} {
+		data, err := idx.FetchVisible(rel, []byte(key))
+		if err != nil || string(data) != key {
+			t.Fatalf("%s after the vacuum: %q, %v", key, data, err)
+		}
+	}
+}
+
 func TestVacuumIndexRegeneratesFreelist(t *testing.T) {
 	store := Memory()
 	db, err := Open(store, Config{})

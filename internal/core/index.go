@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/page"
-	"repro/internal/shard"
 )
 
 // Index is a crash-recoverable index: one logical key space over N >= 1
@@ -21,14 +21,14 @@ import (
 // buffer-pool stripe set, sync counter (= sync domain), split lock, and
 // quarantine registry, so the singletons that cap a single tree's
 // scalability are multiplied away: point operations route lock-free by key
-// hash, range scans merge the per-shard streams in key order (internal/shard),
-// and post-crash repair — the paper's repair-on-first-use — runs per shard in
-// parallel, because no shard needs anything from another to heal.
+// hash (shardOf), range scans merge the per-shard streams in key order
+// (mergeScan), and post-crash repair — the paper's repair-on-first-use — runs
+// per shard in parallel (Recover), because no shard needs anything from
+// another to heal.
 type Index struct {
 	db    *DB
 	name  string
 	trees []*btree.Tree
-	r     *shard.Router // over trees; scans and point calls use it only when there are several
 }
 
 // ErrShardMismatch is returned when opening an existing index with a
@@ -82,7 +82,6 @@ func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) 
 	if opts.Obs == nil {
 		opts.Obs = db.cfg.Obs
 	}
-	legs := make([]shard.Tree, n)
 	for i := range ix.trees {
 		d, err := db.store.open(ix.fileName(i))
 		if err != nil {
@@ -96,10 +95,7 @@ func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) 
 			t.Pool().SetRetryPolicy(db.cfg.Retry)
 		}
 		db.attachHealth(t.Pool())
-		ix.trees[i], legs[i] = t, t
-	}
-	if ix.r, err = shard.New(legs); err != nil {
-		return nil, err
+		ix.trees[i] = t
 	}
 	db.indexes[name] = ix
 	return ix, nil
@@ -191,12 +187,24 @@ func (ix *Index) Tree() *btree.Tree { return ix.trees[0] }
 func (ix *Index) Trees() []*btree.Tree { return ix.trees }
 
 // shardOf returns the number of the tree that owns key: the only one, or
-// the one key hashes to.
+// FNV-1a over the key bytes mod N. It is the only function that maps a key
+// to a tree. Hash (not range) partitioning spreads ascending-key insert
+// storms — the paper's worst case for split traffic — evenly over every
+// shard's split lock instead of hammering one.
 func (ix *Index) shardOf(key []byte) int {
 	if len(ix.trees) == 1 {
 		return 0
 	}
-	return ix.r.Pick(key)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return int(h % uint64(len(ix.trees)))
 }
 
 // pick returns the tree that owns key.
@@ -209,7 +217,7 @@ func (ix *Index) partition(items []btree.Item) [][]btree.Item {
 	}
 	parts := make([][]btree.Item, len(ix.trees))
 	for _, it := range items {
-		s := ix.r.Pick(it.Key)
+		s := ix.shardOf(it.Key)
 		parts[s] = append(parts[s], it)
 	}
 	return parts
@@ -280,7 +288,7 @@ func (ix *Index) InsertTIDBatch(t *Txn, keys [][]byte, tids []heap.TID) error {
 	subKeys := make([][][]byte, len(ix.trees))
 	subVals := make([][][]byte, len(ix.trees))
 	for i, k := range keys {
-		s := ix.r.Pick(k)
+		s := ix.shardOf(k)
 		subKeys[s] = append(subKeys[s], k)
 		subVals[s] = append(subVals[s], tids[i].Bytes())
 	}
@@ -347,7 +355,8 @@ func (ix *Index) Scan(start, end []byte, fn func(key []byte, tid heap.TID) bool)
 		return ix.trees[0].Scan(start, end, withTID(fn))
 	}
 	ix.db.cfg.Obs.Count(obs.ShardScan)
-	return ix.r.Scan(start, end, withTID(fn))
+	_, err := ix.merge(start, end, false, withTID(fn))
+	return err
 }
 
 // withTID adapts an entry visitor to the tree's key/value one; a value that
@@ -436,19 +445,190 @@ func (ix *Index) ScanDegraded(start, end []byte, fn func(key []byte, tid heap.TI
 		return ix.trees[0].ScanDegraded(start, end, withTID(fn))
 	}
 	ix.db.cfg.Obs.Count(obs.ShardScan)
-	return ix.r.ScanDegraded(start, end, withTID(fn))
+	return ix.merge(start, end, true, withTID(fn))
 }
 
-// Recover runs the repair-on-first-use sweep over every shard in parallel
-// goroutines, returning per-shard and wall timings plus the merged skip
-// report. This is the post-crash heal: after a restart it brings every
-// pending §3.3/§3.4 repair forward instead of leaving it to first use, at
-// 1/N of the sequential time.
-func (ix *Index) Recover() (shard.RecoveryStats, btree.ScanReport, error) {
+// Recover runs every tree's repair-on-first-use sweep
+// (btree.RecoverAvailable) — side by side when there are several, since no
+// shard needs anything from another to heal — and returns the merged skip
+// report: each pending §3.3/§3.4 repair is triggered and quarantined
+// subtrees are collected. This is the post-crash heal: after a restart it
+// brings every pending repair forward instead of leaving it to first use. A
+// sweep begins by waiting for its tree's allocation-bound walk; those have
+// all been running side by side since the trees were opened. Each finished
+// tree counts one shard.recover, whose event carries that tree's time.
+func (ix *Index) Recover() (btree.ScanReport, error) {
 	if err := ix.db.readable(); err != nil {
-		return shard.RecoveryStats{}, btree.ScanReport{}, err
+		return btree.ScanReport{}, err
 	}
-	return ix.r.Recover(ix.db.cfg.Obs)
+	reps := make([]btree.ScanReport, len(ix.trees))
+	err := ix.eachTree(func(i int, t *btree.Tree) error {
+		start := time.Now()
+		var err error
+		reps[i], err = t.RecoverAvailable()
+		ix.db.cfg.Obs.Eventf(obs.ShardRecover, 0, "shard %d/%d recovered in %v (skipped %d ranges)",
+			i, len(ix.trees), time.Since(start), len(reps[i].Skipped))
+		return err
+	})
+	var merged btree.ScanReport
+	for _, rep := range reps {
+		merged.Skipped = append(merged.Skipped, rep.Skipped...)
+	}
+	return merged, err
+}
+
+// scanLeg is what the merge needs of one shard: *btree.Tree, or a test stub
+// that drives the merge's edge cases.
+type scanLeg interface {
+	Scan(start, end []byte, fn func(key, value []byte) bool) error
+	ScanDegraded(start, end []byte, fn func(key, value []byte) bool) (btree.ScanReport, error)
+}
+
+// merge runs mergeScan over every tree of the index.
+func (ix *Index) merge(start, end []byte, degraded bool, fn func(key, value []byte) bool) (btree.ScanReport, error) {
+	legs := make([]scanLeg, len(ix.trees))
+	for i, t := range ix.trees {
+		legs[i] = t
+	}
+	return mergeScan(legs, start, end, degraded, fn)
+}
+
+// scanChunk is the per-shard cursor refill size. Each refill is one pass
+// under the shard's tree lock; the merge pulls from in-memory buffers
+// between refills, so the chunk size trades lock acquisitions against
+// buffered copies.
+const scanChunk = 128
+
+type kvPair struct{ k, v []byte }
+
+// cursor pulls one shard's entries in key order, a chunk at a time.
+// Push-based tree scans become pull-based merge legs by collecting up to
+// scanChunk entries per call and resuming at the first refused key —
+// scans are inclusive of their start key, so the refused key is simply
+// the next refill's start.
+type cursor struct {
+	t        scanLeg
+	end      []byte
+	degraded bool
+
+	buf  []kvPair
+	pos  int
+	next []byte // start key of the next refill
+	done bool   // underlying scan ran to completion
+
+	// Degraded mode: skipped ranges are merged into the shared report,
+	// deduplicated by page number (a range re-encountered by a later
+	// refill of the same cursor must not be reported twice). repMu guards
+	// the report: initial refills run concurrently across cursors.
+	rep   *btree.ScanReport
+	repMu *sync.Mutex
+	seen  map[uint32]bool
+}
+
+// refill fetches the next chunk. Post-condition: pos < len(buf) or the
+// cursor is exhausted (done && pos == len(buf)).
+func (c *cursor) refill() error {
+	c.buf = c.buf[:0]
+	c.pos = 0
+	if c.done {
+		return nil
+	}
+	stopped := false
+	collect := func(k, v []byte) bool {
+		if len(c.buf) == scanChunk {
+			stopped = true
+			c.next = append(c.next[:0], k...)
+			return false
+		}
+		c.buf = append(c.buf, kvPair{k: bytes.Clone(k), v: bytes.Clone(v)})
+		return true
+	}
+	if c.degraded {
+		rep, err := c.t.ScanDegraded(c.next, c.end, collect)
+		c.repMu.Lock()
+		for _, s := range rep.Skipped {
+			if !c.seen[s.PageNo] {
+				c.seen[s.PageNo] = true
+				c.rep.Skipped = append(c.rep.Skipped, s)
+			}
+		}
+		c.repMu.Unlock()
+		if err != nil {
+			return err
+		}
+	} else {
+		if err := c.t.Scan(c.next, c.end, collect); err != nil {
+			return err
+		}
+	}
+	if !stopped {
+		c.done = true
+	}
+	return nil
+}
+
+// mergeScan visits the union keyspace of legs in [start, end) in global key
+// order: a k-way merge over per-shard cursors. Keys are disjoint across
+// shards (routing is deterministic), so no dedup is needed; a tie — possible
+// only if shards were populated outside shardOf — is broken by shard index
+// for determinism. In degraded mode it lifts the skip-and-report contract of
+// btree.ScanDegraded to the union keyspace: quarantined subtrees in any leg
+// are stepped over and recorded once in the merged report, and healthy legs
+// are never affected by a degraded one.
+func mergeScan(legs []scanLeg, start, end []byte, degraded bool, fn func(key, value []byte) bool) (btree.ScanReport, error) {
+	var rep btree.ScanReport
+	var repMu sync.Mutex
+	cursors := make([]*cursor, len(legs))
+	for i, t := range legs {
+		cursors[i] = &cursor{
+			t: t, end: end, degraded: degraded,
+			next: bytes.Clone(start),
+			rep:  &rep, repMu: &repMu, seen: make(map[uint32]bool),
+		}
+	}
+	// Initial refills run in parallel: each leg is an independent tree
+	// descent, typically I/O-bound on a cold pool.
+	errs := make([]error, len(cursors))
+	var wg sync.WaitGroup
+	for i, c := range cursors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.refill()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return rep, err
+	}
+
+	for {
+		best := -1
+		for i, c := range cursors {
+			if c.pos == len(c.buf) {
+				continue
+			}
+			if best == -1 || bytes.Compare(c.buf[c.pos].k, cursors[best].buf[cursors[best].pos].k) < 0 {
+				best = i
+			}
+		}
+		if best == -1 {
+			return rep, nil
+		}
+		c := cursors[best]
+		e := c.buf[c.pos]
+		c.pos++
+		if c.pos == len(c.buf) {
+			// Refill before yielding so the next min-compare sees a
+			// non-empty buffer or a finished cursor.
+			if err := c.refill(); err != nil {
+				return rep, err
+			}
+		}
+		if !fn(e.k, e.v) {
+			return rep, nil
+		}
+	}
 }
 
 // ShardStat is one shard's slice of the index's cache and quarantine

@@ -94,9 +94,9 @@ const (
 	CommitOverlap  // a batch began its force while an earlier batch's status append was pending
 	FlushDaemon    // background checkpoint pass flushed the DB's dirty pages
 
-	// Sharded multi-index router (internal/shard).
-	ShardRecover // one shard finished its post-crash recovery sweep
-	ShardScan    // one cross-shard merged range scan served by the router
+	// An index of several trees (core.Index).
+	ShardRecover // one shard finished its post-crash recovery sweep (Index.Recover)
+	ShardScan    // one cross-shard merged range scan (Index.Scan/ScanDegraded)
 
 	// Hot-path pass: 2Q eviction segments and the batched write API.
 	EvictPromote // probationary frame promoted to the protected segment

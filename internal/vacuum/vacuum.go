@@ -77,18 +77,6 @@ func Index(t *btree.Tree) (IndexStats, error) {
 	return st, nil
 }
 
-// IndexFull performs the complete index maintenance pass: merge underfull
-// pages (the Lanin-Shasha-style merges the paper delegates to the vacuum),
-// then sweep for unreachable pages and regenerate the freelist.
-func IndexFull(t *btree.Tree) (IndexStats, btree.MergeStats, error) {
-	ms, err := t.MergeUnderfull()
-	if err != nil {
-		return IndexStats{}, ms, err
-	}
-	is, err := Index(t)
-	return is, ms, err
-}
-
 // pageKeyRange recovers the key range an unreachable page held, from its
 // content; an unreadable or empty page is treated as having covered the
 // whole key space, which makes the allocator maximally conservative about
@@ -142,8 +130,8 @@ type HeapStats struct {
 // because the schema lives above this layer.
 type KeyOf func(data []byte) []byte
 
-// KeyIndex is what Heap needs of the index over the relation: a tree, or a
-// router over the trees of a sharded index.
+// KeyIndex is what Heap needs of the index over the relation: a tree, or an
+// adapter that sends each key to the tree of a sharded index that owns it.
 type KeyIndex interface {
 	Lookup(key []byte) ([]byte, error)
 	Delete(key []byte) error
@@ -151,11 +139,16 @@ type KeyIndex interface {
 }
 
 // Heap sweeps a relation, marks versions that can never be seen again
-// (creator never committed and is older than every active transaction, or
-// deleter committed) and removes the index entries pointing at them. This
-// is the deferred index-key deletion that keeps transaction-time index
-// updates out of the critical path.
-func Heap(rel *heap.Relation, status heap.StatusChecker, oldestActive heap.XID, idx KeyIndex, keyOf KeyOf) (HeapStats, error) {
+// (creator aborted, or deleter committed and older than oldestActive) and
+// removes the index entries pointing at them. This is the deferred
+// index-key deletion that keeps transaction-time index updates out of the
+// critical path. A creator that has not committed is judged by Aborted,
+// never by its age: a transaction still open owns its versions whatever
+// commits after it.
+func Heap(rel *heap.Relation, status interface {
+	heap.StatusChecker
+	heap.TxnStatus
+}, oldestActive heap.XID, idx KeyIndex, keyOf KeyOf) (HeapStats, error) {
 	var st HeapStats
 	type deadTuple struct {
 		tid  heap.TID
@@ -165,7 +158,7 @@ func Heap(rel *heap.Relation, status heap.StatusChecker, oldestActive heap.XID, 
 	err := rel.ScanAll(func(tid heap.TID, xmin, xmax heap.XID, data []byte) bool {
 		st.Scanned++
 		expired := xmax != 0 && status.Committed(xmax) && xmax < oldestActive
-		aborted := !status.Committed(xmin) && xmin < oldestActive
+		aborted := status.Aborted(xmin)
 		if expired || aborted {
 			st.Dead++
 			dead = append(dead, deadTuple{tid, append([]byte(nil), data...)})
