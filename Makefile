@@ -101,14 +101,14 @@ shard-smoke:
 	$(GO) test -race ./internal/server -run TestServerShard
 
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
-# hit and a no-split insert must not touch the heap) and the allocation bound
-# of a warm KV GET, batched inserts racing point inserts under the race
-# detector, the scan-resistant eviction tests (including the exact
-# legacy-clock fallback for tiny stripes), and the batched MPUT verb end to
-# end over TCP.
+# hit and a no-split insert must not touch the heap) and the allocation bounds
+# of a warm KV GET and a warm 50-row KV SCAN, batched inserts racing point
+# inserts under the race detector, the scan-resistant eviction tests
+# (including the exact legacy-clock fallback for tiny stripes), and the
+# batched MPUT verb end to end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
-	$(GO) test ./internal/server -run TestKVGetAllocs
+	$(GO) test ./internal/server -run 'TestKVGetAllocs|TestKVScanAllocs'
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
 	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool'
 	$(GO) test -race ./internal/server -run TestServerMput

@@ -438,6 +438,14 @@ func (r *Relation) Fetch(tid heap.TID) ([]byte, error) {
 	return r.h.Fetch(tid, r.db.mgr)
 }
 
+// FetchAppend is Fetch that appends the tuple to dst (heap.Relation.FetchAppend).
+func (r *Relation) FetchAppend(dst []byte, tid heap.TID) ([]byte, error) {
+	if err := r.db.readable(); err != nil {
+		return dst, err
+	}
+	return r.h.FetchAppend(dst, tid, r.db.mgr)
+}
+
 // FetchAsOf returns the version visible to a historical snapshot — the
 // time-travel read the no-overwrite storage system exists to support.
 func (r *Relation) FetchAsOf(tid heap.TID, asOf heap.XID) ([]byte, error) {

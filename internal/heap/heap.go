@@ -184,20 +184,25 @@ func (r *Relation) Insert(xid XID, data []byte) (TID, error) {
 // reported as ErrNoSuchTuple, which is how the heap "detects and ignores
 // records pointed to by invalid keys" (§2).
 func (r *Relation) Fetch(tid TID, status StatusChecker) ([]byte, error) {
-	item, err := r.rawTuple(tid)
-	if err != nil {
-		return nil, err
-	}
-	xmin, xmax := getXID(item[0:]), getXID(item[8:])
-	if !status.Committed(xmin) {
-		return nil, fmt.Errorf("%w: %v created by uncommitted txn %d", ErrNoSuchTuple, tid, xmin)
-	}
-	if xmax != 0 && status.Committed(xmax) {
-		return nil, fmt.Errorf("%w: %v deleted by txn %d", ErrNoSuchTuple, tid, xmax)
-	}
-	out := make([]byte, len(item)-tupleHeaderSize)
-	copy(out, item[tupleHeaderSize:])
-	return out, nil
+	return r.FetchAppend(nil, tid, status)
+}
+
+// FetchAppend is Fetch that appends the tuple data to dst and returns the
+// extended slice: the data is copied once, from the latched frame, and dst
+// is returned unchanged when the tuple is invisible or missing.
+func (r *Relation) FetchAppend(dst []byte, tid TID, status StatusChecker) ([]byte, error) {
+	err := r.readItem(tid, func(item []byte) error {
+		xmin, xmax := getXID(item[0:]), getXID(item[8:])
+		if !status.Committed(xmin) {
+			return fmt.Errorf("%w: %v created by uncommitted txn %d", ErrNoSuchTuple, tid, xmin)
+		}
+		if xmax != 0 && status.Committed(xmax) {
+			return fmt.Errorf("%w: %v deleted by txn %d", ErrNoSuchTuple, tid, xmax)
+		}
+		dst = append(dst, item[tupleHeaderSize:]...)
+		return nil
+	})
+	return dst, err
 }
 
 // FetchAsOf returns the tuple data visible to a historical snapshot: the
@@ -205,20 +210,19 @@ func (r *Relation) Fetch(tid TID, status StatusChecker) ([]byte, error) {
 // and not deleted by one with ID <= asOf. This is the time-travel access
 // path POSTGRES keeps historical data for.
 func (r *Relation) FetchAsOf(tid TID, status StatusChecker, asOf XID) ([]byte, error) {
-	item, err := r.rawTuple(tid)
-	if err != nil {
-		return nil, err
-	}
-	xmin, xmax := getXID(item[0:]), getXID(item[8:])
-	if xmin > asOf || !status.Committed(xmin) {
-		return nil, fmt.Errorf("%w: %v not yet created as of %d", ErrNoSuchTuple, tid, asOf)
-	}
-	if xmax != 0 && xmax <= asOf && status.Committed(xmax) {
-		return nil, fmt.Errorf("%w: %v already deleted as of %d", ErrNoSuchTuple, tid, asOf)
-	}
-	out := make([]byte, len(item)-tupleHeaderSize)
-	copy(out, item[tupleHeaderSize:])
-	return out, nil
+	var out []byte
+	err := r.readItem(tid, func(item []byte) error {
+		xmin, xmax := getXID(item[0:]), getXID(item[8:])
+		if xmin > asOf || !status.Committed(xmin) {
+			return fmt.Errorf("%w: %v not yet created as of %d", ErrNoSuchTuple, tid, asOf)
+		}
+		if xmax != 0 && xmax <= asOf && status.Committed(xmax) {
+			return fmt.Errorf("%w: %v already deleted as of %d", ErrNoSuchTuple, tid, asOf)
+		}
+		out = append(out, item[tupleHeaderSize:]...)
+		return nil
+	})
+	return out, err
 }
 
 // Delete stamps the tuple's xmax with xid (no-overwrite: the version stays
@@ -282,11 +286,11 @@ func (r *Relation) MarkDead(tid TID) error {
 
 // Header returns the tuple's xmin and xmax regardless of visibility.
 func (r *Relation) Header(tid TID) (xmin, xmax XID, err error) {
-	item, err := r.rawTuple(tid)
-	if err != nil {
-		return 0, 0, err
-	}
-	return getXID(item[0:]), getXID(item[8:]), nil
+	err = r.readItem(tid, func(item []byte) error {
+		xmin, xmax = getXID(item[0:]), getXID(item[8:])
+		return nil
+	})
+	return xmin, xmax, err
 }
 
 // ScanAll visits every tuple version in the relation (visible or not),
@@ -340,24 +344,23 @@ func (r *Relation) NumPages() storage.PageNo {
 	return n
 }
 
-// rawTuple copies out the item at tid. A page the pool will not serve (a
-// quarantined one, a failed read) is an error of its own, not a missing
-// tuple; a page past the end of the file is served zeroed and so names none.
-func (r *Relation) rawTuple(tid TID) ([]byte, error) {
+// readItem calls fn with the item at tid, under the frame's read latch: fn
+// must copy what it keeps. A page the pool will not serve (a quarantined one,
+// a failed read) is an error of its own, not a missing tuple; a page past the
+// end of the file is served zeroed and so names none.
+func (r *Relation) readItem(tid TID, fn func(item []byte) error) error {
 	f, err := r.pool.Get(tid.PageNo)
 	if err != nil {
-		return nil, fmt.Errorf("heap: tuple %v: %w", tid, err)
+		return fmt.Errorf("heap: tuple %v: %w", tid, err)
 	}
 	defer f.Unpin()
 	f.RLatch()
 	defer f.RUnlatch()
 	item, err := r.itemAt(f, tid)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, len(item))
-	copy(out, item)
-	return out, nil
+	return fn(item)
 }
 
 func (r *Relation) itemAt(f *buffer.Frame, tid TID) ([]byte, error) {

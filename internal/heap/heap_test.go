@@ -61,6 +61,37 @@ func TestInsertFetchVisible(t *testing.T) {
 	}
 }
 
+// TestFetchAppend: a visible tuple is appended after the bytes already in
+// dst; an invisible one and a missing one leave dst as it was; and the
+// result is a copy, not a view of the buffer frame.
+func TestFetchAppend(t *testing.T) {
+	r, _ := newRel(t)
+	status := fakeStatus{5: true}
+	tid, err := r.Insert(5, []byte("hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost, err := r.Insert(9, []byte("ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 64), "row:"...)
+	got, err := r.FetchAppend(dst, tid, status)
+	if err != nil || string(got) != "row:hello" {
+		t.Fatalf("FetchAppend = %q, %v; want \"row:hello\"", got, err)
+	}
+	for _, missing := range []TID{ghost, {PageNo: tid.PageNo, Slot: 99}, {PageNo: 40, Slot: 0}} {
+		out, err := r.FetchAppend(got, missing, status)
+		if !errors.Is(err, ErrNoSuchTuple) || string(out) != "row:hello" || len(out) != len(got) {
+			t.Fatalf("FetchAppend %v = %q, %v; want dst unchanged and ErrNoSuchTuple", missing, out, err)
+		}
+	}
+	copy(got[4:], "XXXXX")
+	if again, err := r.Fetch(tid, status); err != nil || string(again) != "hello" {
+		t.Fatalf("Fetch after writing to FetchAppend's result = %q, %v; it aliased the frame", again, err)
+	}
+}
+
 func TestUncommittedTupleInvisible(t *testing.T) {
 	r, _ := newRel(t)
 	tid, err := r.Insert(9, []byte("ghost"))

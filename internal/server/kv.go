@@ -60,16 +60,16 @@ func (kv *KV) lookup(key []byte) (heap.TID, []byte, bool, error) {
 	return v.tid, v.val, v.found, err
 }
 
-// fetch returns the tuple at tid if it is visible. A dead or invisible
-// version — the invalid keys the §2 bargain lets the index keep — is not
-// found; any other error, such as a heap page the pool will not serve, is
-// returned as it is.
-func (kv *KV) fetch(tid heap.TID) ([]byte, bool, error) {
-	data, err := kv.rel.Fetch(tid)
+// fetch appends the tuple at tid to dst if it is visible. A dead or
+// invisible version — the invalid keys the §2 bargain lets the index keep —
+// is not found, and dst comes back as it was; any other error, such as a heap
+// page the pool will not serve, is returned as it is.
+func (kv *KV) fetch(dst []byte, tid heap.TID) ([]byte, bool, error) {
+	out, err := kv.rel.FetchAppend(dst, tid)
 	if errors.Is(err, heap.ErrNoSuchTuple) {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return data, err == nil, err
+	return out, err == nil, err
 }
 
 // version is what a lookup found of one key: its newest visible version,
@@ -80,22 +80,23 @@ type version struct {
 	found bool
 }
 
-// newest returns the first visible one of a key's versions, given newest
-// first, and fetches none behind it. Multiple visible versions can exist only
-// under concurrent uncoordinated writers (the engine has no write-write
-// locking); the highest TID — the latest heap placement — wins
-// deterministically, and in this order it is the first visible one.
-func (kv *KV) newest(tids []heap.TID) (version, error) {
+// newest appends the first visible one of a key's versions, given newest
+// first, to dst, and fetches none behind it: the version's value is the
+// appended bytes, and dst is returned extended by them. Multiple visible
+// versions can exist only under concurrent uncoordinated writers (the engine
+// has no write-write locking); the highest TID — the latest heap placement —
+// wins deterministically, and in this order it is the first visible one.
+func (kv *KV) newest(dst []byte, tids []heap.TID) (version, []byte, error) {
 	for _, tid := range tids {
-		data, ok, err := kv.fetch(tid)
+		out, ok, err := kv.fetch(dst, tid)
 		if err != nil {
-			return version{}, err
+			return version{}, dst, err
 		}
 		if ok {
-			return version{tid, data, true}, nil
+			return version{tid, out[len(dst):len(out):len(out)], true}, out, nil
 		}
 	}
-	return version{}, nil
+	return version{}, dst, nil
 }
 
 // newestFirst orders TIDs from the highest down. The index does not keep a
@@ -156,7 +157,8 @@ func (r *resolver) next() (version, error) {
 		}
 	}
 	r.done++
-	return r.kv.newest(r.tids[r.from[i]:r.from[i+1]])
+	v, _, err := r.kv.newest(nil, r.tids[r.from[i]:r.from[i+1]])
+	return v, err
 }
 
 // hintLeaves hints the leaves of the keys up to upto that no hint covers yet.
@@ -305,7 +307,9 @@ func (kv *KV) Del(tx *core.Txn, key []byte) (bool, error) {
 }
 
 // Scan walks user keys in [lo, hi) (nil = open bound), resolving each to its
-// newest visible version, and returns up to limit rows in key order.
+// newest visible version, and returns up to limit rows in key order. The
+// rows' keys and values share one buffer, each copied into it once: a key
+// from the index entry, a value from the latched heap frame.
 //
 // A key's entries are all the index holds from key to key‖FF…FF, so they are
 // behind the scan once an entry arrives that does not start with key. Until
@@ -313,107 +317,43 @@ func (kv *KV) Del(tx *core.Txn, key []byte) (bool, error) {
 // first. Entries of the longer keys a key prefixes sort among its own, so
 // several keys can be pending at once, each a prefix of the entry in hand.
 func (kv *KV) Scan(lo, hi []byte, limit int) ([]Row, error) {
-	// rows holds the newest visible version of each of the (up to limit)
-	// smallest in-range keys resolved so far, in key order. Keys beyond the
-	// limit-th are dropped as smaller ones arrive — they can never appear in
-	// the result. Once rows is full, past is its last key‖00, the exclusive
-	// upper bound of the keys that can still join it: for byte strings,
-	// p ≤ last ⇔ p < past. pending[:n] are the pending keys; the entries
-	// after them keep their buffers for the next.
-	var (
-		rows    []Row
-		past    []byte
-		pending []pendingKey
-		n       int
-		ferr    error // the fetch error that ended the scan
-	)
-	// settle resolves the pending keys e does not start with, or all of them
-	// when e is nil.
-	settle := func(e []byte) {
-		kept := 0
-		for i := range n {
-			p := &pending[i]
-			if e != nil && bytes.HasPrefix(e, p.key) {
-				pending[kept], pending[i] = pending[i], pending[kept]
-				kept++
-				continue
-			}
-			if ferr != nil {
-				continue
-			}
-			slices.SortFunc(p.tids, newestFirst)
-			v, err := kv.newest(p.tids)
-			if err != nil {
-				ferr = err
-				continue
-			}
-			at, _ := slices.BinarySearchFunc(rows, p.key, func(r Row, k []byte) int { return bytes.Compare(r.Key, k) })
-			if !v.found || at == limit {
-				continue
-			}
-			rows = slices.Insert(rows, at, Row{Key: bytes.Clone(p.key), Value: v.val})
-			if len(rows) > limit {
-				rows = rows[:limit]
-			}
-			if len(rows) == limit {
-				past = append(append(past[:0], rows[limit-1].Key...), 0)
-			}
-		}
-		n = kept
-	}
-	err := kv.idx.ScanAhead(kv.rel, lo, nil, limit, func(e []byte, tid heap.TID) bool {
-		if len(e) < heap.TIDLen {
-			return true
-		}
-		settle(e)
-		if ferr != nil {
-			return false
-		}
-		key := e[:len(e)-heap.TIDLen]
-		inRange := (lo == nil || bytes.Compare(key, lo) >= 0) &&
-			(hi == nil || bytes.Compare(key, hi) < 0)
-		if !inRange {
-			// Entries of a user key form the contiguous index range
-			// prefixed by that key, but entries of DIFFERENT keys that
-			// share a prefix interleave: "a"+tid entries straddle every
-			// "a?"+tid run. So an out-of-range entry only ends the scan
-			// once no in-range key could still prefix later entries.
-			return hi == nil || hasInRangePrefix(e, lo, hi)
-		}
-		for i := range n {
-			if bytes.Equal(pending[i].key, key) {
-				pending[i].tids = append(pending[i].tids, tid)
-				return true
-			}
-		}
-		if len(rows) == limit && bytes.Compare(key, rows[limit-1].Key) > 0 {
-			// The result set is full and this key sorts past its largest
-			// member, so it cannot appear in the first limit rows. Keys
-			// are NOT visited in key order (the prefix interleaving
-			// above), so this alone does not end the scan: the only keys
-			// <= rows[limit-1] whose entries can still follow e are
-			// proper prefixes of e — a prefix key's entry run straddles
-			// its extensions' runs, every other key's run is fully
-			// behind us. Once no such prefix could exist, we are done.
-			return hasInRangePrefix(e, lo, past)
-		}
-		if n == len(pending) {
-			pending = append(pending, pendingKey{})
-		}
-		p := &pending[n]
-		n++
-		p.key = append(p.key[:0], key...)
-		p.tids = append(p.tids[:0], tid)
-		return true
-	})
+	s := &scanner{kv: kv, lo: lo, hi: hi, limit: limit, rows: make([]Row, 0, min(limit, scanPrealloc))}
+	err := kv.idx.ScanAhead(kv.rel, lo, nil, limit, s.visit)
 	if err == nil {
-		settle(nil)
-		err = ferr
+		s.settle(nil)
+		err = s.err
 	}
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return s.rows, nil
+}
+
+// scanPrealloc is the most rows a scan sizes its buffers for before it has
+// found them.
+const scanPrealloc = 128
+
+// scanner is the state of one Scan.
+type scanner struct {
+	kv     *KV
+	lo, hi []byte
+	limit  int
+	// rows holds the newest visible version of each of the (up to limit)
+	// smallest in-range keys resolved so far, in key order. Keys beyond the
+	// limit-th are dropped as smaller ones arrive — they can never appear
+	// in the result. Each row's key and value are cut from arena with full
+	// slice expressions, so that no row can grow into another; a growing
+	// arena leaves the rows cut from it before where they were.
+	rows  []Row
+	arena []byte
+	// stop, once rows is full, is the shortest prefix of its last key that
+	// is >= lo: see visit.
+	stop []byte
+	// pending[:n] are the pending keys; the entries after them keep their
+	// buffers for the next.
+	pending []pendingKey
+	n       int
+	err     error // the fetch error that ended the scan
 }
 
 // pendingKey is an in-range key a scan has met whose entries may still
@@ -421,6 +361,129 @@ func (kv *KV) Scan(lo, hi []byte, limit int) ([]Row, error) {
 type pendingKey struct {
 	key  []byte
 	tids []heap.TID
+}
+
+// visit takes the scan's next index entry; false ends the scan.
+func (s *scanner) visit(e []byte, tid heap.TID) bool {
+	if len(e) < heap.TIDLen {
+		return true
+	}
+	s.settle(e)
+	if s.err != nil {
+		return false
+	}
+	key := e[:len(e)-heap.TIDLen]
+	inRange := (s.lo == nil || bytes.Compare(key, s.lo) >= 0) &&
+		(s.hi == nil || bytes.Compare(key, s.hi) < 0)
+	if !inRange {
+		// Entries of a user key form the contiguous index range prefixed
+		// by that key, but entries of DIFFERENT keys that share a prefix
+		// interleave: "a"+tid entries straddle every "a?"+tid run. So an
+		// out-of-range entry only ends the scan once no in-range key could
+		// still prefix later entries.
+		return s.hi == nil || hasInRangePrefix(e, s.lo, s.hi)
+	}
+	for i := range s.n {
+		if p := &s.pending[i]; bytes.Equal(p.key, key) {
+			p.tids = append(p.tids, tid)
+			return true
+		}
+	}
+	if len(s.rows) == s.limit && bytes.Compare(key, s.rows[s.limit-1].Key) > 0 {
+		// The result is full with last key L, and this key sorts past L,
+		// so it cannot appear in the first limit rows. Keys are NOT
+		// visited in key order (the prefix interleaving above), so this
+		// alone does not end the scan: the keys <= L whose entries can
+		// still follow e are in-range proper prefixes of e — a prefix
+		// key's entry run straddles its extensions' runs, every other
+		// key's run is fully behind us. Such a prefix p, lo <= p <= L, is
+		// a prefix of L: L is no proper prefix of p, since p <= L; and
+		// were they to differ first at byte i, p[i] < L[i] would make
+		// e[i] = p[i] < L[i] and so e < L, when e >= key > L. A longer
+		// prefix of L sorts after a shorter one, so the prefixes of L that
+		// are >= lo are those at least as long as the shortest, stop. So a
+		// prefix that keeps the scan going exists iff stop is a proper
+		// prefix of e.
+		return len(e) > len(s.stop) && bytes.HasPrefix(e, s.stop)
+	}
+	if s.n == len(s.pending) {
+		s.pending = append(s.pending, pendingKey{})
+	}
+	p := &s.pending[s.n]
+	s.n++
+	p.key = append(p.key[:0], key...)
+	p.tids = append(p.tids[:0], tid)
+	return true
+}
+
+// settle resolves the pending keys e does not start with, or all of them
+// when e is nil.
+func (s *scanner) settle(e []byte) {
+	kept := 0
+	for i := range s.n {
+		p := &s.pending[i]
+		if e != nil && bytes.HasPrefix(e, p.key) {
+			s.pending[kept], s.pending[i] = s.pending[i], s.pending[kept]
+			kept++
+			continue
+		}
+		if s.err == nil {
+			s.resolve(p)
+		}
+	}
+	s.n = kept
+}
+
+// resolve places pending key p's newest visible version among the rows, if
+// it has one and the place is within the limit. Keys mostly arrive in key
+// order and are appended; a key whose entries sorted among a longer key's
+// arrives after it and is inserted.
+func (s *scanner) resolve(p *pendingKey) {
+	at := len(s.rows)
+	if at > 0 && bytes.Compare(p.key, s.rows[at-1].Key) < 0 {
+		at, _ = slices.BinarySearchFunc(s.rows, p.key, func(r Row, k []byte) int { return bytes.Compare(r.Key, k) })
+	}
+	if at == s.limit {
+		return
+	}
+	slices.SortFunc(p.tids, newestFirst)
+	start := len(s.arena)
+	v, arena, err := s.kv.newest(append(s.arena, p.key...), p.tids)
+	if err != nil {
+		s.err = err
+		return
+	}
+	if !v.found {
+		return
+	}
+	if start == 0 {
+		// The first row: size the arena for a result of rows like it.
+		arena = slices.Grow(arena, (min(s.limit, scanPrealloc)-1)*len(arena))
+	}
+	s.arena = arena
+	end, n := start+len(p.key), len(arena)
+	row := Row{Key: arena[start:end:end], Value: arena[end:n:n]}
+	if at == len(s.rows) {
+		s.rows = append(s.rows, row)
+	} else {
+		s.rows = slices.Insert(s.rows, at, row)
+		if len(s.rows) > s.limit {
+			s.rows = s.rows[:s.limit]
+		}
+	}
+	if len(s.rows) == s.limit {
+		s.stop = shortestPrefixFrom(s.rows[s.limit-1].Key, s.lo)
+	}
+}
+
+// shortestPrefixFrom returns the shortest prefix of k that is >= lo, given
+// k >= lo; with lo nil, the empty one.
+func shortestPrefixFrom(k, lo []byte) []byte {
+	n := 0
+	for lo != nil && bytes.Compare(k[:n], lo) < 0 {
+		n++
+	}
+	return k[:n]
 }
 
 // hasInRangePrefix reports whether any proper prefix of index entry e is a

@@ -183,7 +183,7 @@ func TestKVGetAllocs(t *testing.T) {
 		key    string
 		found  bool
 		allocs float64
-	}{{"k", true, 8}, {"absent", false, 3}} {
+	}{{"k", true, 7}, {"absent", false, 3}} {
 		key := []byte(tc.key)
 		get := func() {
 			if _, found, err := kv.Get(key); err != nil || found != tc.found {
@@ -193,6 +193,164 @@ func TestKVGetAllocs(t *testing.T) {
 		get()
 		if n := testing.AllocsPerRun(100, get); n > tc.allocs {
 			t.Errorf("warm GET %s: %v allocations, want at most %v", key, n, tc.allocs)
+		}
+	}
+}
+
+// TestKVScanMatchesModel: KV.Scan against a brute-force model of each key's
+// newest visible version. Keys are 1 to 4 bytes over a 3-byte alphabet, so
+// most keys prefix others; the alphabet's bytes sort among the TID bytes
+// MakeUnique appends, and values spread the versions over two dozen heap
+// pages, so a key's entries interleave with its extensions'. Every key gets
+// 1 to 3 versions, some written by aborted transactions, and some keys are
+// deleted afterwards. Bounds and limits are drawn at random, open bounds
+// included.
+func TestKVScanMatchesModel(t *testing.T) {
+	alphabet := []byte{0x00, 0x02, 0x05}
+	randKey := func(rng *rand.Rand, minLen int) []byte {
+		k := make([]byte, minLen+rng.Intn(5-minLen))
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return k
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			db, srv, _ := openKV(t, core.Memory(), 0)
+			defer db.Close()
+			kv := srv.KV()
+
+			// Each key's writes, shuffled together so that versions of
+			// different keys alternate on the heap pages.
+			var writes []string
+			for range 100 {
+				k := string(randKey(rng, 1))
+				for range 1 + rng.Intn(3) {
+					writes = append(writes, k)
+				}
+			}
+			rng.Shuffle(len(writes), func(i, j int) { writes[i], writes[j] = writes[j], writes[i] })
+			model := make(map[string]string)
+			for i, k := range writes {
+				v := fmt.Sprintf("%d/%s", i, strings.Repeat("v", rng.Intn(2000)))
+				tx := db.Begin()
+				if err := kv.Put(tx, []byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(4) == 0 {
+					if err := tx.Abort(); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = v
+			}
+			for k := range model {
+				if rng.Intn(5) == 0 {
+					if err := kv.WithTxn(nil, func(tx *core.Txn) error { _, err := kv.Del(tx, []byte(k)); return err }); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, k)
+				}
+			}
+			present := make([]string, 0, len(model))
+			for k := range model {
+				present = append(present, k)
+			}
+			slices.Sort(present)
+
+			bound := func() []byte {
+				if rng.Intn(4) == 0 {
+					return nil
+				}
+				return randKey(rng, 0)
+			}
+			for q := range 400 {
+				lo, hi, limit := bound(), bound(), 1+rng.Intn(len(present)+3)
+				var want []string
+				for _, k := range present {
+					if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) && len(want) < limit {
+						want = append(want, fmt.Sprintf("%q=%.12s", k, model[k]))
+					}
+				}
+				rows, err := kv.Scan(lo, hi, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]string, 0, len(rows))
+				for _, r := range rows {
+					got = append(got, fmt.Sprintf("%q=%.12s", r.Key, r.Value))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("query %d: SCAN %q %q %d:\n got %q\nwant %q", q, lo, hi, limit, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKVScanAllocs pins what a warm 50-row SCAN allocates below the wire,
+// over keys of two versions each: the rows share one buffer, and an entry
+// past a full result costs no allocation.
+func TestKVScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not a property of the code under the race detector")
+	}
+	db, srv, _ := openKV(t, core.Memory(), 0)
+	defer db.Close()
+	kv := srv.KV()
+	const n = 400
+	for range 2 {
+		var keys, vals [][]byte
+		for i := range n {
+			keys = append(keys, kvKey(i))
+			vals = append(vals, []byte(fmt.Sprintf("%-100d", i)))
+		}
+		if err := kv.WithTxn(nil, func(tx *core.Txn) error { return kv.PutBatch(tx, keys, vals) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo := kvKey(100)
+	scan := func() {
+		if rows, err := kv.Scan(lo, nil, 50); err != nil || len(rows) != 50 || string(rows[49].Key) != string(kvKey(149)) {
+			t.Fatalf("SCAN: %d rows, %v", len(rows), err)
+		}
+	}
+	scan()
+	if n := testing.AllocsPerRun(50, scan); n > 12 {
+		t.Errorf("warm 50-row SCAN: %v allocations, want at most 12", n)
+	}
+}
+
+// BenchmarkKVScan: a warm 50-row SCAN below the wire from a random key of 20k
+// keys, each of two versions, as the read-hot workload's SCAN meets them.
+func BenchmarkKVScan(b *testing.B) {
+	db, srv, _ := openKV(b, core.Memory(), 0)
+	defer db.Close()
+	kv := srv.KV()
+	const n = 20000
+	for range 2 {
+		for from := 0; from < n; from += 500 {
+			var keys, vals [][]byte
+			for i := from; i < from+500; i++ {
+				keys = append(keys, kvKey(i))
+				vals = append(vals, []byte(fmt.Sprintf("%-100d", i)))
+			}
+			if err := kv.WithTxn(nil, func(tx *core.Txn) error { return kv.PutBatch(tx, keys, vals) }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := kv.Scan(kvKey(rng.Intn(n)), nil, 50); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func kvKey(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 // openKV opens a server over store as fastrec-server does, with pools of pool
 // frames (0: the default) and the flush daemon off, and waits for its bound
 // walk.
-func openKV(t *testing.T, store core.Storage, pool int) (*core.DB, *Server, *obs.Recorder) {
+func openKV(t testing.TB, store core.Storage, pool int) (*core.DB, *Server, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New(0)
 	db, err := core.Open(store, core.Config{Variant: core.Shadow, PoolSize: pool, Obs: rec})

@@ -193,6 +193,33 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
+// TestJoinedErrorIsOneLine: an error that spans lines — errors.Join puts a
+// newline between the errors it joins, as a failure in two shards does — is
+// one ERR line on the wire. Written as two, it would leave every later reply
+// on the connection answering the request before it.
+func TestJoinedErrorIsOneLine(t *testing.T) {
+	db, srv, _ := openKV(t, core.Memory(), 0)
+	defer db.Close()
+	c, peer := net.Pipe()
+	defer c.Close()
+	ss := newSession(srv, peer)
+	go func() {
+		defer peer.Close()
+		ss.fail(errors.Join(errors.New("shard 0: boom"), errors.New("shard 1: boom\r")))
+		ss.dispatch("GET k")
+		ss.w.Flush()
+	}()
+	var lines []string
+	sc := bufio.NewScanner(c)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ERR server shard 0: boom") ||
+		strings.Contains(lines[0], "\r") || lines[1] != "NOTFOUND" {
+		t.Fatalf("replies %q; want one ERR line naming both shards, then NOTFOUND", lines)
+	}
+}
+
 // TestServerDrainsInFlightCommit: a commit already executing when Close is
 // called completes and the client gets its OK before the drain finishes.
 func TestServerDrainsInFlightCommit(t *testing.T) {

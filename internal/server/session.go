@@ -27,6 +27,7 @@ type session struct {
 	r   *bufio.Reader
 	w   *bufio.Writer
 	tx  *core.Txn
+	num [20]byte // okUint's digits
 }
 
 func newSession(s *Server, c net.Conn) *session {
@@ -52,14 +53,14 @@ func (ss *session) run() {
 	}()
 	for {
 		if ss.srv.draining() {
-			ss.reply("ERR shutdown server is draining")
+			ss.errorf("shutdown", "server is draining")
 			ss.w.Flush()
 			return
 		}
 		line, err := ss.readLine()
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
-				ss.reply("ERR usage line too long")
+				ss.errorf("usage", "line too long")
 				ss.w.Flush()
 				return
 			}
@@ -136,46 +137,69 @@ func (ss *session) dispatch(line string) bool {
 	case "STATS":
 		ss.cmdStats()
 	case "QUIT":
-		ss.reply("OK bye")
+		ss.w.WriteString("OK bye\n")
 		return false
 	default:
-		ss.reply("ERR usage unknown verb %q", verb)
+		ss.errorf("usage", "unknown verb %q", verb)
 	}
 	return true
 }
 
-func (ss *session) reply(format string, args ...any) {
-	fmt.Fprintf(ss.w, format+"\n", args...)
+// okValue replies "OK <v>".
+func (ss *session) okValue(v []byte) {
+	ss.w.WriteString("OK ")
+	ss.w.Write(v)
+	ss.w.WriteByte('\n')
 }
+
+// okUint replies "OK <n>".
+func (ss *session) okUint(n uint64) {
+	ss.okValue(strconv.AppendUint(ss.num[:0], n, 10))
+}
+
+// errorf replies "ERR <code> <message>", the message on one line whatever
+// it holds: an error that joins several (errors.Join puts a newline between
+// them) written over two lines would make every later reply on the
+// connection answer the request before it. Every error reply comes here.
+func (ss *session) errorf(code, format string, args ...any) {
+	ss.w.WriteString("ERR ")
+	ss.w.WriteString(code)
+	ss.w.WriteByte(' ')
+	ss.w.WriteString(lineBreaks.Replace(fmt.Sprintf(format, args...)))
+	ss.w.WriteByte('\n')
+}
+
+// lineBreaks turns the line breaks in an error message into separators.
+var lineBreaks = strings.NewReplacer("\r\n", "; ", "\n", "; ", "\r", " ")
 
 // fail maps engine errors onto protocol error codes.
 func (ss *session) fail(err error) {
+	code := "server"
 	switch {
 	case errors.Is(err, txn.ErrCommitFailed):
-		ss.reply("ERR retry %v", err)
+		code = "retry"
 	case errors.Is(err, core.ErrReadOnly):
-		ss.reply("ERR readonly %v", err)
+		code = "readonly"
 	case errors.Is(err, core.ErrFailed):
-		ss.reply("ERR failed %v", err)
+		code = "failed"
 	case errors.Is(err, core.ErrQuarantined):
-		ss.reply("ERR quarantined %v", err)
-	default:
-		ss.reply("ERR server %v", err)
+		code = "quarantined"
 	}
+	ss.errorf(code, "%v", err)
 }
 
 func (ss *session) cmdBegin() {
 	if ss.tx != nil {
-		ss.reply("ERR txn transaction %d already open", ss.tx.XID())
+		ss.errorf("txn", "transaction %d already open", ss.tx.XID())
 		return
 	}
 	ss.tx = ss.srv.db.Begin()
-	ss.reply("OK %d", ss.tx.XID())
+	ss.okUint(uint64(ss.tx.XID()))
 }
 
 func (ss *session) cmdCommit() {
 	if ss.tx == nil {
-		ss.reply("ERR notxn no transaction open")
+		ss.errorf("notxn", "no transaction open")
 		return
 	}
 	tx := ss.tx
@@ -184,12 +208,12 @@ func (ss *session) cmdCommit() {
 		ss.fail(err)
 		return
 	}
-	ss.reply("OK %d", tx.XID())
+	ss.okUint(uint64(tx.XID()))
 }
 
 func (ss *session) cmdAbort() {
 	if ss.tx == nil {
-		ss.reply("ERR notxn no transaction open")
+		ss.errorf("notxn", "no transaction open")
 		return
 	}
 	tx := ss.tx
@@ -198,13 +222,13 @@ func (ss *session) cmdAbort() {
 		ss.fail(err)
 		return
 	}
-	ss.reply("OK %d", tx.XID())
+	ss.okUint(uint64(tx.XID()))
 }
 
 func (ss *session) cmdPut(rest string) {
 	i := strings.IndexByte(rest, ' ')
 	if rest == "" || i <= 0 || i == len(rest)-1 {
-		ss.reply("ERR usage PUT <key> <value>")
+		ss.errorf("usage", "PUT <key> <value>")
 		return
 	}
 	key, value := []byte(rest[:i]), []byte(rest[i+1:])
@@ -213,7 +237,7 @@ func (ss *session) cmdPut(rest string) {
 		ss.fail(err)
 		return
 	}
-	ss.reply("OK")
+	ss.w.WriteString("OK\n")
 }
 
 // cmdMput writes several pairs in one round trip. Unlike PUT, values are
@@ -223,7 +247,7 @@ func (ss *session) cmdPut(rest string) {
 func (ss *session) cmdMput(rest string) {
 	fields := strings.Fields(rest)
 	if len(fields) == 0 || len(fields)%2 != 0 {
-		ss.reply("ERR usage MPUT <key> <value> [<key> <value> ...]")
+		ss.errorf("usage", "MPUT <key> <value> [<key> <value> ...]")
 		return
 	}
 	n := len(fields) / 2
@@ -238,12 +262,12 @@ func (ss *session) cmdMput(rest string) {
 		ss.fail(err)
 		return
 	}
-	ss.reply("OK %d", n)
+	ss.okUint(uint64(n))
 }
 
 func (ss *session) cmdGet(rest string) {
 	if rest == "" || strings.ContainsRune(rest, ' ') {
-		ss.reply("ERR usage GET <key>")
+		ss.errorf("usage", "GET <key>")
 		return
 	}
 	val, ok, err := ss.srv.kv.Get([]byte(rest))
@@ -252,15 +276,15 @@ func (ss *session) cmdGet(rest string) {
 		return
 	}
 	if !ok {
-		ss.reply("NOTFOUND")
+		ss.w.WriteString("NOTFOUND\n")
 		return
 	}
-	ss.reply("OK %s", val)
+	ss.okValue(val)
 }
 
 func (ss *session) cmdDel(rest string) {
 	if rest == "" || strings.ContainsRune(rest, ' ') {
-		ss.reply("ERR usage DEL <key>")
+		ss.errorf("usage", "DEL <key>")
 		return
 	}
 	found := false
@@ -274,16 +298,16 @@ func (ss *session) cmdDel(rest string) {
 		return
 	}
 	if !found {
-		ss.reply("NOTFOUND")
+		ss.w.WriteString("NOTFOUND\n")
 		return
 	}
-	ss.reply("OK")
+	ss.w.WriteString("OK\n")
 }
 
 func (ss *session) cmdScan(rest string) {
 	fields := strings.Fields(rest)
 	if len(fields) < 2 || len(fields) > 3 {
-		ss.reply("ERR usage SCAN <lo> <hi> [limit]  (\"-\" = open bound)")
+		ss.errorf("usage", "SCAN <lo> <hi> [limit]  (\"-\" = open bound)")
 		return
 	}
 	var lo, hi []byte
@@ -297,7 +321,7 @@ func (ss *session) cmdScan(rest string) {
 	if len(fields) == 3 {
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n <= 0 || n > maxScan {
-			ss.reply("ERR usage bad limit %q (1..%d)", fields[2], maxScan)
+			ss.errorf("usage", "bad limit %q (1..%d)", fields[2], maxScan)
 			return
 		}
 		limit = n
@@ -308,9 +332,13 @@ func (ss *session) cmdScan(rest string) {
 		return
 	}
 	for _, r := range rows {
-		ss.reply("ROW %s %s", r.Key, r.Value)
+		ss.w.WriteString("ROW ")
+		ss.w.Write(r.Key)
+		ss.w.WriteByte(' ')
+		ss.w.Write(r.Value)
+		ss.w.WriteByte('\n')
 	}
-	ss.reply("OK %d", len(rows))
+	ss.okUint(uint64(len(rows)))
 }
 
 func (ss *session) cmdStats() {
@@ -364,5 +392,5 @@ func (ss *session) cmdStats() {
 		ss.fail(err)
 		return
 	}
-	ss.reply("OK %s", b)
+	ss.okValue(b)
 }
