@@ -132,10 +132,15 @@ bulkload-smoke:
 # and scans are served while the background allocation-bound walk is held,
 # and an insert waits for it; a parent that points past a lost file extension
 # still bounds the next allocation; a reopened crash image takes lookups,
-# scans and split-forcing inserts at once; Close joins the walk(s). Then the
-# MPUT repeated-key fix over TCP.
+# scans and split-forcing inserts at once; Close joins the walk(s); the walk
+# proves linked exactly the leaves whose §3.5.1 verification would change
+# nothing (every leaf of an intact crash image, none beside a lost peer update,
+# a stale peer token, a zeroed, quarantined or backup-holding leaf, none under
+# the ablations), including for an insert that waited on it; and the eager
+# recovery pass over a healthy tree writes no page. Then the MPUT repeated-key
+# fix over TCP.
 restart-smoke:
-	$(GO) test -race -count=3 ./internal/btree -run 'TestOpenReadBudget|TestBoundGate|TestLostExtensionBound|TestReopenServesWhileWalking|TestOpenThenCloseJoinsWalk'
+	$(GO) test -race -count=3 ./internal/btree -run 'TestOpenReadBudget|TestBoundGate|TestLostExtensionBound|TestReopenServesWhileWalking|TestOpenThenCloseJoinsWalk|TestBoundWalkProvesPeerChain|TestRecoverAllWritesNothingWhenHealthy'
 	$(GO) test -race -count=3 ./internal/core -run 'TestCreateIndexReadBudget|TestOneShardIndexCostsItsTree|TestCloseJoinsBoundWalks'
 	$(GO) test -race ./internal/server -run TestServerMputRepeatedKey
 
@@ -153,12 +158,15 @@ restart-smoke:
 # verification (past the end of the file, quarantined, freed) leave no trace;
 # a cold MPUT-32 answers as 32 PUTs do in a third of the device waves, with no
 # more reads and no hint wasted, and a resident one starts nothing; after a
-# crash it verifies and re-links its leaves as 32 PUTs do.
+# crash it verifies and re-links its damaged leaves as 32 PUTs do, and on an
+# undamaged crash image, whose leaves the restart walk proved linked, it reads
+# and waits as on a store that never crashed, with no repair and no exclusive
+# fallback.
 readahead-smoke:
 	$(GO) test -race -count=3 ./internal/buffer -run 'TestHint|TestScanResist'
 	$(GO) test -race -count=3 ./internal/btree -run 'TestScanAhead|TestScanAllocsPerLeaf|TestCloseJoinsHints|TestHintLeaf|TestInsertBatchHintsLeavesAhead|TestVerifyPeerPathStalePeers'
 	$(GO) test -race -count=3 ./internal/core -run 'TestScanAheadOverlapsReads|TestResidentReadsStartNothing|TestCloseJoinsHints'
-	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys|TestMputOverlapsReads|TestResidentMputStartsNothing|TestPostCrashMputMatchesPuts'
+	$(GO) test -race -count=3 ./internal/server -run 'TestScanPrefixInterleavedKeys|TestMputOverlapsReads|TestResidentMputStartsNothing|TestPostCrashMputMatchesPuts|TestPostCrashMputWaves'
 
 # The commit gate, under the race detector: the whole internal/txn suite (the
 # status append cut at every device call with every subset of its pending

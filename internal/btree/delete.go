@@ -35,7 +35,7 @@ func (t *Tree) Delete(key []byte) error {
 
 	// §3.5.1 applies to deletes as well as inserts: the duplicate pages a
 	// crash can leave behind are dangerous only once one copy is updated.
-	if t.needsPeerVerify(leaf.frame.Data) {
+	if t.needsPeerVerify(leaf.frame) {
 		if err := t.verifyPeerPath(leaf); err != nil {
 			return err
 		}

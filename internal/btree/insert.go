@@ -74,7 +74,7 @@ const (
 // what that takes, and prepares again.
 func (t *Tree) prepareLeaf(f *buffer.Frame, key []byte, itemLen int) (pos int, st leafState, err error) {
 	p := f.Data
-	if t.needsPeerVerify(p) {
+	if t.needsPeerVerify(f) {
 		return 0, leafUnverified, nil
 	}
 	pos, found, err := leafSearch(p, key)

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 
+	"repro/internal/buffer"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -15,7 +16,9 @@ import (
 // update of a leaf written before the most recent crash, the DBMS verifies
 // the leaf is linked into the current peer-pointer path, repairing links by
 // following the root-to-leaf path to the true neighbors. Once verified the
-// page is flagged so subsequent updates skip the check.
+// page is recorded so subsequent updates skip the check — in memory, for
+// this restart only: the next crash may lose the leaf's peer update, and a
+// mark on the page would survive it.
 
 // verifyPeerPath re-links the leaf at the bottom of path into the current
 // peer chain. The true neighbors are found by fresh root-to-leaf descents
@@ -25,12 +28,17 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 	p := leaf.frame.Data
 	tok := t.counter.Current()
 	changed := false
+	suspect := p.HasFlag(page.FlagPeerSuspect)
+	defer func() {
+		if suspect || changed {
+			leaf.frame.MarkDirty()
+		}
+	}()
 
-	// Clear the suspect bit up front so the cascade below cannot revisit
-	// this page.
-	p.AddFlag(page.FlagPeerVerified)
+	// Record the leaf and clear its suspect bit up front, so the cascade
+	// below cannot revisit this page.
+	t.proven.set(leaf.no)
 	p.ClearFlag(page.FlagPeerSuspect)
-	leaf.frame.MarkDirty()
 
 	// The two descents below end, as a rule, at the pages the leaf's own peer
 	// pointers name: start both reads now, so that the right neighbour
@@ -128,17 +136,20 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 }
 
 // needsPeerVerify reports whether the §3.5.1 peer-path verification must
-// run before updating this leaf: it was last written before the most recent
-// crash, or it was rebuilt by crash recovery (which restores peer links
-// from a pre-split image), and has not been verified since.
-func (t *Tree) needsPeerVerify(p page.Page) bool {
+// run before updating the leaf in f: it was rebuilt by crash recovery (which
+// restores peer links from a pre-split image), or it was last written before
+// the most recent crash and is not yet known to be linked — neither proved
+// by the restart walk (boundwalk.go) nor verified since. The caller holds
+// the tree lock, which orders this read after verifyPeerPath's record.
+func (t *Tree) needsPeerVerify(f *buffer.Frame) bool {
+	p := f.Data
 	if !t.protected() || p.Type() != page.TypeLeaf {
 		return false
 	}
 	if p.HasFlag(page.FlagPeerSuspect) {
 		return true
 	}
-	return p.SyncToken() < t.counter.LastCrash() && !p.HasFlag(page.FlagPeerVerified)
+	return p.SyncToken() < t.counter.LastCrash() && !t.proven.has(f.PageNo())
 }
 
 // repairedLeaf descends, repairing, to the leaf covering key — or, with

@@ -69,7 +69,8 @@ func TestHintLeaf(t *testing.T) {
 // links the leaf to the neighbours the descents find, as the strict check
 // wants, and the hints leave no trace: no read of the first two, no retry,
 // checksum or quarantine count, no event but the repair, and the freed pages
-// are a split's to reuse.
+// are a split's to reuse. The stale pointers are in the durable image the
+// tree opens, where a crash leaves them and the restart walk sees them.
 func TestVerifyPeerPathStalePeers(t *testing.T) {
 	// A crash image: every leaf was written before the crash and is unverified.
 	d := storage.NewMemDisk()
@@ -88,31 +89,29 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name  string
-		stale func(tr *Tree, avoid ...uint32) (left, right uint32)
-		hints uint64 // reads the hints start: of the stale pages, if anything
+		name       string
+		stale      func(tr *Tree, avoid ...uint32) (left, right uint32)
+		quarantine bool   // the stale pages are quarantined once the tree is open
+		hints      uint64 // reads the hints start: of the stale pages, if anything
 	}{
 		{name: "past the end of the file", stale: func(tr *Tree, _ ...uint32) (uint32, uint32) {
 			return tr.NumPages() + 100, tr.NumPages() + 101
 		}},
-		{name: "quarantined page", stale: func(tr *Tree, avoid ...uint32) (uint32, uint32) {
+		{name: "quarantined page", quarantine: true, stale: func(tr *Tree, avoid ...uint32) (uint32, uint32) {
 			left := otherLeaf(t, tr, avoid...)
-			right := otherLeaf(t, tr, append(avoid, left)...)
-			tr.Pool().QuarantinePage(left, "test", false)
-			tr.Pool().QuarantinePage(right, "test", false)
-			return left, right
+			return left, otherLeaf(t, tr, append(avoid, left)...)
 		}},
 		{name: "freed page", hints: 2, stale: func(tr *Tree, _ ...uint32) (uint32, uint32) {
 			// Two splits away from the leaf free their pre-split pages at
-			// the next sync; the pool then forgets them, so the hints must
-			// read.
+			// the next sync, and a clean close hands them to the next open
+			// in the freelist; they are on no path the restart walk takes,
+			// so the hints must read.
 			for i, splits := 0, tr.Stats.Splits.Load(); tr.Stats.Splits.Load() < splits+2; i++ {
 				mustInsert(t, tr, 2*i+1)
 			}
 			if err := tr.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			tr.Pool().InvalidateAll()
 			free := tr.Freelist().Entries()
 			if len(free) < 2 {
 				t.Fatalf("%d freed pages", len(free))
@@ -121,8 +120,30 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Three leaves in a row, left to right a, l, b, from the right
+			// half of the key space (the freed page's split is in the left),
+			// and l's peers made stale in the durable image.
+			img := d.CloneStable()
+			pre, err := Open(img, Shadow, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pre.AwaitBound(); err != nil {
+				t.Fatal(err)
+			}
+			a, l, b := leavesInRow(t, pre)
+			staleLeft, staleRight := tc.stale(pre, a, l, b)
+			if err := pre.Close(); err != nil {
+				t.Fatal(err)
+			}
+			img.CorruptStable(l, func(p page.Page) {
+				p.SetLeftPeer(staleLeft)
+				p.SetRightPeer(staleRight)
+				p.UpdateChecksum()
+			})
+
 			rec := obs.New(64)
-			tr, err := Open(d.CloneStable(), Shadow, Options{Obs: rec})
+			tr, err := Open(img, Shadow, Options{Obs: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,17 +151,14 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 			if err := tr.AwaitBound(); err != nil {
 				t.Fatal(err)
 			}
-			// Three leaves in a row, left to right a, l, b, from the right
-			// half of the key space (the freed page's split is in the left).
-			a, l, b := leavesInRow(t, tr)
-			staleLeft, staleRight := tc.stale(tr, a, l, b)
+			if tc.quarantine {
+				tr.Pool().QuarantinePage(staleLeft, "test", false)
+				tr.Pool().QuarantinePage(staleRight, "test", false)
+			}
 			lf, err := tr.Pool().Get(l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lf.Data.SetLeftPeer(staleLeft)
-			lf.Data.SetRightPeer(staleRight)
-			lf.MarkDirty()
 			minKey, _, _, err := minMaxKeys(lf.Data)
 			lf.Unpin()
 			if err != nil {
@@ -236,4 +254,52 @@ func otherLeaf(t *testing.T, tr *Tree, avoid ...uint32) uint32 {
 	}
 	t.Fatal("no other leaf")
 	return 0
+}
+
+// TestRecoverAllWritesNothingWhenHealthy: the eager recovery pass over a tree
+// with nothing to repair — one that never crashed, and an intact crash image
+// whose leaves the restart walk proved linked — writes no page. It used to
+// verify, and so dirty, every leaf not marked verified on its page.
+func TestRecoverAllWritesNothingWhenHealthy(t *testing.T) {
+	d := storage.NewMemDisk()
+	tr, err := Open(d, Shadow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20_000; i++ {
+		mustInsert(t, tr, i)
+	}
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := d.CloneStable() // the machine dies
+	reopened, err := Open(crashed, Shadow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for _, tc := range []struct {
+		name string
+		tr   *Tree
+		d    *storage.MemDisk
+	}{{"never crashed", tr, d}, {"intact crash image", reopened, crashed}} {
+		if err := tc.tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		before, _, _ := tc.d.Stats()
+		if err := tc.tr.RecoverAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		writes, _, _ := tc.d.Stats()
+		if writes != before || tc.tr.Stats.RepairsPeer.Load() != 0 {
+			t.Errorf("%s: RecoverAll and a sync wrote %d pages and re-linked %d peers, want none",
+				tc.name, writes-before, tc.tr.Stats.RepairsPeer.Load())
+		}
+		if err := tc.tr.Check(CheckStrict); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

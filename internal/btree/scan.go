@@ -267,9 +267,10 @@ func (t *Tree) RecoverAll() error {
 }
 
 // recoverWalk descends, repairing, into every leaf range in key order, and
-// runs the insert-time peer verification on each leaf too, so the peer chain
-// is fully reconciled (§3.5.1). With a report it steps over quarantined
-// subtrees and records them; without one the first is an error.
+// runs the insert-time peer verification on each leaf an insert would
+// verify, so the peer chain is fully reconciled (§3.5.1). With a report it
+// steps over quarantined subtrees and records them; without one the first
+// is an error.
 func (t *Tree) recoverWalk(rep *ScanReport) error {
 	sc := getDescent()
 	defer putDescent(sc)
@@ -277,8 +278,7 @@ func (t *Tree) recoverWalk(rep *ScanReport) error {
 	for {
 		leaf, _, err := t.descend(descent{key: cur, mode: repairing}, sc)
 		if err == nil && leaf.frame != nil {
-			if t.protected() && (!leaf.frame.Data.HasFlag(page.FlagPeerVerified) ||
-				leaf.frame.Data.HasFlag(page.FlagPeerSuspect)) {
+			if t.needsPeerVerify(leaf.frame) {
 				err = t.verifyPeerPath(&leaf)
 				if rep != nil && errors.Is(err, buffer.ErrQuarantined) {
 					// The peer chain runs into quarantined territory; the

@@ -105,12 +105,19 @@ type Tree struct {
 	pendingFree []freelist.Entry
 
 	// nextNew is the next page number when the freelist is empty. The
-	// bound walk Open starts writes it (and boundErr) once and publishes
-	// both by closing boundReady; every other access sits behind
+	// bound walk Open starts writes it (and boundErr, and proven) once and
+	// publishes them by closing boundReady; every other access sits behind
 	// awaitBound (boundwalk.go).
 	nextNew    uint32
 	boundReady chan struct{}
 	boundErr   error
+	// proven holds the leaves known to be linked into the peer chain since
+	// the restart: those the bound walk proved, for which §3.5.1
+	// verification would change nothing, and those verified since. It is
+	// sized by the file at restart; a later page is stamped after the
+	// crash and never needs it. verifyPeerPath adds to it under the
+	// exclusive tree lock.
+	proven bitmap
 
 	// rebuildFallback, when set (only inside AbandonQuarantined, under the
 	// exclusive lock), makes "no durable source" repair outcomes initialize
@@ -150,13 +157,14 @@ func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	var rootNo, prevRootNo uint32
+	var rootTok uint64
 	if f.Data.IsZeroed() {
 		f.Data.Init(page.TypeMeta, 0)
 		metaPage{f.Data}.setVariant(variant)
 		f.MarkDirty()
 	} else {
 		m := metaPage{f.Data}
-		rootNo, prevRootNo = m.root(), m.prevRoot()
+		rootNo, prevRootNo, rootTok = m.root(), m.prevRoot(), m.rootToken()
 		if m.variant() != variant {
 			got := m.variant()
 			f.Unpin()
@@ -181,7 +189,7 @@ func Open(disk storage.Disk, variant Variant, opts Options) (*Tree, error) {
 	t.counter = ctr
 	// What is left of opening is proportional to the size of the index, so
 	// it runs behind the caller's back: see boundwalk.go.
-	go t.boundWalk(rootNo, prevRootNo)
+	go t.boundWalk(rootNo, prevRootNo, rootTok)
 	return t, nil
 }
 

@@ -81,10 +81,9 @@ const (
 	// FlagShadow marks pages belonging to a shadow-page index, whose
 	// internal items carry a prevPtr in addition to the child pointer.
 	FlagShadow uint16 = 1 << 0
-	// FlagPeerVerified marks a leaf that has been confirmed to be linked
-	// into the most recent peer-pointer path after a crash (§3.5.1:
-	// "Once this is done, we can mark the page to avoid rechecking").
-	FlagPeerVerified uint16 = 1 << 1
+	// 1 << 1 is retired: it marked a leaf verified after a crash (§3.5.1)
+	// and wrongly outlived the next one. Old images may carry it; do not
+	// reuse it.
 	// FlagPeerSuspect marks a leaf rebuilt by crash recovery: its peer
 	// links were restored from a pre-split image and the chain into it
 	// may still thread through a stale duplicate. The first update must

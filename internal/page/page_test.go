@@ -64,12 +64,12 @@ func TestFlags(t *testing.T) {
 	if !p.HasFlag(FlagShadow) {
 		t.Fatal("flag not set")
 	}
-	p.AddFlag(FlagPeerVerified)
-	if !p.HasFlag(FlagShadow | FlagPeerVerified) {
+	p.AddFlag(FlagPeerSuspect)
+	if !p.HasFlag(FlagShadow | FlagPeerSuspect) {
 		t.Fatal("flags should accumulate")
 	}
 	p.ClearFlag(FlagShadow)
-	if p.HasFlag(FlagShadow) || !p.HasFlag(FlagPeerVerified) {
+	if p.HasFlag(FlagShadow) || !p.HasFlag(FlagPeerSuspect) {
 		t.Fatal("ClearFlag cleared the wrong bit")
 	}
 }
