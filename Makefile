@@ -75,11 +75,12 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # The serving-layer gate: every protocol verb over real TCP, graceful
-# shutdown draining an in-flight commit, the wire-level crash-recover
-# round, and concurrent clients actually coalescing in the group-commit
-# coordinator — all under the race detector, plus the coordinator's own
-# crash-semantics tests (batch invisibility on a crash between the shared
-# sync and the status write).
+# shutdown draining an in-flight commit, the wire-level crash-recover round
+# (one tree and four shards) for each served variant — shadow, reorg and
+# hybrid —, zero server options serving shadow, and concurrent clients
+# actually coalescing in the group-commit coordinator — all under the race
+# detector, plus the coordinator's own crash-semantics tests (batch
+# invisibility on a crash between the shared sync and the status write).
 server-smoke:
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'

@@ -8,6 +8,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -48,16 +49,12 @@ func newDisk(faultSeed int64) (storage.Crasher, error) {
 
 func main() {
 	flag.Parse()
-	var variant btree.Variant
-	switch *variantName {
-	case "shadow":
-		variant = btree.Shadow
-	case "reorg":
-		variant = btree.Reorg
-	case "hybrid":
-		variant = btree.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variantName)
+	variant, err := btree.ParseVariant(*variantName)
+	if err == nil && variant == btree.Normal {
+		err = errors.New("the normal B-link tree has no crash recovery to test")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

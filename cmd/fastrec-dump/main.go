@@ -64,21 +64,6 @@ var (
 	doMerge     = flag.Bool("merge", false, "merge underfull pages (implies syncs)")
 )
 
-// parseVariant maps a -variant flag value to its btree.Variant.
-func parseVariant(name string) (btree.Variant, bool) {
-	switch name {
-	case "normal":
-		return btree.Normal, true
-	case "shadow":
-		return btree.Shadow, true
-	case "reorg":
-		return btree.Reorg, true
-	case "hybrid":
-		return btree.Hybrid, true
-	}
-	return 0, false
-}
-
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "scrub" {
 		runScrub(os.Args[2:])
@@ -97,9 +82,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fastrec-dump -file <index.pg> [-variant v] [-dump|-check|-stats|-recover|-vacuum|-merge]")
 		os.Exit(2)
 	}
-	variant, ok := parseVariant(*variantName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variantName)
+	variant, err := btree.ParseVariant(*variantName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -259,9 +244,9 @@ func runScrub(args []string) {
 		}
 	}
 
-	variant, ok := parseVariant(*sVariant)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *sVariant)
+	variant, err := btree.ParseVariant(*sVariant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	st, quarantined, err := repairFile(*sFile, variant, bad)
@@ -416,9 +401,9 @@ func runTrace(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: fastrec-dump trace -file <index.pg> [-variant v] [-json]")
 		os.Exit(2)
 	}
-	variant, ok := parseVariant(*tVariant)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *tVariant)
+	variant, err := btree.ParseVariant(*tVariant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	rec, err := traceFile(*tFile, variant)

@@ -30,9 +30,9 @@ func runRebuild(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: fastrec-dump rebuild -dir <dbdir> -rel <name> -index <name> [-variant v] [-shards n] [-fill f]")
 		os.Exit(2)
 	}
-	variant, ok := parseVariant(*rVariant)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *rVariant)
+	variant, err := btree.ParseVariant(*rVariant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	// core.Dir creates missing directories and files, so a typo'd -dir
@@ -54,7 +54,7 @@ func runRebuild(args []string) {
 // rebuildDir opens the directory-backed DB and rebuilds the named index
 // from the named relation with the identity keyOf.
 func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards int, fill float64) (core.RebuildStats, error) {
-	db, err := core.Open(core.Dir(dir), core.Config{Variant: variant, LoadFill: fill})
+	db, err := core.Open(core.Dir(dir), core.Config{LoadFill: fill})
 	if err != nil {
 		return core.RebuildStats{}, err
 	}

@@ -15,7 +15,7 @@ import (
 func TestRebuildDir(t *testing.T) {
 	dir := t.TempDir()
 	const n = 800
-	db, err := core.Open(core.Dir(dir), core.Config{Variant: core.Shadow})
+	db, err := core.Open(core.Dir(dir), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRebuildDir(t *testing.T) {
 	}
 
 	// Reopen and confirm: live keys fetch their tuples, dead keys are gone.
-	db2, err := core.Open(core.Dir(dir), core.Config{Variant: core.Shadow})
+	db2, err := core.Open(core.Dir(dir), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -23,6 +24,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -31,7 +33,7 @@ import (
 var (
 	addr    = flag.String("addr", "127.0.0.1:4411", "TCP listen address")
 	dir     = flag.String("dir", "", "data directory (empty = volatile in-memory storage)")
-	variant = flag.String("variant", "shadow", "index recovery variant: normal, shadow, reorg, hybrid")
+	variant = flag.String("variant", "shadow", "index recovery technique: shadow, reorg, hybrid")
 	pool    = flag.Int("pool", 0, "buffer pool frames per file (0 = default)")
 	shards  = flag.Int("shards", 1, "partition the primary index across N independent trees (1 = single tree)")
 	flush   = flag.Duration("flush", 50*time.Millisecond, "background checkpoint interval (0 disables the flush daemon)")
@@ -41,12 +43,12 @@ var (
 
 func main() {
 	flag.Parse()
-	v, ok := map[string]core.Variant{
-		"normal": core.Normal, "shadow": core.Shadow,
-		"reorg": core.Reorg, "hybrid": core.Hybrid,
-	}[*variant]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "bad -variant %q\n", *variant)
+	v, err := btree.ParseVariant(*variant)
+	if err == nil && v == btree.Normal {
+		err = errors.New("-variant normal is the B-link tree with no crash protection and is not served")
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fastrec-server: %v; use -variant shadow, reorg or hybrid\n", err)
 		os.Exit(2)
 	}
 
@@ -56,7 +58,6 @@ func main() {
 		store = core.Dir(*dir)
 	}
 	db, err := core.Open(store, core.Config{
-		Variant:    v,
 		PoolSize:   *pool,
 		FlushEvery: *flush,
 		Obs:        rec,

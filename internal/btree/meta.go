@@ -51,6 +51,17 @@ func (v Variant) String() string {
 	}
 }
 
+// ParseVariant is the inverse of Variant.String: it maps "normal",
+// "shadow", "reorg" or "hybrid" to its Variant.
+func ParseVariant(name string) (Variant, error) {
+	for v := Normal; v <= Hybrid; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("btree: unknown variant %q", name)
+}
+
 // Meta page body layout (relative to page.HeaderSize):
 const (
 	mOffVariant   = 0  // uint8

@@ -337,3 +337,18 @@ func TestHybridFlagPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestParseVariant: ParseVariant inverts String for every variant and
+// refuses every other name.
+func TestParseVariant(t *testing.T) {
+	for _, v := range allVariants {
+		if got, err := ParseVariant(v.String()); err != nil || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v", v.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "Shadow", "variant(4)", "bogus"} {
+		if _, err := ParseVariant(name); err == nil {
+			t.Errorf("ParseVariant(%q) succeeded", name)
+		}
+	}
+}

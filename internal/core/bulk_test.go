@@ -37,7 +37,7 @@ func commitRun(t *testing.T, db *DB, rel *Relation, n int) ([][]byte, []heap.TID
 func TestIndexBulkLoad(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, err := Open(Memory(), Config{Variant: Shadow})
+			db, err := Open(Memory(), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestIndexBulkLoad(t *testing.T) {
 func TestIndexRebuildFromHeap(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, err := Open(Memory(), Config{Variant: Shadow})
+			db, err := Open(Memory(), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

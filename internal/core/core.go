@@ -19,7 +19,7 @@
 // Open a DB over a directory for durable storage, or in memory (with crash
 // injection) for experiments:
 //
-//	db, _ := core.Open(core.Memory(), core.Config{Variant: core.Shadow})
+//	db, _ := core.Open(core.Memory(), core.Config{})
 //	rel, _ := db.CreateRelation("accounts")
 //	idx, _ := db.CreateIndex("accounts_pk", core.Shadow)
 //	tx := db.Begin()
@@ -67,7 +67,9 @@ var (
 
 // Config configures a DB.
 type Config struct {
-	// Variant is the default index algorithm for CreateIndex.
+	// Variant is read by nothing: CreateIndex takes its variant as an
+	// argument. It stays only because benchmark/run.go sets it, and goes
+	// when that copy of the server's configuration does (ROADMAP 4(b)).
 	Variant Variant
 	// PoolSize is the per-file buffer pool capacity in frames.
 	PoolSize int
@@ -77,9 +79,6 @@ type Config struct {
 	// wholesale rebuilds, clamped to [0.5, 1.0] by the loader. Zero means
 	// btree.DefaultFillFactor.
 	LoadFill float64
-	// Retry bounds transient-I/O retries in every buffer pool the DB
-	// opens. The zero value means buffer.DefaultRetryPolicy.
-	Retry buffer.RetryPolicy
 	// Supervisor configures the background repair supervisor and the
 	// quarantine backoff knobs applied to every pool the DB opens.
 	Supervisor SupervisorConfig
@@ -329,9 +328,6 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 	r, err := heap.Open(d, db.cfg.PoolSize)
 	if err != nil {
 		return nil, err
-	}
-	if db.cfg.Retry != (buffer.RetryPolicy{}) {
-		r.Pool().SetRetryPolicy(db.cfg.Retry)
 	}
 	r.Pool().SetObs(db.cfg.Obs)
 	db.attachHealth(r.Pool())

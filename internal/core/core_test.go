@@ -6,17 +6,15 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
 
-func openMem(t *testing.T, v Variant) (*DB, Storage) {
+func openMem(t *testing.T) (*DB, Storage) {
 	t.Helper()
 	store := Memory()
-	db, err := Open(store, Config{Variant: v})
+	db, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +22,7 @@ func openMem(t *testing.T, v Variant) (*DB, Storage) {
 }
 
 func TestInsertCommitFetch(t *testing.T) {
-	db, _ := openMem(t, Shadow)
+	db, _ := openMem(t)
 	rel, err := db.CreateRelation("t")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +53,7 @@ func TestInsertCommitFetch(t *testing.T) {
 }
 
 func TestAbortLeavesInvalidKey(t *testing.T) {
-	db, _ := openMem(t, Reorg)
+	db, _ := openMem(t)
 	rel, _ := db.CreateRelation("t")
 	idx, _ := db.CreateIndex("t_pk", Reorg)
 	tx := db.Begin()
@@ -83,7 +81,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	for _, v := range []Variant{Shadow, Reorg, Hybrid} {
 		t.Run(v.String(), func(t *testing.T) {
 			store := Memory()
-			db, err := Open(store, Config{Variant: v})
+			db, err := Open(store, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +134,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 			}
 
 			// Restart: no log processing, just reopen.
-			db2, err := Open(store, Config{Variant: v})
+			db2, err := Open(store, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +165,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 }
 
 func TestTimeTravel(t *testing.T) {
-	db, _ := openMem(t, Shadow)
+	db, _ := openMem(t)
 	rel, _ := db.CreateRelation("t")
 
 	tx1 := db.Begin()
@@ -203,7 +201,7 @@ func TestTimeTravel(t *testing.T) {
 }
 
 func TestMakeUnique(t *testing.T) {
-	db, _ := openMem(t, Shadow)
+	db, _ := openMem(t)
 	rel, _ := db.CreateRelation("t")
 	idx, _ := db.CreateIndex("t_val", Shadow)
 	tx := db.Begin()
@@ -234,7 +232,7 @@ func TestMakeUnique(t *testing.T) {
 }
 
 func TestVacuumRemovesDeadKeys(t *testing.T) {
-	db, _ := openMem(t, Reorg)
+	db, _ := openMem(t)
 	rel, _ := db.CreateRelation("t")
 	idx, _ := db.CreateIndex("t_pk", Reorg)
 
@@ -297,7 +295,7 @@ func TestVacuumRemovesDeadKeys(t *testing.T) {
 // is not dead, however many later transactions commit before the vacuum
 // runs. Once its transaction commits, its key resolves to it.
 func TestVacuumKeepsInFlightVersions(t *testing.T) {
-	db, _ := openMem(t, Reorg)
+	db, _ := openMem(t)
 	rel, _ := db.CreateRelation("t")
 	idx, _ := db.CreateIndex("t_pk", Reorg)
 	insert := func(tx *Txn, key string) {
@@ -419,7 +417,7 @@ func TestDirStorage(t *testing.T) {
 }
 
 func TestListings(t *testing.T) {
-	db, _ := openMem(t, Shadow)
+	db, _ := openMem(t)
 	if _, err := db.CreateRelation("b"); err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +471,11 @@ func (m *faultStorage) exists(name string) bool {
 	return m.disks[name] != nil
 }
 
-// TestConfigRetryAndIOStats proves Config.Retry reaches every pool the DB
-// opens and that DB.IOStats aggregates the resulting retry counters: a
-// workload over 5% transient failures completes with no surfaced errors.
-func TestConfigRetryAndIOStats(t *testing.T) {
+// TestRetryAndIOStats proves every pool the DB opens retries transient I/O
+// errors (buffer.DefaultRetryPolicy) and that DB.IOStats aggregates the
+// resulting retry counters: a workload over 5% transient failures completes
+// with no surfaced errors.
+func TestRetryAndIOStats(t *testing.T) {
 	fs := &faultStorage{
 		cfg: storage.FaultConfig{
 			Seed:               99,
@@ -486,9 +485,7 @@ func TestConfigRetryAndIOStats(t *testing.T) {
 		disks: make(map[string]*storage.FaultDisk),
 	}
 	db, err := Open(fs, Config{
-		Variant:  Shadow,
 		PoolSize: 8, // force real I/O so the fault schedule is exercised
-		Retry:    buffer.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

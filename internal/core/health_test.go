@@ -34,7 +34,6 @@ func buildFaultyDB(t *testing.T, rec *obs.Recorder, n, shards int) (*DB, Storage
 func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
 	st := FaultyMemory(storage.FaultConfig{})
-	cfg.Variant = Shadow
 	cfg.Supervisor = SupervisorConfig{
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  20 * time.Millisecond,
@@ -340,8 +339,7 @@ func TestSupervisorGoroutineHealsHeapPage(t *testing.T) {
 	rec := obs.New(64)
 	st := FaultyMemory(storage.FaultConfig{})
 	db, err := Open(st, Config{
-		Variant: Shadow,
-		Obs:     rec,
+		Obs: rec,
 		Supervisor: SupervisorConfig{
 			Enable:      true,
 			Interval:    2 * time.Millisecond,

@@ -91,9 +91,6 @@ func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) 
 		if err != nil {
 			return nil, err
 		}
-		if db.cfg.Retry != (buffer.RetryPolicy{}) {
-			t.Pool().SetRetryPolicy(db.cfg.Retry)
-		}
 		db.attachHealth(t.Pool())
 		ix.trees[i] = t
 	}

@@ -27,7 +27,7 @@ func shardKey(i int) []byte {
 func TestShardedInsertCommitFetch(t *testing.T) {
 	const n = 300
 	rec := obs.New(64)
-	db, err := Open(Memory(), Config{Variant: Shadow, Obs: rec})
+	db, err := Open(Memory(), Config{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestShardedInsertCommitFetch(t *testing.T) {
 // a reopen with a different count fails typed instead of misrouting keys.
 func TestShardedMetaMismatch(t *testing.T) {
 	store := Memory()
-	db, err := Open(store, Config{Variant: Shadow})
+	db, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestShardedMetaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with the wrong count: refused from the persisted meta.
-	db2, err := Open(store, Config{Variant: Shadow})
+	db2, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestShardMismatchOneVersusMany(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := Memory()
-			db, err := Open(store, Config{Variant: Shadow})
+			db, err := Open(store, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestShardMismatchOneVersusMany(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db2, err := Open(store, Config{Variant: Shadow})
+			db2, err := Open(store, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 	const nShards = 4
 	const committed = 400
 	store := Memory()
-	db, err := Open(store, Config{Variant: Shadow})
+	db, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestShardedCrashRecoveryParallel(t *testing.T) {
 
 	// Restart: reopen and run ONE parallel recovery sweep over all shards.
 	rec := obs.New(obs.DefaultRingCap)
-	db2, err := Open(store, Config{Variant: Shadow, Obs: rec})
+	db2, err := Open(store, Config{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func mergeKey(i int) []byte {
 func openMergeIndex(t *testing.T, n int, v Variant) (Storage, *Index) {
 	t.Helper()
 	store := Memory()
-	db, err := Open(store, Config{Variant: v})
+	db, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +691,7 @@ func TestRealTreeRecoverThroughRouter(t *testing.T) {
 		}
 	}
 	// Reopen each shard over its crashed disk and heal them in parallel.
-	db2, err := Open(store, Config{Variant: Shadow})
+	db2, err := Open(store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestWriteAfterUncommittedUpdate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := core.FaultyMemory(storage.FaultConfig{})
-			db, srv := newTestServer(t, store)
+			db, srv, _ := openServer(t, store, 0, Options{})
 			defer db.Close()
 			defer srv.Close()
 			cl := dial(t, srv)

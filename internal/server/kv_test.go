@@ -23,7 +23,7 @@ func TestNewestFirstMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			db, srv, _ := openKV(t, core.Memory(), 0)
+			db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 			defer db.Close()
 			kv := srv.KV()
 			put := func(tx *core.Txn, k string) error {
@@ -132,7 +132,7 @@ func TestNewestFirstMatchesOracle(t *testing.T) {
 // version, as GET does: ending the scan at the first entry whose every prefix
 // sorts at or past "a" would answer the older.
 func TestScanLimitKeepsNewestVersion(t *testing.T) {
-	db, srv, _ := openKV(t, core.Memory(), 0)
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	kv := srv.KV()
 	put := func(tx *core.Txn, key, val string) {
@@ -173,7 +173,7 @@ func TestKVGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not a property of the code under the race detector")
 	}
-	db, srv, _ := openKV(t, core.Memory(), 0)
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	kv := srv.KV()
 	if err := kv.WithTxn(nil, func(tx *core.Txn) error { return kv.Put(tx, []byte("k"), []byte("v")) }); err != nil {
@@ -217,7 +217,7 @@ func TestKVScanMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			db, srv, _ := openKV(t, core.Memory(), 0)
+			db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 			defer db.Close()
 			kv := srv.KV()
 
@@ -300,7 +300,7 @@ func TestKVScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not a property of the code under the race detector")
 	}
-	db, srv, _ := openKV(t, core.Memory(), 0)
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	kv := srv.KV()
 	const n = 400
@@ -329,7 +329,7 @@ func TestKVScanAllocs(t *testing.T) {
 // BenchmarkKVScan: a warm 50-row SCAN below the wire from a random key of 20k
 // keys, each of two versions, as the read-hot workload's SCAN meets them.
 func BenchmarkKVScan(b *testing.B) {
-	db, srv, _ := openKV(b, core.Memory(), 0)
+	db, srv, _ := openServer(b, core.Memory(), 0, Options{})
 	defer db.Close()
 	kv := srv.KV()
 	const n = 20000

@@ -6,17 +6,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/heap"
-	"repro/internal/obs"
 )
 
 // TestServerMput: the batched write verb, autocommit and transactional,
 // error shapes, update semantics, and the STATS counters it feeds.
 func TestServerMput(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	cl := dial(t, srv)
 
@@ -110,7 +108,7 @@ func visibleVersions(t *testing.T, srv *Server, key string) []version {
 // version the first had just stamped), a new one to leave two visible
 // versions.
 func TestServerMputRepeatedKey(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	cl := dial(t, srv)
 	one := func(key, want string) {
@@ -140,19 +138,8 @@ func TestServerMputRepeatedKey(t *testing.T) {
 // TestServerMputLargeBatchSharded drives a large MPUT through the sharded
 // index: pairs fan out across shards and apply in parallel.
 func TestServerMputLargeBatchSharded(t *testing.T) {
-	store := core.Memory()
-	db, err := core.Open(store, core.Config{Obs: obs.New(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{Shards: 4})
 	defer db.Close()
-	srv, err := New(db, Options{Shards: 4, DrainTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	cl := dial(t, srv)
 
 	const n = 200

@@ -19,32 +19,12 @@ import (
 
 func kvKey(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 
-// openKV opens a server over store as fastrec-server does, with pools of pool
-// frames (0: the default) and the flush daemon off, and waits for its bound
-// walk.
-func openKV(t testing.TB, store core.Storage, pool int) (*core.DB, *Server, *obs.Recorder) {
-	t.Helper()
-	rec := obs.New(0)
-	db, err := core.Open(store, core.Config{Variant: core.Shadow, PoolSize: pool, Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(db, Options{Variant: core.Shadow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.kv.idx.Tree().AwaitBound(); err != nil {
-		t.Fatal(err)
-	}
-	return db, srv, rec
-}
-
 // loadedKV returns a store holding n keys of one 100-byte version each,
 // loaded in 500-pair MPUTs as the benchmark loads it, and its open DB.
 func loadedKV(t *testing.T, n int) (core.Storage, *core.DB) {
 	t.Helper()
 	store := core.Memory()
-	db, srv, _ := openKV(t, store, 0)
+	db, srv, _ := openServer(t, store, 0, Options{})
 	for from := 0; from < n; from += 500 {
 		var keys, vals [][]byte
 		for i := from; i < from+500 && i < n; i++ {
@@ -124,7 +104,7 @@ func coldMput(t *testing.T, store core.Storage, keys, vals [][]byte) (core.Stora
 		d.SetLatency(0, time.Millisecond)
 	}
 	c := &storage.IOCounter{Linger: 5 * time.Millisecond}
-	db, srv, rec := openKV(t, core.Counted(img, c), 64)
+	db, srv, rec := openServer(t, core.Counted(img, c), 64, Options{})
 	srv.kv.idx.Tree().Pool().InvalidateAll()
 	srv.kv.rel.Heap().Pool().InvalidateAll()
 	c.Reset()
@@ -156,14 +136,14 @@ func TestMputOverlapsReads(t *testing.T) {
 	}
 	keys, vals := mputPairs(n)
 
-	refDB, ref, _ := openKV(t, cloneStore(store), 64)
+	refDB, ref, _ := openServer(t, cloneStore(store), 64, Options{})
 	defer refDB.Close()
 	singlePuts(t, ref, keys, vals)
 
 	img, c, rec := coldMput(t, store, keys, vals)
 	t.Logf("cold MPUT-32: %d reads, %d writes, %d syncs in %d waves, at most %d in flight; %d hints, %d dropped",
 		c.reads, c.writes, c.syncs, c.waves, c.peak, rec.Get(obs.HintIssued), rec.Get(obs.HintDropped))
-	db, srv, _ := openKV(t, img, 64)
+	db, srv, _ := openServer(t, img, 64, Options{})
 	defer db.Close()
 	sameState(t, srv, ref, n)
 
@@ -200,14 +180,14 @@ func TestPostCrashMputWaves(t *testing.T) {
 		}
 	}
 	keys, vals := mputPairs(n)
-	refDB, ref, _ := openKV(t, cloneStore(store), 64)
+	refDB, ref, _ := openServer(t, cloneStore(store), 64, Options{})
 	defer refDB.Close()
 	singlePuts(t, ref, keys, vals)
 
 	img, c, rec := coldMput(t, store, keys, vals)
 	t.Logf("post-crash MPUT-32: %d reads, %d writes, %d syncs in %d waves, at most %d in flight; %d hints, %d dropped",
 		c.reads, c.writes, c.syncs, c.waves, c.peak, rec.Get(obs.HintIssued), rec.Get(obs.HintDropped))
-	db, srv, _ := openKV(t, img, 64)
+	db, srv, _ := openServer(t, img, 64, Options{})
 	defer db.Close()
 	sameState(t, srv, ref, n)
 
@@ -229,7 +209,7 @@ func TestPostCrashMputWaves(t *testing.T) {
 // first, read all three.
 func TestColdGetReadsNewestPageOnly(t *testing.T) {
 	store := core.Memory()
-	db, srv, _ := openKV(t, store, 0)
+	db, srv, _ := openServer(t, store, 0, Options{})
 	put := func(k, v string) {
 		t.Helper()
 		if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.Put(tx, []byte(k), []byte(v)) }); err != nil {
@@ -254,7 +234,7 @@ func TestColdGetReadsNewestPageOnly(t *testing.T) {
 	}
 
 	c := &storage.IOCounter{}
-	db, srv, _ = openKV(t, core.Counted(store, c), 0)
+	db, srv, _ = openServer(t, core.Counted(store, c), 0, Options{})
 	defer db.Close()
 	if _, found, err := srv.kv.Get([]byte("j")); err != nil || found { // reads the leaf k is on
 		t.Fatalf("GET j: %v, %v", found, err)
@@ -293,7 +273,7 @@ func TestDurablePutWaves(t *testing.T) {
 		d.SetLatency(0, time.Millisecond)
 	}
 	c := &storage.IOCounter{}
-	db, srv, rec := openKV(t, core.Counted(store, c), 0)
+	db, srv, rec := openServer(t, core.Counted(store, c), 0, Options{})
 	defer db.Close()
 	if rows, err := srv.kv.Scan(nil, nil, n); err != nil || len(rows) != n {
 		t.Fatalf("%d rows, %v", len(rows), err)
@@ -352,7 +332,7 @@ func TestResidentMputStartsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &storage.IOCounter{}
-	db, srv, rec := openKV(t, core.Counted(store, c), 0)
+	db, srv, rec := openServer(t, core.Counted(store, c), 0, Options{})
 	defer db.Close()
 	keys, vals := mputPairs(n)
 	mput := func() {
@@ -417,7 +397,7 @@ func TestPostCrashMputMatchesPuts(t *testing.T) {
 	// damaged link and no other's, in whatever order the updates come. A
 	// key's leaf is the last page a cold lookup of its entry reads.
 	c := &storage.IOCounter{}
-	probeDB, probe, _ := openKV(t, core.Counted(cloneStore(store), c), 0)
+	probeDB, probe, _ := openServer(t, core.Counted(cloneStore(store), c), 0, Options{})
 	leafOf := func(k int) storage.PageNo {
 		tid, _, ok, err := probe.kv.lookup(kvKey(k))
 		if err != nil || !ok {
@@ -468,9 +448,9 @@ func TestPostCrashMputMatchesPuts(t *testing.T) {
 	if mc.waves > 80 {
 		t.Errorf("%d waves, want at most 80", mc.waves)
 	}
-	mdb, msrv, _ := openKV(t, img, 64)
+	mdb, msrv, _ := openServer(t, img, 64, Options{})
 	defer mdb.Close()
-	pdb, psrv, prec := openKV(t, cloneStore(store), 64)
+	pdb, psrv, prec := openServer(t, cloneStore(store), 64, Options{})
 	defer pdb.Close()
 	singlePuts(t, psrv, keys, vals)
 	if m, p := mrec.Get(obs.RepairPeer), prec.Get(obs.RepairPeer); m != p || m != uint64(len(keys)) {

@@ -8,6 +8,10 @@
 // committed-transactions/sec scales with client count instead of
 // serializing behind per-transaction fsyncs.
 //
+// The store is heap relation "kv" under primary index "kv_pk", a B-link
+// tree built with one of the paper's crash-recovery techniques (see
+// Options.Variant), never the unprotected one: restart is just New.
+//
 // The protocol (one request per line, space-separated; keys are single
 // tokens, a PUT value is the remainder of the line):
 //
@@ -42,12 +46,10 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Relation and Index name the KV store's backing files. Defaults:
-	// "kv" and "kv_pk".
-	Relation string
-	Index    string
-	// Variant is the index algorithm for the primary index (default:
-	// the DB config's default).
+	// Variant is the crash-recovery technique of the primary index:
+	// Shadow (§3.3), Reorg (§3.4) or Hybrid. The zero value, which is
+	// Normal, means Shadow: the unprotected B-link tree is the Table 1
+	// baseline and is never served.
 	Variant core.Variant
 	// Shards partitions the primary index across this many independent
 	// B-link trees (hash-routed, merged scans, parallel recovery). 0 or 1
@@ -77,20 +79,17 @@ type Server struct {
 // New builds a server over db, opening (creating as needed) its backing
 // relation and index.
 func New(db *core.DB, opts Options) (*Server, error) {
-	if opts.Relation == "" {
-		opts.Relation = "kv"
-	}
-	if opts.Index == "" {
-		opts.Index = "kv_pk"
+	if opts.Variant == core.Normal {
+		opts.Variant = core.Shadow
 	}
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 5 * time.Second
 	}
-	rel, err := db.CreateRelation(opts.Relation)
+	rel, err := db.CreateRelation("kv")
 	if err != nil {
 		return nil, err
 	}
-	idx, err := db.CreateIndexN(opts.Index, opts.Variant, opts.Shards)
+	idx, err := db.CreateIndexN("kv_pk", opts.Variant, opts.Shards)
 	if err != nil {
 		return nil, err
 	}

@@ -88,26 +88,52 @@ func (cl *client) scan(line string) (rows []string, final string) {
 	}
 }
 
-func newTestServer(t *testing.T, store core.Storage) (*core.DB, *Server) {
+// servedVariants are the index variants a server serves.
+var servedVariants = []core.Variant{core.Shadow, core.Reorg, core.Hybrid}
+
+// openServer opens a DB over store as fastrec-server does, with pools of pool
+// frames (0: the default), the flush daemon off and a recorder, serves it with
+// opts on a loopback port and waits for its bound walks. The server closes
+// when the test ends; the DB is the caller's, since a test that crashes the
+// store never closes it.
+func openServer(t testing.TB, store core.Storage, pool int, opts Options) (*core.DB, *Server, *obs.Recorder) {
 	t.Helper()
-	db, err := core.Open(store, core.Config{Obs: obs.New(64)})
+	rec := obs.New(0)
+	db, err := core.Open(store, core.Config{PoolSize: pool, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, Options{DrainTimeout: 5 * time.Second})
+	srv, err := New(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	return db, srv
+	for _, tr := range srv.kv.idx.Trees() {
+		if err := tr.AwaitBound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, srv, rec
+}
+
+// TestZeroOptionsServeShadow: a server built from zero Options serves the
+// shadow-page index (§3.3), not the zero Variant, which is the Normal tree
+// with no crash protection.
+func TestZeroOptionsServeShadow(t *testing.T) {
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
+	defer db.Close()
+	if v := srv.kv.idx.Tree().Variant(); v != core.Shadow {
+		t.Fatalf("zero Options serve a %v index, want shadow", v)
+	}
 }
 
 // TestServerSmoke exercises every protocol verb over real TCP, including
 // the error paths, then asserts a clean graceful shutdown.
 func TestServerSmoke(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	cl := dial(t, srv)
 
@@ -198,7 +224,7 @@ func TestServerSmoke(t *testing.T) {
 // one ERR line on the wire. Written as two, it would leave every later reply
 // on the connection answering the request before it.
 func TestJoinedErrorIsOneLine(t *testing.T) {
-	db, srv, _ := openKV(t, core.Memory(), 0)
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	c, peer := net.Pipe()
 	defer c.Close()
@@ -224,7 +250,7 @@ func TestJoinedErrorIsOneLine(t *testing.T) {
 // called completes and the client gets its OK before the drain finishes.
 func TestServerDrainsInFlightCommit(t *testing.T) {
 	store := core.Memory()
-	db, srv := newTestServer(t, store)
+	db, srv, _ := openServer(t, store, 0, Options{})
 	defer db.Close()
 
 	// Slow the control disk so the commit is still in its device sync when
@@ -266,85 +292,67 @@ func TestServerDrainsInFlightCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db2, err := core.Open(store, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2, srv2, _ := openServer(t, store, 0, Options{})
 	defer db2.Close()
-	srv2, err := New(db2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
 	cl2 := dial(t, srv2)
 	cl2.expect("GET drain-00", "OK v0")
 	cl2.expect("GET drain-19", "OK v19")
 }
 
 // TestServerCrashRecover is the paper's pitch run end to end over the
-// wire: commit through one server generation, crash the machine (every
-// unsynced write lost), reopen instantly, and serve the committed data —
-// with the in-flight transaction's writes gone.
+// wire, for every served variant: commit through one server generation,
+// crash the machine (every unsynced write lost), reopen instantly, and serve
+// the committed data — with the in-flight transaction's writes gone.
 func TestServerCrashRecover(t *testing.T) {
-	store := core.Memory()
-	db, srv := newTestServer(t, store)
-	_ = db // deliberately never closed: the machine dies, it doesn't exit
+	for _, v := range servedVariants {
+		t.Run(v.String(), func(t *testing.T) {
+			store := core.Memory()
+			_, srv, _ := openServer(t, store, 0, Options{Variant: v}) // its DB is never closed: the machine dies, it doesn't exit
 
-	cl := dial(t, srv)
-	for i := 0; i < 10; i++ {
-		cl.expect(fmt.Sprintf("PUT stable-%02d value-%d", i, i), "OK")
-	}
-	cl.expect("DEL stable-03", "OK")
+			cl := dial(t, srv)
+			for i := 0; i < 10; i++ {
+				cl.expect(fmt.Sprintf("PUT stable-%02d value-%d", i, i), "OK")
+			}
+			cl.expect("DEL stable-03", "OK")
 
-	// A second client dies mid-transaction: its writes must not survive.
-	loser := dial(t, srv)
-	loser.expectPrefix("BEGIN", "OK ")
-	loser.expect("PUT phantom boo", "OK")
-	loser.expect("PUT stable-00 overwritten", "OK")
+			// A second client dies mid-transaction: its writes must not survive.
+			loser := dial(t, srv)
+			loser.expectPrefix("BEGIN", "OK ")
+			loser.expect("PUT phantom boo", "OK")
+			loser.expect("PUT stable-00 overwritten", "OK")
 
-	// The machine dies: no Close, no flush — every write that was not
-	// device-synced is gone.
-	for _, d := range core.MemoryDisks(store) {
-		if err := d.CrashPartial(storage.CrashNone); err != nil {
-			t.Fatal(err)
-		}
-	}
+			// The machine dies: no Close, no flush — every write that was not
+			// device-synced is gone.
+			for _, d := range core.MemoryDisks(store) {
+				if err := d.CrashPartial(storage.CrashNone); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Restart: open + serve, no log replay.
-	db2, err := core.Open(store, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	srv2, err := New(db2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+			// Restart: open + serve, no log replay.
+			db2, srv2, _ := openServer(t, store, 0, Options{Variant: v})
+			defer db2.Close()
 
-	cl2 := dial(t, srv2)
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("stable-%02d", i)
-		if i == 3 {
-			cl2.expect("GET "+key, "NOTFOUND") // committed delete survived
-			continue
-		}
-		cl2.expect("GET "+key, fmt.Sprintf("OK value-%d", i))
-	}
-	cl2.expect("GET phantom", "NOTFOUND") // in-flight txn vanished
-	rows, final := cl2.scan("SCAN - -")
-	if final != "OK 9" {
-		t.Fatalf("post-crash SCAN: rows=%v final=%q", rows, final)
-	}
+			cl2 := dial(t, srv2)
+			for i := 0; i < 10; i++ {
+				key := fmt.Sprintf("stable-%02d", i)
+				if i == 3 {
+					cl2.expect("GET "+key, "NOTFOUND") // committed delete survived
+					continue
+				}
+				cl2.expect("GET "+key, fmt.Sprintf("OK value-%d", i))
+			}
+			cl2.expect("GET phantom", "NOTFOUND") // in-flight txn vanished
+			rows, final := cl2.scan("SCAN - -")
+			if final != "OK 9" {
+				t.Fatalf("post-crash SCAN: rows=%v final=%q", rows, final)
+			}
 
-	cl2.expect("QUIT", "OK bye")
-	if err := srv2.Close(); err != nil {
-		t.Fatalf("graceful Close after recovery: %v", err)
+			cl2.expect("QUIT", "OK bye")
+			if err := srv2.Close(); err != nil {
+				t.Fatalf("graceful Close after recovery: %v", err)
+			}
+		})
 	}
 }
 
@@ -356,7 +364,7 @@ func TestServerCrashRecover(t *testing.T) {
 // its commit must not make the dead transaction's rows visible.
 func TestServerXIDNotReusedAfterCrash(t *testing.T) {
 	store := core.Memory()
-	db, srv := newTestServer(t, store)
+	db, srv, _ := openServer(t, store, 0, Options{})
 
 	cl := dial(t, srv)
 	for i := 0; i < 10; i++ {
@@ -376,7 +384,7 @@ func TestServerXIDNotReusedAfterCrash(t *testing.T) {
 		}
 	}
 
-	db2, srv2 := newTestServer(t, store)
+	db2, srv2, _ := openServer(t, store, 0, Options{})
 	defer db2.Close()
 	cl2 := dial(t, srv2)
 	newXID := cl2.expectPrefix("BEGIN", "OK ")
@@ -413,19 +421,8 @@ func TestServerXIDNotReusedAfterCrash(t *testing.T) {
 // every committed key reads back and the coordinator actually batched.
 func TestServerConcurrentClients(t *testing.T) {
 	store := core.Memory()
-	rec := obs.New(64)
-	db, err := core.Open(store, core.Config{Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, srv, rec := openServer(t, store, 0, Options{})
 	defer db.Close()
-	srv, err := New(db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 	// A write cost on every device keeps commits overlapping so the
 	// coordinator actually forms multi-member batches.
@@ -480,7 +477,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // "PUT trunc hello"); executing it would durably autocommit a corrupted
 // value. Only a clean EOF proves the final unterminated line arrived whole.
 func TestServerDropsTruncatedPartialLineOnDrain(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 
 	c, err := net.Dial("tcp", srv.Addr().String())
@@ -510,7 +507,7 @@ func TestServerDropsTruncatedPartialLineOnDrain(t *testing.T) {
 // writes a complete command and closes without a trailing newline DID send
 // the whole line — the clean EOF proves it — so it is served.
 func TestServerServesFinalLineOnCleanEOF(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	defer srv.Close()
 
@@ -547,7 +544,7 @@ func TestServerServesFinalLineOnCleanEOF(t *testing.T) {
 // the cap is crossed — it never waits for (or buffers) an unbounded
 // unterminated line first.
 func TestServerRejectsOverlongLineIncrementally(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	defer srv.Close()
 
@@ -589,7 +586,7 @@ func TestServerRejectsOverlongLineIncrementally(t *testing.T) {
 // (tuple forced onto heap page >= 1, TID first byte >= 1) and "a\x00?"
 // (next key byte 0x00) produce exactly that interleaving.
 func TestScanPrefixInterleavedKeys(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	defer srv.Close()
 	cl := dial(t, srv)
@@ -659,7 +656,7 @@ func TestScanPrefixInterleavedKeys(t *testing.T) {
 // writes no second live version beside the one it cannot read. Released, the
 // page serves the key's newest version again.
 func TestServerQuarantinedHeapPage(t *testing.T) {
-	db, srv := newTestServer(t, core.Memory())
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	defer srv.Close()
 	cl := dial(t, srv)
@@ -686,23 +683,20 @@ func TestServerQuarantinedHeapPage(t *testing.T) {
 }
 
 // TestServerShardedSmokeAndCrashRecover runs the protocol against a
-// multi-shard primary index: writes hash across shards, SCAN merges the
-// per-shard streams in key order, STATS exposes the per-shard breakdown
-// plus the commit counters, and a crash + restart recovers every shard.
+// multi-shard primary index of every served variant: writes hash across
+// shards, SCAN merges the per-shard streams in key order, STATS exposes the
+// per-shard breakdown plus the commit counters, and a crash + restart
+// recovers every shard.
 func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
+	for _, v := range servedVariants {
+		t.Run(v.String(), func(t *testing.T) { shardedSmokeAndCrashRecover(t, v) })
+	}
+}
+
+func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
 	const nShards = 4
 	store := core.Memory()
-	db, err := core.Open(store, core.Config{Obs: obs.New(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(db, Options{Shards: nShards, DrainTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	_, srv, _ := openServer(t, store, 0, Options{Variant: v, Shards: nShards})
 
 	cl := dial(t, srv)
 	const n = 60
@@ -752,18 +746,8 @@ func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
 	// Restart against the same files: the shard count is persisted, so
 	// Options{Shards: nShards} reopens the same layout; recovery is just
 	// reopening + serving.
-	db2, err := core.Open(store, core.Config{Obs: obs.New(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2, srv2, _ := openServer(t, store, 0, Options{Variant: v, Shards: nShards})
 	defer db2.Close()
-	srv2, err := New(db2, Options{Shards: nShards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	cl2 := dial(t, srv2)
 	for i := 0; i < n; i++ {
 		cl2.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
@@ -774,17 +758,9 @@ func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
 		t.Fatalf("post-crash sharded SCAN: final=%q rows=%d", final, len(rows))
 	}
 
-	// A mismatched shard count on the same files is refused loudly.
-	if _, err := New(db2, Options{Relation: "kv2", Index: "kv_pk", Shards: 2}); err == nil {
-		t.Fatal("reopening the sharded index with a different shard count must fail")
-	}
-
 	cl2.expect("QUIT", "OK bye")
 	if err := srv2.Close(); err != nil {
 		t.Fatalf("graceful Close: %v", err)
-	}
-	if err := srv.Close(); err == nil {
-		_ = err // first server died with the "machine"; Close best-effort
 	}
 }
 
@@ -803,17 +779,7 @@ func TestServerShardMismatchRefused(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := core.Memory()
-			db, err := core.Open(store, core.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := New(db, Options{Shards: tc.loaded})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
+			db, srv, _ := openServer(t, store, 0, Options{Shards: tc.loaded})
 			cl := dial(t, srv)
 			for i := 0; i < 20; i++ {
 				cl.expect(fmt.Sprintf("PUT key-%03d val-%d", i, i), "OK")
@@ -830,19 +796,15 @@ func TestServerShardMismatchRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer db2.Close()
 			if _, err := New(db2, Options{Shards: tc.restart}); !errors.Is(err, core.ErrShardMismatch) {
 				t.Fatalf("loaded with Shards=%d, restarted with %d: %v, want ErrShardMismatch", tc.loaded, tc.restart, err)
 			}
-			srv2, err := New(db2, Options{Shards: tc.loaded})
-			if err != nil {
+			if err := db2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := srv2.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			defer srv2.Close()
-			cl2 := dial(t, srv2)
+			db3, srv3, _ := openServer(t, store, 0, Options{Shards: tc.loaded})
+			defer db3.Close()
+			cl2 := dial(t, srv3)
 			for i := 0; i < 20; i++ {
 				cl2.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
 			}

@@ -47,8 +47,9 @@ const (
 )
 
 // ErrStatusFormat marks a status file this build cannot read: a page of
-// another layout version (there is no converter), or a page whose entry count
-// cannot be true.
+// another layout version (there is no converter), a page that fails its
+// checksum, a page whose entry count cannot be true, or a zeroed page 0 with
+// pages after it.
 var ErrStatusFormat = errors.New("txn: unreadable status table")
 
 var le = binary.LittleEndian
@@ -83,6 +84,10 @@ type statusRead struct {
 // page is believed before it is checked.
 func readStatusPage(disk storage.Disk, no storage.PageNo, buf page.Page) (r statusRead) {
 	if r.err = disk.ReadPage(no, buf); r.err != nil || buf.IsZeroed() {
+		return r
+	}
+	if !buf.ChecksumOK() {
+		r.err = fmt.Errorf("%w: page %d fails its checksum", ErrStatusFormat, no)
 		return r
 	}
 	if v := le.Uint32(buf[offVersion:]); v != statusVersion {
@@ -126,10 +131,16 @@ func readStatusPages(disk storage.Disk) []statusRead {
 }
 
 // loadStatus fills the manager from the status file, or starts the file if
-// it is new or zeroed.
+// it is new or one zeroed page.
 func (m *Manager) loadStatus() error {
 	pages := readStatusPages(m.disk)
-	if len(pages) == 0 || (pages[0].err == nil && len(pages[0].xids) == 0) {
+	empty := len(pages) == 0 || (pages[0].err == nil && len(pages[0].xids) == 0)
+	if empty && len(pages) > 1 {
+		// Page 0 always holds the bootstrap transaction: empty ahead of
+		// further pages, it is a lost table, not a new one.
+		return fmt.Errorf("%w: page 0 holds no entries and %d pages follow it", ErrStatusFormat, len(pages)-1)
+	}
+	if empty {
 		m.ceiling = m.nextXID + xidChunk
 		m.tail = newStatusPage(m.ceiling)
 		statusAppend(m.tail, []heap.XID{1}) // the bootstrap transaction

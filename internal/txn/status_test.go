@@ -384,8 +384,9 @@ func TestStaleSuccessorNeverRead(t *testing.T) {
 }
 
 // TestStatusFormatErrors is hazard (b): OpenManager reads the device raw, so
-// a count no page can hold, a layout version it does not know, and the
-// retired page-0-directory layout are typed errors, not panics.
+// a count no page can hold, a layout version it does not know, the retired
+// page-0-directory layout, a page that fails its checksum and a zeroed page 0
+// with pages after it are typed errors, not panics and not lost commits.
 func TestStatusFormatErrors(t *testing.T) {
 	fresh := func() *storage.MemDisk {
 		d := storage.NewMemDisk()
@@ -422,9 +423,30 @@ func TestStatusFormatErrors(t *testing.T) {
 			t.Errorf("%s: OpenManager returned %v, want ErrStatusFormat", name, err)
 		}
 	}
+	// A page that fails its checksum is damage, not data: one flipped entry
+	// byte drops a committed XID, or names one that never committed.
+	d := fresh()
+	d.CorruptStable(0, func(p page.Page) { p[offEntries] ^= 1 })
+	if _, err := OpenManager(d); !errors.Is(err, ErrStatusFormat) {
+		t.Errorf("flipped entry byte: OpenManager returned %v, want ErrStatusFormat", err)
+	}
+	// A zeroed page 0 ahead of further pages is a lost table, not a new one.
+	d = fresh()
+	m, err := OpenManager(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := heap.XID(2)
+	if err := m.appendStatus(xidRun(&next, xidsPerPage)); err != nil {
+		t.Fatal(err)
+	}
+	d.CorruptStable(0, func(p page.Page) { clear(p) })
+	if _, err := OpenManager(d); !errors.Is(err, ErrStatusFormat) {
+		t.Errorf("zeroed page 0 of %d: OpenManager returned %v, want ErrStatusFormat", d.NumPages(), err)
+	}
 	// A page past the tail is never read for its contents: damage there
 	// cannot fail an open.
-	d := fresh()
+	d = fresh()
 	junk := newStatusPage(0)
 	le.PutUint32(junk[offCount:], 1<<20)
 	if err := d.WritePage(1, junk); err != nil {
