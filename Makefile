@@ -67,10 +67,12 @@ nested-faults:
 # works end to end), plus the disabled-recorder overhead bound: obs calls
 # on a nil recorder must stay within a few ns.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallel' -benchtime 1x ./internal/btree
 	$(GO) test ./internal/obs -run TestDisabledOverhead
 
-# The full benchmark suite (paper experiments + parallel scaling).
+# Every testing.B benchmark: parallel scaling (E7), the no-log restart (E6),
+# the ablations and the hot-path allocation benchmarks. The paper's tables
+# come from the cmd/ tools (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench . -benchmem ./...
 
@@ -104,14 +106,13 @@ shard-smoke:
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
 # hit and a no-split insert must not touch the heap) and the allocation bounds
 # of a warm KV GET and a warm 50-row KV SCAN, batched inserts racing point
-# inserts under the race detector, the scan-resistant eviction tests
-# (including the exact legacy-clock fallback for tiny stripes), and the
+# inserts under the race detector, the scan-resistant eviction tests, and the
 # batched MPUT verb end to end over TCP.
 hotpath-smoke:
 	$(GO) test ./internal/btree -run 'ZeroAllocs|TestInsertBatch|TestLookupInto'
 	$(GO) test ./internal/server -run 'TestKVGetAllocs|TestKVScanAllocs'
 	$(GO) test -race ./internal/btree -run TestInsertBatchConcurrent
-	$(GO) test ./internal/buffer -run 'TestScanResist|TestTinyPool'
+	$(GO) test ./internal/buffer -run TestScanResist
 	$(GO) test -race ./internal/server -run TestServerMput
 
 # The bulk-load gate: the loader's differential and property tests against

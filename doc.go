@@ -5,7 +5,6 @@
 //
 // The library lives under internal/; see README.md for the architecture,
 // DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for the paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation.
+// EXPERIMENTS.md for the paper-versus-measured results and the one command
+// that regenerates each.
 package repro

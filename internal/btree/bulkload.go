@@ -125,7 +125,10 @@ func (t *Tree) BulkReplace(items []Item, opts LoadOptions) (LoadStats, error) {
 	// Enumerate the old structure before anything moves. A walk error is
 	// not fatal — a damaged old tree is exactly why callers rebuild — it
 	// just forfeits eager page reclamation.
-	old, walkErr := t.collectPages()
+	var old []oldPage
+	_, walkErr := t.walkReachable(func(no uint32, lo, hi []byte) {
+		old = append(old, oldPage{no: no, lo: cloneBytes(lo), hi: cloneBytes(hi)})
+	})
 
 	stats, rootNo, rootTok, err := t.bulkBuild(items, opts.fill())
 	if err != nil {
@@ -411,56 +414,4 @@ func (b *bulkBuilder) packInternal(level uint8, children []internalItem) ([]inte
 type oldPage struct {
 	no     uint32
 	lo, hi []byte
-}
-
-// collectPages enumerates the current structure's pages with their key
-// ranges, for post-swap freeing. Any read or structural error aborts the
-// enumeration: BulkReplace then leaves the old pages for vacuum.
-func (t *Tree) collectPages() ([]oldPage, error) {
-	metaFrame, err := t.pool.Get(0)
-	if err != nil {
-		return nil, err
-	}
-	rootNo := (metaPage{metaFrame.Data}).root()
-	metaFrame.Unpin()
-	if rootNo == 0 {
-		return nil, nil
-	}
-	var out []oldPage
-	if err := t.collectSubtree(rootNo, nil, nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (t *Tree) collectSubtree(no uint32, lo, hi []byte, out *[]oldPage) error {
-	f, err := t.pool.Get(no)
-	if err != nil {
-		return err
-	}
-	defer f.Unpin()
-	f.RLatch()
-	defer f.RUnlatch()
-	p := f.Data
-	*out = append(*out, oldPage{no: no, lo: cloneBytes(lo), hi: cloneBytes(hi)})
-	if p.Type() != page.TypeInternal {
-		if p.Type() != page.TypeLeaf {
-			return fmt.Errorf("%w: page %d has type %v", ErrUnrecoverable, no, p.Type())
-		}
-		return nil
-	}
-	for i := 0; i < p.NKeys(); i++ {
-		e, err := internalEntry(p, i)
-		if err != nil {
-			return err
-		}
-		cLo, cHi, err := childRange(p, i, lo, hi)
-		if err != nil {
-			return err
-		}
-		if err := t.collectSubtree(e.child, cLo, cHi, out); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -194,7 +194,22 @@ func (t *Tree) ReachablePages() (map[uint32]bool, error) {
 		return nil, err
 	}
 	defer t.mu.Unlock()
-	reach := map[uint32]bool{0: true}
+	reach, err := t.walkReachable(nil)
+	if err != nil {
+		return nil, err
+	}
+	reach[0] = true
+	return reach, nil
+}
+
+// walkReachable visits every page reachable from the root once, parent
+// before children, and returns the set it visited. visit, if not nil, gets
+// each page's number and the key range [lo, hi) its parent gives it (nil is
+// unbounded); lo and hi are valid only during the call. A read error, a
+// malformed internal entry or a page that is neither leaf nor internal stops
+// the walk. The caller holds the tree exclusively.
+func (t *Tree) walkReachable(visit func(no uint32, lo, hi []byte)) (map[uint32]bool, error) {
+	seen := map[uint32]bool{}
 	metaFrame, err := t.pool.Get(0)
 	if err != nil {
 		return nil, err
@@ -202,38 +217,51 @@ func (t *Tree) ReachablePages() (map[uint32]bool, error) {
 	rootNo := metaPage{metaFrame.Data}.root()
 	metaFrame.Unpin()
 	if rootNo == 0 {
-		return reach, nil
+		return seen, nil
 	}
-	var walk func(no uint32) error
-	walk = func(no uint32) error {
-		if reach[no] {
+	var walk func(no uint32, lo, hi []byte) error
+	walk = func(no uint32, lo, hi []byte) error {
+		if seen[no] {
 			return nil
 		}
-		reach[no] = true
+		seen[no] = true
 		f, err := t.pool.Get(no)
 		if err != nil {
 			return err
 		}
 		defer f.Unpin()
+		f.RLatch()
+		defer f.RUnlatch()
+		if visit != nil {
+			visit(no, lo, hi)
+		}
 		p := f.Data
-		if p.Type() != page.TypeInternal {
+		switch p.Type() {
+		case page.TypeLeaf:
 			return nil
+		case page.TypeInternal:
+		default:
+			return fmt.Errorf("%w: page %d has type %v", ErrUnrecoverable, no, p.Type())
 		}
 		for i := 0; i < p.NKeys(); i++ {
-			it, err := internalEntry(p, i)
+			e, err := internalEntry(p, i)
 			if err != nil {
 				return err
 			}
-			if err := walk(it.child); err != nil {
+			cLo, cHi, err := childRange(p, i, lo, hi)
+			if err != nil {
+				return err
+			}
+			if err := walk(e.child, cLo, cHi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(rootNo); err != nil {
+	if err := walk(rootNo, nil, nil); err != nil {
 		return nil, err
 	}
-	return reach, nil
+	return seen, nil
 }
 
 // NumPages reports the current size of the index file in pages: the file's

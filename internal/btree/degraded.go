@@ -134,16 +134,6 @@ func (t *Tree) ScanDegraded(start, end []byte, fn func(key, value []byte) bool) 
 	}
 }
 
-// CountDegraded counts the reachable keys, reporting skipped ranges.
-func (t *Tree) CountDegraded() (int, ScanReport, error) {
-	n := 0
-	rep, err := t.ScanDegraded(nil, nil, func(_, _ []byte) bool {
-		n++
-		return true
-	})
-	return n, rep, err
-}
-
 // RecoverAvailable walks every reachable leaf range like RecoverAll,
 // triggering every pending repair, but steps over quarantined subtrees and
 // reports them instead of failing on the first one. Used by the scrub tool

@@ -182,7 +182,7 @@ func TestHealQuarantined(t *testing.T) {
 	tr, fd, nPre, badPrev := quarantineScenario(t, rec)
 
 	// Drive the quarantines in.
-	if _, _, err := tr.CountDegraded(); err != nil {
+	if _, err := tr.ScanDegraded(nil, nil, func(_, _ []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	q := tr.Pool().Quarantine()

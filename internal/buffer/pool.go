@@ -12,8 +12,7 @@
 // concurrent Get/Pin/Unpin on distinct pages do not contend on a single
 // lock. The partition count scales with capacity (one stripe per 16
 // frames, up to 16 stripes), which keeps tiny test pools on a single
-// partition with the exact legacy eviction behavior while production-sized
-// pools stripe fully.
+// partition while production-sized pools stripe fully.
 //
 // Per §3.6, the page allocator must not recycle a page whose buffer is
 // pinned by a concurrent reader; PinCount exposes the information the
@@ -127,15 +126,12 @@ type PartitionStat struct {
 // state over the frames this stripe caches (pages with pageNo % nParts ==
 // index).
 //
-// Eviction is a 2Q/midpoint variant when the stripe is big enough
-// (twoQ): new admissions enter the probationary segment (clock); a frame
-// re-referenced while probationary is promoted to the protected segment at
-// sweep time instead of getting a second chance, and protected overflow is
-// demoted back. A sequential scan of any length only ever churns the
+// Eviction is a 2Q/midpoint variant: new admissions enter the probationary
+// segment (clock); a frame re-referenced while probationary is promoted to
+// the protected segment at sweep time instead of getting a second chance,
+// and protected overflow is demoted back. A sequential scan of any length only ever churns the
 // probationary segment, so it cannot flush the re-referenced working set —
-// the supervisor sweeps and large SCANs stop evicting hot pages. Tiny
-// stripes (quota < framesPerPartition) keep the exact legacy single-clock
-// second-chance behavior.
+// the supervisor sweeps and large SCANs stop evicting hot pages.
 type partition struct {
 	pool *Pool
 
@@ -143,8 +139,7 @@ type partition struct {
 	frames map[storage.PageNo]*Frame
 	quota  int // max frames resident in this stripe
 
-	twoQ     bool     // scan-resistant segmented mode
-	clock    []*Frame // probationary segment (the whole clock in legacy mode)
+	clock    []*Frame // probationary segment
 	hand     int      // probationary clock hand
 	prot     []*Frame // protected segment (re-referenced while probationary)
 	protHand int      // protected clock hand
@@ -263,7 +258,6 @@ func NewPool(disk storage.Disk, capacity int) *Pool {
 			pool:    p,
 			frames:  make(map[storage.PageNo]*Frame),
 			quota:   quota,
-			twoQ:    quota >= framesPerPartition,
 			protCap: quota * 3 / 4,
 		}
 	}
@@ -621,11 +615,10 @@ func (pt *partition) installFrameLocked(no storage.PageNo) *Frame {
 }
 
 // ensureRoomLocked makes room for one more frame, evicting an unpinned
-// frame chosen by the clock (second-chance) algorithm if the stripe is at
-// quota. Writing a dirty victim at eviction time is always legal under the
-// paper's model: durability is decided only by sync, and the recovery
-// algorithms tolerate any page image that existed at any instant reaching
-// the disk.
+// frame chosen by the segmented sweep if the stripe is at quota. Writing a
+// dirty victim at eviction time is always legal under the paper's model:
+// durability is decided only by sync, and the recovery algorithms tolerate
+// any page image that existed at any instant reaching the disk.
 //
 // The write itself happens with pt.mu RELEASED — a page write is the
 // slowest operation in the system, and holding the stripe lock across it
@@ -635,44 +628,17 @@ func (pt *partition) installFrameLocked(no storage.PageNo) *Frame {
 // never latched by tree code. dropped reports that the lock was released;
 // the caller must restart, because the stripe (including its own target
 // page) may have changed arbitrarily in the window.
+//
+// The sweep is segmented. Probationary frames are evicted on their first
+// unreferenced encounter; a referenced probationary frame is promoted to
+// the protected segment (its reuse is the 2Q admission signal), with
+// protected overflow demoted back. Only when the probationary segment
+// yields nothing does the sweep fall back to a classic second-chance pass
+// over the protected segment.
 func (pt *partition) ensureRoomLocked() (dropped bool, err error) {
 	if len(pt.frames) < pt.quota {
 		return false, nil
 	}
-	if pt.twoQ {
-		return pt.evict2QLocked()
-	}
-	// Legacy single clock. Two sweeps: the first clears reference bits,
-	// the second takes the first unreferenced unpinned frame.
-	for sweep := 0; sweep < 2*len(pt.clock); sweep++ {
-		if len(pt.clock) == 0 {
-			break
-		}
-		if pt.hand >= len(pt.clock) {
-			pt.hand = 0
-		}
-		f := pt.clock[pt.hand]
-		if f.pins.Load() > 0 || !f.valid || f.pageNo == detachedPageNo {
-			pt.hand++
-			continue
-		}
-		if f.ref.Load() {
-			f.ref.Store(false)
-			pt.hand++
-			continue
-		}
-		return pt.evictFrameLocked(f, &pt.clock, pt.hand)
-	}
-	return false, fmt.Errorf("buffer: all %d frames pinned", len(pt.frames))
-}
-
-// evict2QLocked is the segmented sweep. Probationary frames are evicted on
-// their first unreferenced encounter; a referenced probationary frame is
-// promoted to the protected segment (its reuse is the 2Q admission
-// signal), with protected overflow demoted back. Only when the
-// probationary segment yields nothing does the sweep fall back to a
-// classic second-chance pass over the protected segment.
-func (pt *partition) evict2QLocked() (dropped bool, err error) {
 	for budget := 2*len(pt.clock) + 2; budget > 0 && len(pt.clock) > 0; budget-- {
 		if pt.hand >= len(pt.clock) {
 			pt.hand = 0

@@ -63,7 +63,7 @@ func TestStatsHitsPlusMissesEqualsGets(t *testing.T) {
 }
 
 // TestPartitionCountScalesWithCapacity pins the striping rule: tiny pools
-// keep a single partition (exact legacy eviction semantics), large pools
+// keep a single partition, large pools
 // stripe up to the maximum.
 func TestPartitionCountScalesWithCapacity(t *testing.T) {
 	cases := []struct {

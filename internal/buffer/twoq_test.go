@@ -49,16 +49,11 @@ func touch(t *testing.T, p *Pool, no storage.PageNo) bool {
 // clock's revolution. With hinted set, every scan page is read ahead by a
 // Hint before its two touches, as a look-ahead scan reads them. Returns the
 // phase-two hot-access hit rate.
-func scanWorkload(t *testing.T, d *storage.MemDisk, legacy, hinted bool, rec *obs.Recorder) (hotRate float64, pool *Pool) {
+func scanWorkload(t *testing.T, d *storage.MemDisk, hinted bool, rec *obs.Recorder) (hotRate float64, pool *Pool) {
 	t.Helper()
-	p := NewPool(d, 16) // one stripe, quota 16: segmented policy active
+	p := NewPool(d, 16) // one stripe, quota 16
 	if rec != nil {
 		p.SetObs(rec)
-	}
-	if legacy { // the reference policy: nothing is resident yet, so there is nothing to fold
-		for _, pt := range p.parts {
-			pt.twoQ = false
-		}
 	}
 	const hotN = 8
 	scanNo := storage.PageNo(100)
@@ -98,7 +93,7 @@ func scanWorkload(t *testing.T, d *storage.MemDisk, legacy, hinted bool, rec *ob
 func TestScanResistantEviction(t *testing.T) {
 	for _, hinted := range []bool{false, true} {
 		rec := obs.New(0)
-		rate, p := scanWorkload(t, primeDisk(t, 512), false, hinted, rec)
+		rate, p := scanWorkload(t, primeDisk(t, 512), hinted, rec)
 		if rate < 0.9 {
 			t.Fatalf("hinted=%v: hot-set hit rate %.2f under sequential scan; want >= 0.90", hinted, rate)
 		}
@@ -117,44 +112,13 @@ func TestScanResistantEviction(t *testing.T) {
 	}
 }
 
-// TestScanResistanceBeatsLegacyClock runs the identical workload under both
-// policies; the segmented sweep must not do worse than the single clock it
-// replaces, and reading the scan's pages ahead must change nothing: a hint is
-// not a reference, so the hit rate with hints is the one without.
-func TestScanResistanceBeatsLegacyClock(t *testing.T) {
-	twoQRate, _ := scanWorkload(t, primeDisk(t, 512), false, false, nil)
-	legacyRate, _ := scanWorkload(t, primeDisk(t, 512), true, false, nil)
-	if twoQRate < legacyRate {
-		t.Fatalf("segmented hit rate %.2f below legacy clock %.2f on the same workload",
-			twoQRate, legacyRate)
-	}
-	for _, legacy := range []bool{false, true} {
-		plain, _ := scanWorkload(t, primeDisk(t, 512), legacy, false, nil)
-		hinted, _ := scanWorkload(t, primeDisk(t, 512), legacy, true, nil)
-		if hinted != plain {
-			t.Fatalf("legacy=%v: hit rate %.2f with the scan pages hinted, %.2f without", legacy, hinted, plain)
-		}
-	}
-}
-
-// TestTinyPoolUsesLegacyClock: stripes smaller than one full partition keep
-// the exact legacy second-chance behavior — no probationary/protected split.
-func TestTinyPoolUsesLegacyClock(t *testing.T) {
-	d := primeDisk(t, 64)
-	p := NewPool(d, 8) // quota < framesPerPartition
-	for _, pt := range p.parts {
-		if pt.twoQ {
-			t.Fatal("tiny stripe should fall back to the legacy clock")
-		}
-	}
-	// Cycle well past capacity: everything must keep working, and nothing
-	// may ever enter a protected segment.
-	for i := 0; i < 100; i++ {
-		touch(t, p, storage.PageNo(i%32))
-	}
-	for _, ps := range p.PartitionStats() {
-		if ps.Protected != 0 {
-			t.Fatalf("legacy stripe %d has %d protected frames", ps.Partition, ps.Protected)
-		}
+// TestScanResistanceIgnoresHints: reading the scan's pages ahead changes
+// nothing: a hint is not a reference, so the hit rate with hints is the one
+// without.
+func TestScanResistanceIgnoresHints(t *testing.T) {
+	plain, _ := scanWorkload(t, primeDisk(t, 512), false, nil)
+	hinted, _ := scanWorkload(t, primeDisk(t, 512), true, nil)
+	if hinted != plain {
+		t.Fatalf("hit rate %.2f with the scan pages hinted, %.2f without", hinted, plain)
 	}
 }

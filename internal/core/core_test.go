@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
@@ -532,5 +533,33 @@ func TestRetryAndIOStats(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenHandleVariantMismatch: asking for an index that is already open
+// under another variant is refused, as a reopen from disk is, instead of
+// handing back the open handle of the other variant.
+func TestOpenHandleVariantMismatch(t *testing.T) {
+	db, store := openMem(t)
+	ix, err := db.CreateIndex("x", Shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("x", Reorg); !errors.Is(err, btree.ErrVariantMismatch) {
+		t.Fatalf("open-handle mismatch: %v, want ErrVariantMismatch", err)
+	}
+	if same, err := db.CreateIndex("x", Shadow); err != nil || same != ix {
+		t.Fatalf("same variant: %p, %v; want the open handle %p", same, err, ix)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if _, err := db2.CreateIndex("x", Reorg); !errors.Is(err, btree.ErrVariantMismatch) {
+		t.Fatalf("reopen mismatch: %v, want ErrVariantMismatch", err)
 	}
 }

@@ -50,7 +50,8 @@ func (db *DB) CreateIndex(name string, v Variant) (*Index, error) {
 // keeps its count in a one-page file beside the shard files; an index whose
 // count file is absent or empty has one tree. Opening an index with a count
 // other than the one it was created with fails with ErrShardMismatch rather
-// than silently misrouting keys.
+// than silently misrouting keys, and with a variant other than its own with
+// btree.ErrVariantMismatch, whether the index is open already or on disk.
 func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) {
 	n = max(n, 1)
 	db.mu.Lock()
@@ -59,6 +60,10 @@ func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) 
 		if len(ix.trees) != n {
 			return nil, fmt.Errorf("%w: %q is open with %d shards, requested %d",
 				ErrShardMismatch, name, len(ix.trees), n)
+		}
+		if got := ix.trees[0].Variant(); got != v {
+			return nil, fmt.Errorf("%w: %q is open as %v, requested %v",
+				btree.ErrVariantMismatch, name, got, v)
 		}
 		return ix, nil
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/storage"
 )
 
-func newIdx(t *testing.T, v btree.Variant) *btree.Tree {
+func newIdx(t testing.TB, v btree.Variant) *btree.Tree {
 	t.Helper()
 	tr, err := btree.Open(storage.NewMemDisk(), v, btree.Options{})
 	if err != nil {
