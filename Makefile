@@ -174,23 +174,27 @@ readahead-smoke:
 # status append cut at every device call with every subset of its pending
 # pages kept, for a batch that fits, fills, crosses and spans three pages; a
 # stale successor page is never read; a bad count or version is a typed error;
-# a 12-page table opens in two waves of reads; no XID is handed out twice
+# a 12-page table opens in one wave of reads; no XID is handed out twice
 # across a crash, and the ceiling costs a commit no write; the pipeline: a
 # batch forces while the one ahead of it writes its status page, appends in
 # ticket order, and two overlapping batches cut at every device call recover
-# as a ticket-order prefix), Tree.Sync leaving lookups, scans and fitting
-# inserts running while its writes are held at the device, FileDisk's
-# concurrent reads, writes and fsync, the wire twin of the XID test (BEGIN
-# after the burst), a key written again after an update that aborted, died
-# with its connection, failed its force or crashed, a durable PUT's device
-# waves with one and two clients, and reads that resolve the newest version
-# first.
+# as a ticket-order prefix), a pool's flush writing every dirty page at once
+# while pinning no more than a quarter of the pool, each page once, and
+# waiting out a write of a page another flush has at the device, Tree.Sync
+# leaving lookups, scans and fitting inserts running while its writes are held
+# at the device, FileDisk's concurrent reads, writes and fsync, the wire twin
+# of the XID test (BEGIN after the burst), a key written again after an update
+# that aborted, died with its connection, failed its force or crashed, a
+# durable PUT's device waves with one and two clients, a resident MPUT-32
+# whose force of every dirty heap and index page is one wave, and reads that
+# resolve the newest version first.
 commit-smoke:
 	$(GO) test -race -count=3 ./internal/txn
 	$(GO) test -race -count=3 ./internal/heap -run TestDeleteReplacesAbortedXmax
+	$(GO) test -race -count=3 ./internal/buffer -run 'TestFlushPinsAQuarter|TestFlushWaitsForWriteInFlight'
 	$(GO) test -race -count=3 ./internal/btree -run TestSyncDoesNotBlockReaders
 	$(GO) test -race -count=3 ./internal/storage -run TestFileDiskConcurrentIO
-	$(GO) test -race -count=3 ./internal/server -run 'TestServerXIDNotReusedAfterCrash|TestServerSmoke|TestWriteAfterUncommittedUpdate|TestDurablePutWaves|TestNewestFirstMatchesOracle|TestColdGetReadsNewestPageOnly'
+	$(GO) test -race -count=3 ./internal/server -run 'TestServerXIDNotReusedAfterCrash|TestServerSmoke|TestWriteAfterUncommittedUpdate|TestDurablePutWaves|TestResidentMputForceOneWave|TestNewestFirstMatchesOracle|TestColdGetReadsNewestPageOnly'
 
 # The wire benchmark's own tests (shim = server, a smoke run of all four
 # workloads checked against BENCHMARK.json, the generator), run once.

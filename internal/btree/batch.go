@@ -56,7 +56,7 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 	})
 
 	// The leaves of the runs ahead are read while this run works: before
-	// each run, leaves are hinted until buffer.FlushWorkers of them, this
+	// each run, leaves are hinted until buffer.ReadWindow of them, this
 	// run's included, are on their way. A key inside the bounds of the leaf
 	// hinted last needs no hint of its own, so a dense batch pays one extra
 	// descent per leaf, not per key; bounds a split has since outdated cost
@@ -71,7 +71,7 @@ func (t *Tree) InsertBatch(keys, values [][]byte) error {
 		for len(ends) > 0 && ends[0] <= pos {
 			ends = ends[1:]
 		}
-		for ahead = max(ahead, pos); len(ends) < buffer.FlushWorkers && ahead < len(order); {
+		for ahead = max(ahead, pos); len(ends) < buffer.ReadWindow && ahead < len(order); {
 			leaf, ok := t.hintLeaf(keys[order[ahead]], sc)
 			for ahead++; ok && ahead < len(order) && (leaf.hi == nil || bytes.Compare(keys[order[ahead]], leaf.hi) < 0); ahead++ {
 			}

@@ -294,11 +294,11 @@ func (m bitmap) count() int {
 	return n
 }
 
-// readLevel reads the given pages in order, up to buffer.FlushWorkers at a
+// readLevel reads the given pages in order, up to buffer.ReadWindow at a
 // time (fewer on a pool too small to spare that many pinned frames), and
 // returns each one's references; a hole reads nothing.
 func (t *Tree) readLevel(level []walkPage, rootTok uint64) ([]pageRefs, error) {
-	workers := min(buffer.FlushWorkers, max(1, t.pool.Capacity()/4), len(level))
+	workers := min(buffer.ReadWindow, max(1, t.pool.Capacity()/4), len(level))
 	refs := make([]pageRefs, len(level))
 	errs := make([]error, workers) // one slot per worker; the first failure stops them all
 	var (

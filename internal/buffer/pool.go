@@ -199,7 +199,11 @@ type Frame struct {
 
 	pins  atomic.Int32
 	dirty atomic.Bool
-	ref   atomic.Bool // clock reference bit: set on access, cleared by the sweep
+	// writing is set while writeFrame has the page at the device; writeMu
+	// is held across every writeFrame call on the frame.
+	writing atomic.Bool
+	writeMu sync.Mutex
+	ref     atomic.Bool // clock reference bit: set on access, cleared by the sweep
 	// hint is hintNone except on a frame that Hint brought in and no Get has
 	// taken over yet (readahead.go).
 	hint atomic.Uint32
@@ -217,8 +221,7 @@ type Frame struct {
 	// verification and was served as a zero page for crash repair; the
 	// next write of valid contents counts as a torn-page repair. Set
 	// during the load (under the partition mutex, before the frame is
-	// shared) and cleared by writeFrame; writeFrame calls on one frame
-	// never overlap (flushers pin, evictors skip pinned frames).
+	// shared) and cleared by writeFrame, under writeMu.
 	zeroRouted bool
 
 	// Data is the page image. Latch-protected.
@@ -532,7 +535,24 @@ func (p *Pool) routeNeverDurable(no storage.PageNo, f *Frame, cause string) erro
 // frame and holds its RLatch. The dirty bit is cleared before the write;
 // MarkDirty requires the frame's write latch in concurrent contexts, so a
 // post-flush modification re-marks it without a lost update.
+//
+// Two callers can meet on one frame: an eviction write-back and a flush,
+// or two flushes (a commit's force and the flush daemon, say), both under
+// the read latch. writeMu makes the second wait for the first, which then
+// finds the frame clean: a dirty image is written once, and no caller
+// returns before the write of a page it found dirty has reached the disk.
+// A flush that skipped a frame whose write was still on its way would
+// sync without it, and report durable a page that a crash then loses.
 func (p *Pool) writeFrame(f *Frame) error {
+	f.writeMu.Lock()
+	defer f.writeMu.Unlock()
+	if !f.dirty.Load() {
+		return nil // clean, or written by the caller this one waited for
+	}
+	// Set before the dirty bit clears, so that a flush's snapshot that
+	// finds the frame clean also finds it writing, unless the write is done.
+	f.writing.Store(true)
+	defer f.writing.Store(false)
 	f.dirty.Store(false)
 	if err := p.writePageRetry(f.pageNo, f.Data); err != nil {
 		f.dirty.Store(true)
@@ -724,10 +744,7 @@ func (pt *partition) evictFrameLocked(f *Frame, list *[]*Frame, idx int) (droppe
 		f.pins.Add(1)
 		pt.mu.Unlock()
 		f.RLatch()
-		var werr error
-		if f.dirty.Load() {
-			werr = pt.pool.writeFrame(f)
-		}
+		werr := pt.pool.writeFrame(f)
 		f.RUnlatch()
 		pt.mu.Lock()
 		f.pins.Add(-1)
@@ -860,7 +877,8 @@ func (p *Pool) Drop(no storage.PageNo) {
 // flushDirty writes every dirty frame to the OS cache without syncing.
 // Each frame is written under its shared latch, so a concurrent writer
 // (which mutates only under the frame's write latch) can never interleave
-// with the page image being copied out.
+// with the page image being copied out. A frame another caller is writing
+// counts as dirty: flushDirty returns only once that write is done.
 //
 // Frames are pinned one at a time, only for the duration of their own
 // write: pinning the whole dirty set up front would leave concurrent Gets
@@ -882,7 +900,7 @@ func (p *Pool) flushDirty() error {
 	for _, pt := range p.parts {
 		pt.mu.Lock()
 		for no, f := range pt.frames {
-			if f.dirty.Load() {
+			if f.dirty.Load() || f.writing.Load() {
 				targets = append(targets, target{pt, no})
 			}
 		}
@@ -899,12 +917,10 @@ func (p *Pool) flushDirty() error {
 	// The §2 sync is unordered, so the writes of one flush may overlap
 	// each other: on a device with real per-page latency, issuing them
 	// from one goroutine would cost len(targets) sequential round trips —
-	// the dominant term of a blocked sync (§3.4), which shared-mode
-	// operations wait out behind the split lock.
-	nw := FlushWorkers
-	if nw > len(targets) {
-		nw = len(targets)
-	}
+	// the dominant term of a commit's force and of a blocked sync (§3.4),
+	// which shared-mode operations wait out behind the split lock. Up to
+	// forceDepth of them go out at once, so a commit's force is one wave.
+	nw := min(p.forceDepth(), len(targets))
 	var (
 		next     atomic.Int64
 		errMu    sync.Mutex
@@ -936,7 +952,7 @@ func (p *Pool) flushDirty() error {
 					continue // evicted since the snapshot: the evictor wrote it
 				}
 				f.RLatch()
-				if f.dirty.Load() && !failed() {
+				if !failed() {
 					if err := p.writeFrame(f); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
@@ -954,11 +970,31 @@ func (p *Pool) flushDirty() error {
 	return firstErr
 }
 
-// FlushWorkers bounds the write concurrency of one flushDirty call. The
-// value trades device-queue depth against goroutine overhead; eight keeps
-// a latency-bound flush short without swamping a pure in-memory disk. The
-// index's background allocation-bound walk reads with the same fan-out.
-const FlushWorkers = 8
+// ReadWindow bounds how far one request reads ahead of itself: the hinted
+// reads a pool has in flight, the leaves a batched insert hints ahead, the
+// keys a batched lookup resolves ahead and the pages of a level the
+// index's restart walk reads at once. A deeper window could evict hinted
+// pages before their use in a pool smaller than the working set.
+const ReadWindow = 8
+
+// MaxForceDepth bounds the page writes one flush has at the device at once,
+// and the pages of the transaction status table read at once when it opens.
+// Nothing orders one write of a §2 sync against another, so a flush issues
+// every dirty frame together, up to forceDepth.
+const MaxForceDepth = 64
+
+// minForceDepth is the force depth of a pool whose quarter is smaller: a
+// small pool's flush still overlaps eight writes.
+const minForceDepth = 8
+
+// forceDepth is how many writes one flushDirty issues at once: a quarter
+// of the pool's frames, clamped to [minForceDepth, MaxForceDepth]. A
+// flush pins one frame per write in flight, so it never holds more than a
+// quarter of a pool that concurrent Gets still need room in (the restart
+// walk's readLevel keeps the same quarter).
+func (p *Pool) forceDepth() int {
+	return min(max(p.capacity/4, minForceDepth), MaxForceDepth)
+}
 
 // FlushDirty writes every dirty frame to the OS cache without syncing.
 func (p *Pool) FlushDirty() error { return p.flushDirty() }

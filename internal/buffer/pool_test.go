@@ -1,8 +1,11 @@
 package buffer
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/page"
 	"repro/internal/storage"
@@ -272,5 +275,188 @@ func TestConcurrentGetSamePage(t *testing.T) {
 	wg.Wait()
 	if p.PinCount(0) != 0 {
 		t.Fatal("pins leaked")
+	}
+}
+
+// flushWatchDisk counts the writes of each page, and the most writes that
+// flushDirty's workers had at the device at once.
+type flushWatchDisk struct {
+	storage.Disk
+	mu             sync.Mutex
+	writes         map[storage.PageNo]int
+	flushing, peak int
+}
+
+func (d *flushWatchDisk) WritePage(no storage.PageNo, data page.Page) error {
+	flush := calledFrom(".flushDirty.")
+	d.mu.Lock()
+	d.writes[no]++
+	if flush {
+		d.flushing++
+		d.peak = max(d.peak, d.flushing)
+	}
+	d.mu.Unlock()
+	err := d.Disk.WritePage(no, data)
+	if flush {
+		d.mu.Lock()
+		d.flushing--
+		d.mu.Unlock()
+	}
+	return err
+}
+
+// calledFrom reports whether a function whose name contains fn is on the
+// calling goroutine's stack.
+func calledFrom(fn string) bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestFlushPinsAQuarter: a flush of a 128-frame pool whose every frame is
+// dirty, on a device whose writes take a millisecond, has at most a quarter
+// of the frames (32) at the device at once — a flush worker pins one frame,
+// only for its own write — while eight goroutines Get pages the pool does
+// not hold, each miss evicting a frame. None of them finds every frame
+// pinned, and every dirty page reaches the disk exactly once, written by the
+// flush or by an eviction.
+func TestFlushPinsAQuarter(t *testing.T) {
+	const frames, others = 128, 128
+	d := storage.NewMemDisk()
+	img := page.New()
+	img.Init(page.TypeLeaf, 0)
+	for no := storage.PageNo(frames); no < frames+others; no++ {
+		if err := d.WritePage(no, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &flushWatchDisk{Disk: d, writes: make(map[storage.PageNo]int)}
+	p := NewPool(w, frames)
+	if depth := p.forceDepth(); depth != frames/4 {
+		t.Fatalf("force depth %d, want %d", depth, frames/4)
+	}
+	for no := storage.PageNo(0); no < frames; no++ {
+		f, err := p.NewPage(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data.Init(page.TypeLeaf, 0)
+		f.MarkDirty()
+		f.Unpin()
+	}
+	d.SetLatency(0, time.Millisecond)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 8 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f, err := p.Get(storage.PageNo(frames + i%others))
+				if err != nil {
+					errs <- err
+					return
+				}
+				f.Unpin()
+			}
+		}(g)
+	}
+	err := p.FlushDirty()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err := range errs {
+		t.Errorf("Get during the flush: %v", err)
+	}
+	t.Logf("at most %d flush writes in flight", w.peak)
+	if w.peak > frames/4 {
+		t.Errorf("%d flush writes in flight at once, want at most %d", w.peak, frames/4)
+	}
+	for no := storage.PageNo(0); no < frames; no++ {
+		if n := w.writes[no]; n != 1 {
+			t.Errorf("page %d written %d times, want once", no, n)
+		}
+	}
+}
+
+// heldWrite holds the first write of one page at the device until release
+// is closed.
+type heldWrite struct {
+	storage.Disk
+	no      storage.PageNo
+	arrived chan struct{}
+	release chan struct{}
+	once    sync.Once
+	mu      sync.Mutex
+	writes  int
+}
+
+func (d *heldWrite) WritePage(no storage.PageNo, data page.Page) error {
+	if no == d.no {
+		d.mu.Lock()
+		d.writes++
+		d.mu.Unlock()
+		d.once.Do(func() {
+			close(d.arrived)
+			<-d.release
+		})
+	}
+	return d.Disk.WritePage(no, data)
+}
+
+// TestFlushWaitsForWriteInFlight: a flush that finds a dirty page already on
+// its way to the device, written by another flush, returns only once that
+// write is done, and the page is written once. Had it skipped the page, a
+// commit's force running beside the flush daemon could sync without the
+// page and report it durable.
+func TestFlushWaitsForWriteInFlight(t *testing.T) {
+	d := &heldWrite{Disk: storage.NewMemDisk(), no: 3, arrived: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(d, 8)
+	f, err := p.NewPage(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data.Init(page.TypeLeaf, 0)
+	f.Data.SetSyncToken(9)
+	f.MarkDirty()
+	f.Unpin()
+
+	first := make(chan error, 1)
+	go func() { first <- p.SyncAll() }()
+	<-d.arrived
+	second := make(chan error, 1)
+	go func() { second <- p.SyncAll() }()
+	select {
+	case err := <-second:
+		t.Fatalf("second sync returned (%v) while the first one's write of the page was at the device", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(d.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if d.writes != 1 {
+		t.Fatalf("page written %d times, want once", d.writes)
 	}
 }

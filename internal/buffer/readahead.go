@@ -17,7 +17,7 @@ import (
 //
 //   - A resident page costs one stripe read-lock lookup: no goroutine, no
 //     allocation, no counter.
-//   - At most FlushWorkers hinted reads are in flight per pool, and a stripe
+//   - At most ReadWindow hinted reads are in flight per pool, and a stripe
 //     lends them a quarter of its frames; a hint beyond either is dropped.
 //   - A hint is not a reference. The frame it installs has its reference bit
 //     clear, and the first Get to take it over leaves it clear, exactly as the
@@ -58,7 +58,7 @@ type hintGate struct {
 func (g *hintGate) enter() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.stopped || g.inflight >= FlushWorkers {
+	if g.stopped || g.inflight >= ReadWindow {
 		return false
 	}
 	g.inflight++

@@ -115,7 +115,7 @@ func (d *gatedDisk) ReadPage(no storage.PageNo, buf page.Page) error {
 	return d.Disk.ReadPage(no, buf)
 }
 
-// TestHintBounds: with every read held back, a pool admits FlushWorkers
+// TestHintBounds: with every read held back, a pool admits ReadWindow
 // hints and a stripe a quarter of its quota; the rest are dropped and
 // counted, and a Get of a page whose hint is in flight waits for that read
 // instead of issuing its own.
@@ -146,7 +146,7 @@ func TestHintBounds(t *testing.T) {
 	for no := storage.PageNo(1); no <= 10; no++ {
 		p.Hint(no)
 	}
-	if issued, dropped := rec.Get(obs.HintIssued), rec.Get(obs.HintDropped); issued+dropped != 16 || dropped < 10-(FlushWorkers-4) {
+	if issued, dropped := rec.Get(obs.HintIssued), rec.Get(obs.HintDropped); issued+dropped != 16 || dropped < 10-(ReadWindow-4) {
 		t.Fatalf("issued %d dropped %d of 16 hints", issued, dropped)
 	}
 	got := make(chan *Frame)
@@ -348,7 +348,7 @@ func TestHintLifecycle(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(d, 256)
 	hintSome := func(from storage.PageNo) {
-		for no := from; no < from+FlushWorkers; no++ {
+		for no := from; no < from+ReadWindow; no++ {
 			p.Hint(no)
 		}
 	}
@@ -363,8 +363,8 @@ func TestHintLifecycle(t *testing.T) {
 		t.Fatal("StopHints returned with hinted reads in flight")
 	}
 	reads := d.reads.Load()
-	if reads != 2*FlushWorkers {
-		t.Fatalf("%d reads for %d hints", reads, 2*FlushWorkers)
+	if reads != 2*ReadWindow {
+		t.Fatalf("%d reads for %d hints", reads, 2*ReadWindow)
 	}
 	hintSome(100)
 	awaitGoroutines(t, before)

@@ -402,7 +402,7 @@ func (r *Relation) newLookAhead(rows int) btree.LookAhead {
 	pool, counted := r.h.Pool(), rows > 0
 	return func(leaf []btree.Pair) bool {
 		var (
-			pages [buffer.FlushWorkers]uint32 // pages[0] is the caller's own read
+			pages [buffer.ReadWindow]uint32 // pages[0] is the caller's own read
 			n     int
 			row   []byte
 		)

@@ -118,7 +118,7 @@ const (
 
 	// Read-ahead (buffer.Pool.Hint). A hint for a resident page counts nothing.
 	HintIssued  // a hinted read was started
-	HintDropped // a hint for an absent page found FlushWorkers reads in flight
+	HintDropped // a hint for an absent page found ReadWindow reads in flight
 	HintWasted  // a frame read ahead was evicted before any Get asked for it
 
 	numMetrics

@@ -117,7 +117,7 @@ func newestFirst(a, b heap.TID) int {
 // versions (and the entries of longer keys that sort among them, told apart
 // by their length), not the rest of the leaf.
 //
-// Many keys are resolved in one windowed pass, W = buffer.FlushWorkers keys
+// Many keys are resolved in one windowed pass, W = buffer.ReadWindow keys
 // ahead, so that their cold pages are read together rather than one after
 // another: the leaves of keys j+1…j+W are hinted before key j's entries are
 // collected, each hint covering the keys that fall inside its leaf's bounds;
@@ -148,7 +148,7 @@ func (kv *KV) newResolver(keys [][]byte) resolver {
 // next returns the version of the next key, after moving the window: the
 // versions of every key up to W ahead of it are collected.
 func (r *resolver) next() (version, error) {
-	const w = buffer.FlushWorkers
+	const w = buffer.ReadWindow
 	i := r.done
 	for j := len(r.from) - 1; j < len(r.keys) && j <= i+w; j++ {
 		r.hintLeaves(j + w)

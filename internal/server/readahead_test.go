@@ -95,8 +95,9 @@ type ioCounts struct{ reads, writes, syncs, waves, peak int64 }
 // into one device, with pools of 64 frames emptied first, and returns the
 // clone, the device's counts and the recorder. The device lingers: a read
 // that starts alone waits up to 5 ms for another, so that two reads the code
-// has out together always meet. Page writes take a millisecond each, so that
-// the writes a flush issues together overlap too.
+// has out together always meet, and a write that opens a wave waits 5 ms.
+// Page writes take a millisecond each, so that the writes a flush issues
+// together overlap too.
 func coldMput(t *testing.T, store core.Storage, keys, vals [][]byte) (core.Storage, ioCounts, *obs.Recorder) {
 	t.Helper()
 	img := cloneStore(store)
@@ -256,7 +257,11 @@ func TestColdGetReadsNewestPageOnly(t *testing.T) {
 // client's PUT is four page writes and three syncs — its heap and index pages
 // written together, their syncs, its status page, its sync — as with the
 // serial coordinator. That is four waves, or three or five as the instant
-// syncs happen to meet the writes or each other, at either coordinator. Two
+// syncs happen to meet the writes or each other, at either coordinator. The
+// device lingers: a write that opens a wave waits 10 ms before it goes, so
+// the index write, forced from another goroutine than the heap's two, joins
+// their wave. Under the race detector it could otherwise start only after
+// they had finished, a sixth wave no code path asked for. Two
 // clients' commits overlap: one batch forces while the other writes its
 // status page. The serial coordinator took 2.73–2.77 waves per commit with
 // two clients (six runs); the pipeline takes 2.02–2.27, under -race too. The
@@ -272,7 +277,7 @@ func TestDurablePutWaves(t *testing.T) {
 	for _, d := range core.MemoryDisks(store) {
 		d.SetLatency(0, time.Millisecond)
 	}
-	c := &storage.IOCounter{}
+	c := &storage.IOCounter{Linger: 10 * time.Millisecond}
 	db, srv, rec := openServer(t, core.Counted(store, c), 0, Options{})
 	defer db.Close()
 	if rows, err := srv.kv.Scan(nil, nil, n); err != nil || len(rows) != n {
@@ -319,6 +324,73 @@ func TestDurablePutWaves(t *testing.T) {
 	if perCommit >= 2.6 || c.Peak() < 2 || overlaps == 0 {
 		t.Errorf("two clients: %.2f waves per commit, at most %d in flight, %d overlapping batches; want under 2.6, at least 2 and at least 1",
 			perCommit, c.Peak(), overlaps)
+	}
+}
+
+// TestResidentMputForceOneWave: the force of a resident MPUT-32 whose keys
+// are spread over the whole store writes every dirty page of each pool at
+// once. On a device whose page writes take a millisecond, and where a write
+// that opens a wave waits 5 ms for the rest to join it, its heap and index
+// pages go out in one wave, so the MPUT waits
+// no more device waves than a one-key PUT (TestDurablePutWaves): the force,
+// the syncs, the status page and its sync. Each page the MPUT changed is
+// written once, and the most writes in flight at once are at least the
+// dirty pages of the larger pool. Eight writes at a time per pool, the same
+// force had at most sixteen in flight: four write latencies one after
+// another, which the wave count does not see because the device was never
+// idle between them.
+func TestResidentMputForceOneWave(t *testing.T) {
+	const n = 20_000
+	store, db := loadedKV(t, n)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range core.MemoryDisks(store) {
+		d.SetLatency(0, time.Millisecond)
+	}
+	c := &storage.IOCounter{Linger: 5 * time.Millisecond}
+	db, srv, _ := openServer(t, core.Counted(store, c), 0, Options{})
+	defer db.Close()
+	// Bring in every heap page and every leaf, and write the XID ceiling
+	// with a key of its own: the MPUT's keys keep their versions on the
+	// heap pages the load left them on.
+	if rows, err := srv.kv.Scan(nil, nil, n); err != nil || len(rows) != n {
+		t.Fatalf("%d rows, %v", len(rows), err)
+	}
+	if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.Put(tx, []byte("warm"), []byte("up")) }); err != nil {
+		t.Fatal(err)
+	}
+	srv.kv.rel.Heap().Pool().StopHints()
+	srv.kv.idx.Tree().Pool().StopHints()
+
+	before := make(map[string]map[storage.PageNo][]byte)
+	for name, d := range core.MemoryDisks(store) {
+		before[name] = d.SnapshotStable()
+	}
+	c.Reset()
+	keys, vals := mputPairs(n)
+	if err := srv.kv.WithTxn(nil, func(tx *core.Txn) error { return srv.kv.PutBatch(tx, keys, vals) }); err != nil {
+		t.Fatal(err)
+	}
+	// The pages the MPUT changed, file by file: what its pools held dirty.
+	dirty, most := 0, 0
+	for name, d := range core.MemoryDisks(store) {
+		changed := 0
+		for no, img := range d.SnapshotStable() {
+			if old, ok := before[name][no]; !ok || !slices.Equal(old, img) {
+				changed++
+			}
+		}
+		t.Logf("%s: %d pages changed", name, changed)
+		dirty += changed
+		most = max(most, changed)
+	}
+	t.Logf("resident MPUT-32: %d reads, %d writes, %d syncs in %d waves, at most %d in flight",
+		c.Reads(), c.Writes(), c.Syncs(), c.Waves(), c.Peak())
+	if c.Reads() != 0 || c.Writes() != int64(dirty) || dirty < 33 || c.Syncs() != 3 || c.Waves() > 5 || c.Peak() < int64(most) {
+		t.Fatalf("resident MPUT-32: %d reads, %d writes of %d changed pages, %d syncs, %d waves, at most %d in flight; "+
+			"want no read, a write per changed page and at least 33, 3 syncs, at most 5 waves and at least %d in flight",
+			c.Reads(), c.Writes(), dirty, c.Syncs(), c.Waves(), c.Peak(), most)
 	}
 }
 

@@ -21,7 +21,11 @@ type IOCounter struct {
 	// Linger, when positive, makes a read that starts with no other operation
 	// in flight wait up to that long for company before it goes ahead: if
 	// the code under test ever has two reads out together, they meet,
-	// however the scheduler runs the goroutines.
+	// however the scheduler runs the goroutines. A page write that starts
+	// on an idle device waits that long outright, so that every write
+	// starting meanwhile joins its wave: a commit forces each pool from its
+	// own goroutine, and one pool's writes would otherwise be company
+	// enough for the first of them to go before another pool's arrive.
 	Linger time.Duration
 	// Hold, when set, is asked before each read whether to hold it back; a
 	// read it names waits, in flight, until Release is closed.
@@ -66,14 +70,16 @@ func (c *IOCounter) Reset() {
 	c.waves.Store(0)
 }
 
-// begin and end bracket one operation; end counts it into count.
-func (c *IOCounter) begin() {
+// begin and end bracket one operation; end counts it into count. begin
+// reports whether the operation started a wave.
+func (c *IOCounter) begin() bool {
 	n := c.flying.Add(1)
 	if n == 1 {
 		c.waves.Add(1)
 	}
 	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
 	}
+	return n == 1
 }
 
 func (c *IOCounter) end(count *atomic.Int64) {
@@ -114,7 +120,9 @@ func (d *CountingDisk) ReadPage(no PageNo, buf page.Page) error {
 
 // WritePage implements Disk.
 func (d *CountingDisk) WritePage(no PageNo, data page.Page) error {
-	d.begin()
+	if d.begin() && d.Linger > 0 {
+		time.Sleep(d.Linger)
+	}
 	err := d.Disk.WritePage(no, data)
 	d.end(&d.writes)
 	return err

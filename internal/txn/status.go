@@ -108,14 +108,15 @@ func readStatusPage(disk storage.Disk, no storage.PageNo, buf page.Page) (r stat
 	return r
 }
 
-// readStatusPages reads the whole file, buffer.FlushWorkers pages at a time.
-// Which pages count is not known before page k is found, and reading the few
-// past it costs no extra wait.
+// readStatusPages reads the whole file, buffer.MaxForceDepth pages at a
+// time: they go into scratch buffers, not a pool, so a table of up to that
+// many pages costs one device wait. Which pages count is not known before
+// page k is found, and reading the few past it costs no extra wait.
 func readStatusPages(disk storage.Disk) []statusRead {
 	pages := make([]statusRead, disk.NumPages())
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(len(pages), buffer.FlushWorkers); w++ {
+	for w := 0; w < min(len(pages), buffer.MaxForceDepth); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

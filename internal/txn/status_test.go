@@ -472,60 +472,65 @@ func (d *gatedReads) ReadPage(no storage.PageNo, buf page.Page) error {
 	return d.Disk.ReadPage(no, buf)
 }
 
-// TestOpenReadsStatusPagesInWaves: a 12-page table is read FlushWorkers
-// pages at a time — two waves, not twelve serial waits.
+// TestOpenReadsStatusPagesInWaves: the status table is read
+// buffer.MaxForceDepth pages at a time — a 12-page table in one wave, a
+// 70-page one in two — not one serial wait per page.
 func TestOpenReadsStatusPagesInWaves(t *testing.T) {
-	mem := storage.NewMemDisk()
-	m, err := OpenManager(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := heap.XID(2)
-	all := xidRun(&next, 11*xidsPerPage+7)
-	if err := m.appendStatus(all); err != nil {
-		t.Fatal(err)
-	}
-	if mem.NumPages() != 12 {
-		t.Fatalf("table has %d pages, want 12", mem.NumPages())
-	}
-
-	d := &gatedReads{Disk: mem, arrived: make(chan storage.PageNo), release: make(chan struct{})}
-	opened := make(chan *Manager, 1)
-	go func() {
-		m2, err := OpenManager(d)
-		if err != nil {
-			t.Error(err)
-		}
-		opened <- m2
-	}()
-	waves := 0
-	for left := 12; left > 0; waves++ {
-		wave := min(left, buffer.FlushWorkers)
-		for i := 0; i < wave; i++ {
-			select {
-			case <-d.arrived:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%d reads in flight with %d pages left, want %d", i, left, wave)
+	for _, c := range []struct{ pages, waves int }{{12, 1}, {70, 2}} {
+		t.Run(fmt.Sprint(c.pages, "pages"), func(t *testing.T) {
+			mem := storage.NewMemDisk()
+			m, err := OpenManager(mem)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		select {
-		case <-d.arrived:
-			t.Fatalf("more than %d reads in flight", wave)
-		case <-time.After(20 * time.Millisecond):
-		}
-		for i := 0; i < wave; i++ {
-			d.release <- struct{}{}
-		}
-		left -= wave
+			next := heap.XID(2)
+			all := xidRun(&next, (c.pages-1)*xidsPerPage+7)
+			if err := m.appendStatus(all); err != nil {
+				t.Fatal(err)
+			}
+			if n := int(mem.NumPages()); n != c.pages {
+				t.Fatalf("table has %d pages, want %d", n, c.pages)
+			}
+
+			d := &gatedReads{Disk: mem, arrived: make(chan storage.PageNo), release: make(chan struct{})}
+			opened := make(chan *Manager, 1)
+			go func() {
+				m2, err := OpenManager(d)
+				if err != nil {
+					t.Error(err)
+				}
+				opened <- m2
+			}()
+			waves := 0
+			for left := c.pages; left > 0; waves++ {
+				wave := min(left, buffer.MaxForceDepth)
+				for i := 0; i < wave; i++ {
+					select {
+					case <-d.arrived:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%d reads in flight with %d pages left, want %d", i, left, wave)
+					}
+				}
+				select {
+				case <-d.arrived:
+					t.Fatalf("more than %d reads in flight", wave)
+				case <-time.After(20 * time.Millisecond):
+				}
+				for i := 0; i < wave; i++ {
+					d.release <- struct{}{}
+				}
+				left -= wave
+			}
+			if waves != c.waves {
+				t.Fatalf("%d pages took %d waves of reads, want %d", c.pages, waves, c.waves)
+			}
+			m2 := <-opened
+			if m2 == nil {
+				t.FailNow()
+			}
+			wantCommitted(t, m2, "after the gated open", all)
+		})
 	}
-	if waves != 2 {
-		t.Fatalf("12 pages took %d waves of reads, want 2", waves)
-	}
-	m2 := <-opened
-	if m2 == nil {
-		t.FailNow()
-	}
-	wantCommitted(t, m2, "after the gated open", all)
 }
 
 // --- the XID ceiling -----------------------------------------------------
