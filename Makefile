@@ -30,7 +30,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Quick iteration: skips the file-backed crash enumerations and fuzzers.
+# Quick iteration: skips the file-backed crash enumerations. A fuzz target
+# runs its seed corpus here as in any plain go test; only -fuzz mutates.
 test-short:
 	$(GO) test -short ./...
 
@@ -79,12 +80,15 @@ bench:
 # The serving-layer gate: every protocol verb over real TCP, graceful
 # shutdown draining an in-flight commit, the wire-level crash-recover round
 # (one tree and four shards) for each served variant — shadow, reorg and
-# hybrid —, zero server options serving shadow, and concurrent clients
-# actually coalescing in the group-commit coordinator — all under the race
-# detector, plus the coordinator's own crash-semantics tests (batch
-# invisibility on a crash between the shared sync and the status write).
+# hybrid —, zero server options serving shadow, concurrent clients
+# actually coalescing in the group-commit coordinator, and Close joining
+# every goroutine the server started, even against a racing Listen — all
+# under the race detector, plus the coordinator's own crash-semantics tests
+# (batch invisibility on a crash between the shared sync and the status
+# write), and ten seconds of FuzzSession mutating one client's byte stream.
 server-smoke:
 	$(GO) test -race ./internal/server
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSession$$' -fuzztime 10s
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'
 
 # The sharding gate, all under the race detector: core.Index's merged scans

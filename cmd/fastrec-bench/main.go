@@ -207,11 +207,12 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// printPoolStats renders the striped buffer pool's counters (-v).
+// printPoolStats renders the striped buffer pool's counters (-v). Its io:
+// line reads the shared recorder, so it is a running total over every cell
+// so far, and zero without -obs.
 func printPoolStats(w io.Writer, name string, tr *btree.Tree) {
 	p := tr.Pool()
 	hits, misses := p.Stats()
-	io_ := p.IOStats()
 	fmt.Fprintf(w, "%s pool: %d hits, %d misses (%.1f%% hit rate), %d partitions\n",
 		name, hits, misses, 100*float64(hits)/float64(hits+misses), p.Partitions())
 	for _, st := range p.PartitionStats() {
@@ -219,7 +220,7 @@ func printPoolStats(w io.Writer, name string, tr *btree.Tree) {
 			st.Partition, st.Frames, st.Quota, st.Hits, st.Misses)
 	}
 	fmt.Fprintf(w, "  io: %d retries, %d checksum failures, %d torn pages repaired\n",
-		io_.Retries, io_.ChecksumFailures, io_.TornPagesRepaired)
+		benchRec.Get(obs.IORetry), benchRec.Get(obs.ZeroRoute), benchRec.Get(obs.TornRepair))
 }
 
 // printObsSnapshot renders the shared recorder's nonzero counters and

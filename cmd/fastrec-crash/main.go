@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/btree"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -185,7 +186,8 @@ func nestedCrash(d storage.Crasher, variant btree.Variant, rng *rand.Rand) error
 }
 
 func verify(d storage.Disk, variant btree.Variant, committed int) (uint64, error) {
-	tr, err := btree.Open(d, variant, btree.Options{})
+	rec := obs.New(1) // only its counters are read
+	tr, err := btree.Open(d, variant, btree.Options{Obs: rec})
 	if err != nil {
 		return 0, err
 	}
@@ -200,8 +202,7 @@ func verify(d storage.Disk, variant btree.Variant, committed int) (uint64, error
 	if err := tr.Check(btree.CheckStrict); err != nil {
 		return 0, err
 	}
-	return tr.Stats.RepairsInterPage.Load() + tr.Stats.RepairsRoot.Load() +
-		tr.Stats.RepairsIntraPage.Load() + tr.Stats.RepairsPeer.Load(), nil
+	return rec.RepairTotal(), nil
 }
 
 // runEnumeration reproduces the exhaustive single-split experiment: one
@@ -216,15 +217,15 @@ func runEnumeration(variant btree.Variant) {
 		os.Exit(1)
 	}
 	n := 0
-	for probe.Stats.Splits.Load() == 0 || n < *nPre {
+	for probe.SplitCount() == 0 || n < *nPre {
 		if err := probe.Insert(key(n), []byte("v")); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		n++
 	}
-	base := probe.Stats.Splits.Load()
-	for probe.Stats.Splits.Load() == base {
+	base := probe.SplitCount()
+	for probe.SplitCount() == base {
 		if err := probe.Insert(key(n), []byte("v")); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

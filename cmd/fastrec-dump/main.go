@@ -94,7 +94,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer disk.Close()
-	tr, err := btree.Open(disk, variant, btree.Options{})
+	rec := obs.New(0)
+	tr, err := btree.Open(disk, variant, btree.Options{Obs: rec})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -158,8 +159,8 @@ func main() {
 		fmt.Printf("height:    %d levels\n", h)
 		fmt.Printf("pages:     %d (freelist %d)\n", tr.NumPages(), tr.Freelist().Len())
 		fmt.Printf("repairs:   inter-page=%d intra-page=%d root=%d peer=%d\n",
-			tr.Stats.RepairsInterPage.Load(), tr.Stats.RepairsIntraPage.Load(),
-			tr.Stats.RepairsRoot.Load(), tr.Stats.RepairsPeer.Load())
+			rec.Sum(obs.InterPageRepairs), rec.Get(obs.RepairIntraPage),
+			rec.Get(obs.RepairRoot), rec.Get(obs.RepairPeer))
 		fmt.Printf("counters:  global=%d lastCrash=%d\n",
 			tr.Counter().Current(), tr.Counter().LastCrash())
 	}
@@ -249,13 +250,13 @@ func runScrub(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	st, quarantined, err := repairFile(*sFile, variant, bad)
+	rec, quarantined, err := repairFile(*sFile, variant, bad)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scrub: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("repair: %d damaged reads routed into crash repair, %d pages rebuilt\n",
-		st.ChecksumFailures, st.TornPagesRepaired)
+		rec.Get(obs.ZeroRoute), rec.Get(obs.TornRepair))
 	if len(quarantined) > 0 {
 		for _, q := range quarantined {
 			fmt.Fprintf(os.Stderr, "scrub: page %d UNRECOVERABLE (quarantined): %s\n", q.PageNo, q.Reason)
@@ -287,46 +288,46 @@ func runScrub(args []string) {
 // damage is cleared by zeroing the dead image; with quarantined pages the
 // reachability walk cannot be trusted, so the vacuum and zeroing are
 // skipped and the surviving repairs are simply made durable.
-func repairFile(path string, variant btree.Variant, bad []storage.PageNo) (buffer.IOStats, []buffer.QuarantinedPage, error) {
+func repairFile(path string, variant btree.Variant, bad []storage.PageNo) (*obs.Recorder, []buffer.QuarantinedPage, error) {
 	disk, err := storage.OpenFileDisk(path)
 	if err != nil {
-		return buffer.IOStats{}, nil, err
+		return nil, nil, err
 	}
-	tr, err := btree.Open(disk, variant, btree.Options{})
+	rec := obs.New(0)
+	tr, err := btree.Open(disk, variant, btree.Options{Obs: rec})
 	if err != nil {
 		disk.Close()
-		return buffer.IOStats{}, nil, fmt.Errorf("open for repair: %w", err)
+		return nil, nil, fmt.Errorf("open for repair: %w", err)
 	}
 	if _, err := tr.RecoverAvailable(); err != nil {
 		disk.Close()
-		return buffer.IOStats{}, nil, fmt.Errorf("repair: %w", err)
+		return nil, nil, fmt.Errorf("repair: %w", err)
 	}
 	quarantined := tr.Pool().Quarantine().List()
 	sort.Slice(quarantined, func(i, j int) bool { return quarantined[i].PageNo < quarantined[j].PageNo })
 	if len(quarantined) == 0 {
 		if _, err := vacuum.Index(tr); err != nil {
 			disk.Close()
-			return buffer.IOStats{}, nil, fmt.Errorf("vacuum: %w", err)
+			return nil, nil, fmt.Errorf("vacuum: %w", err)
 		}
 		for _, no := range bad {
 			if tr.Freelist().Contains(no) {
 				if err := tr.Pool().Disk().WritePage(no, page.New()); err != nil {
 					disk.Close()
-					return buffer.IOStats{}, nil, fmt.Errorf("zero free page %d: %w", no, err)
+					return nil, nil, fmt.Errorf("zero free page %d: %w", no, err)
 				}
 			}
 		}
 	}
 	if err := tr.Sync(); err != nil {
 		disk.Close()
-		return buffer.IOStats{}, quarantined, fmt.Errorf("sync: %w", err)
+		return nil, quarantined, fmt.Errorf("sync: %w", err)
 	}
-	st := tr.Pool().IOStats()
 	if err := tr.Close(); err != nil {
 		disk.Close()
-		return st, quarantined, fmt.Errorf("close: %w", err)
+		return rec, quarantined, fmt.Errorf("close: %w", err)
 	}
-	return st, quarantined, disk.Close()
+	return rec, quarantined, disk.Close()
 }
 
 // traceFile reopens the index with a recorder attached and replays the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -76,9 +77,9 @@ func buildTornCrashFile(t *testing.T) (string, int) {
 	}
 	// Insert until a split writes fresh pages, then crash mid-sync with
 	// every page "surviving" — but fresh ones torn.
-	base := tr.Stats.Splits.Load()
+	base := tr.SplitCount()
 	n := nPre
-	for tr.Stats.Splits.Load() == base {
+	for tr.SplitCount() == base {
 		if err := tr.Insert(u32(n), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -130,11 +131,11 @@ func TestScrubDetectsAndRepairsTornCrash(t *testing.T) {
 	}
 
 	// The scrub -repair workflow.
-	st, quarantined, err := repairFile(path, btree.Shadow, bad)
+	rec, quarantined, err := repairFile(path, btree.Shadow, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ChecksumFailures == 0 {
+	if rec.Get(obs.ZeroRoute) == 0 {
 		t.Fatal("repair never saw a checksum failure")
 	}
 	if len(quarantined) != 0 {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -84,7 +85,8 @@ func BenchmarkAblationReorgDoubleSplit(b *testing.B) {
 	for _, v := range []Variant{Reorg, Shadow} {
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tr, err := Open(storage.NewMemDisk(), v, Options{})
+				rec := obs.New(0)
+				tr, err := Open(storage.NewMemDisk(), v, Options{Obs: rec})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -94,7 +96,7 @@ func BenchmarkAblationReorgDoubleSplit(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(tr.Stats.BlockedSyncs.Load()), "forced-syncs")
+				b.ReportMetric(float64(rec.Get(obs.BlockedSync)), "forced-syncs")
 			}
 		})
 	}

@@ -141,7 +141,6 @@ func (t *Tree) insertRunShared(keys, values [][]byte, order []int, start int) (i
 	}
 	if applied > 0 {
 		f.MarkDirty()
-		t.Stats.Inserts.Add(uint64(applied))
 		t.obs.CountN(obs.BatchPut, uint64(applied))
 		t.obs.Count(obs.BatchLeafRun)
 	}

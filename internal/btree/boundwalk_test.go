@@ -196,7 +196,7 @@ func TestLostExtensionBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			durableEnd := d.NumPages()
-			for i, base := committed, tr.Stats.Splits.Load(); tr.Stats.Splits.Load() == base; i++ {
+			for i, base := committed, tr.SplitCount(); tr.SplitCount() == base; i++ {
 				mustInsert(t, tr, key(i))
 			}
 			if err := tr.Pool().FlushDirty(); err != nil {
@@ -229,7 +229,7 @@ func TestLostExtensionBound(t *testing.T) {
 			}
 			// Split the leftmost leaf, far from the damage: with the
 			// freelist gone, its new pages come off the bound.
-			for i, base := 0, tr2.Stats.Splits.Load(); tr2.Stats.Splits.Load() == base; i++ {
+			for i, base := 0, tr2.SplitCount(); tr2.SplitCount() == base; i++ {
 				mustInsert(t, tr2, key(i)+1)
 			}
 			if got := tr2.NumPages(); got <= bound {
@@ -335,7 +335,7 @@ func TestReopenServesWhileWalking(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if tr2.Stats.Splits.Load() == 0 {
+			if tr2.SplitCount() == 0 {
 				t.Fatal("no split ran")
 			}
 			if err := tr2.RecoverAll(); err != nil {
@@ -492,7 +492,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 				}
 				mustInsert(t, tr, keyOn(t, tr, no))
 			}
-			if r, f := tr.Stats.RepairsPeer.Load(), rec.Get(obs.ExclusiveFallback); r != 0 || f != 0 {
+			if r, f := rec.Get(obs.RepairPeer), rec.Get(obs.ExclusiveFallback); r != 0 || f != 0 {
 				t.Errorf("%v: one insert into each leaf: %d peer repairs, %d exclusive fallbacks; want none", tc.v, r, f)
 			}
 			if err := tr.Check(CheckStrict); err != nil {
@@ -515,7 +515,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 		}
 		n := pf.Data.LeftPeer()
 		pf.Unpin()
-		for splits := tr.Stats.Splits.Load(); tr.Stats.Splits.Load() == splits; k += 2 {
+		for splits := tr.SplitCount(); tr.SplitCount() == splits; k += 2 {
 			mustInsert(t, tr, k)
 		}
 		if err := tr.Pool().FlushDirty(); err != nil {
@@ -527,7 +527,8 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		tr = openWalked(t, d.CloneStable(), Options{})
+		rec := obs.New(0)
+		tr = openWalked(t, d.CloneStable(), Options{Obs: rec})
 		leaves = treeLeaves(t, tr)
 		i := slices.Index(leaves, n)
 		if i < 0 || i+3 >= len(leaves) {
@@ -540,7 +541,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 			}
 		}
 		mustInsert(t, tr, keyOn(t, tr, n))
-		if got := tr.Stats.RepairsPeer.Load(); got != 1 {
+		if got := rec.Get(obs.RepairPeer); got != 1 {
 			t.Errorf("the insert into the neighbour re-linked %d peers, want 1", got)
 		}
 		if err := tr.Check(CheckStrict); err != nil {
@@ -558,14 +559,15 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 			p.SetRightPeerToken(p.RightPeerToken() + 1)
 			p.UpdateChecksum()
 		})
-		walked := openWalked(t, img, Options{})
+		rec := obs.New(0)
+		walked := openWalked(t, img, Options{Obs: rec})
 		for j, want := range map[int]bool{i - 1: true, i: false, i + 1: false, i + 2: true} {
 			if walked.proven.has(leaves[j]) != want {
 				t.Errorf("leaf %d proven %v, want %v", leaves[j], !want, want)
 			}
 		}
 		mustInsert(t, walked, keyOn(t, walked, leaves[i]))
-		if got := walked.Stats.RepairsPeer.Load(); got != 1 {
+		if got := rec.Get(obs.RepairPeer); got != 1 {
 			t.Errorf("the insert re-linked %d peers, want 1", got)
 		}
 		if err := walked.Check(CheckStrict); err != nil {
@@ -590,7 +592,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 		if err := gen.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		for k, splits := keyOn(t, gen, p), gen.Stats.Splits.Load(); gen.Stats.Splits.Load() == splits; k += 2 {
+		for k, splits := keyOn(t, gen, p), gen.SplitCount(); gen.SplitCount() == splits; k += 2 {
 			mustInsert(t, gen, k)
 		}
 		if err := gen.Pool().FlushDirty(); err != nil {
@@ -602,12 +604,13 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		next := openWalked(t, img.CloneStable(), Options{})
+		rec := obs.New(0)
+		next := openWalked(t, img.CloneStable(), Options{Obs: rec})
 		if next.proven.has(n) {
 			t.Errorf("leaf %d proven with its peer update lost", n)
 		}
 		mustInsert(t, next, keyOn(t, next, n)+2)
-		if got := next.Stats.RepairsPeer.Load(); got != 1 {
+		if got := rec.Get(obs.RepairPeer); got != 1 {
 			t.Errorf("the insert re-linked %d peers, want 1", got)
 		}
 		if err := next.Check(CheckStrict); err != nil {
@@ -726,7 +729,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if r, f := walked.Stats.RepairsPeer.Load(), rec.Get(obs.ExclusiveFallback); r != 1 || f != 1 {
+		if r, f := rec.Get(obs.RepairPeer), rec.Get(obs.ExclusiveFallback); r != 1 || f != 1 {
 			t.Errorf("%d peer repairs and %d exclusive fallbacks, want one each, for the damaged leaf", r, f)
 		}
 		for _, no := range targets {

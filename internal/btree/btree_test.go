@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -21,6 +22,17 @@ func newTree(t *testing.T, v Variant) (*Tree, *storage.MemDisk) {
 		t.Fatalf("Open(%v): %v", v, err)
 	}
 	return tr, d
+}
+
+// newTreeObs is newTree with a recorder attached, for tests that count.
+func newTreeObs(t *testing.T, v Variant) (*Tree, *obs.Recorder) {
+	t.Helper()
+	rec := obs.New(0)
+	tr, err := Open(storage.NewMemDisk(), v, Options{Obs: rec})
+	if err != nil {
+		t.Fatalf("Open(%v): %v", v, err)
+	}
+	return tr, rec
 }
 
 func u32key(i int) []byte {
@@ -78,7 +90,7 @@ func TestAscendingInsertSplits(t *testing.T) {
 			for i := 0; i < n; i++ {
 				mustInsert(t, tr, i)
 			}
-			if tr.Stats.Splits.Load() == 0 {
+			if tr.SplitCount() == 0 {
 				t.Fatal("expected splits")
 			}
 			h, err := tr.Height()
@@ -341,7 +353,7 @@ func TestSyncReleasesPendingFree(t *testing.T) {
 	for i := 2000; i < 2200; i++ {
 		mustInsert(t, tr, i)
 	}
-	if tr.Stats.Splits.Load() == 0 {
+	if tr.SplitCount() == 0 {
 		t.Fatal("expected splits in second phase")
 	}
 	pendingBefore := len(tr.pendingFree)
@@ -397,22 +409,24 @@ func TestVariableLengthKeys(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	tr, _ := newTree(t, Shadow)
+	tr, rec := newTreeObs(t, Shadow)
 	for i := 0; i < 1000; i++ {
 		mustInsert(t, tr, i)
 	}
 	mustLookup(t, tr, 1)
-	if tr.Stats.Inserts.Load() != 1000 {
-		t.Fatalf("Inserts = %d", tr.Stats.Inserts.Load())
+	if n, err := tr.Count(); err != nil || n != 1000 {
+		t.Fatalf("Count = %d, %v; want 1000", n, err)
 	}
-	if tr.Stats.Lookups.Load() != 1 {
-		t.Fatalf("Lookups = %d", tr.Stats.Lookups.Load())
+	if tr.SplitCount() == 0 || rec.Get(obs.SplitStart) != tr.SplitCount() || rec.Get(obs.RootSplit) == 0 {
+		t.Fatalf("splits: SplitCount %d, split.start %d, split.root %d",
+			tr.SplitCount(), rec.Get(obs.SplitStart), rec.Get(obs.RootSplit))
 	}
-	if tr.Stats.Splits.Load() == 0 || tr.Stats.RootSplits.Load() == 0 {
-		t.Fatal("expected split counters to move")
-	}
-	if tr.Stats.RangeChecks.Load() == 0 {
-		t.Fatal("expected range checks on descents")
+	// Descents check ranges: a leaf image in the wrong place, with no
+	// earlier version to rebuild from, is quarantined, not served as if it
+	// were the leaf its parent names.
+	tr, key := misplaceLeaf(t, Options{})
+	if _, err := tr.Lookup(key); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("lookup over a misplaced leaf: %v, want ErrQuarantined", err)
 	}
 }
 

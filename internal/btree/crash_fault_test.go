@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -60,18 +61,18 @@ func TestTornPageRepair(t *testing.T) {
 				t.Fatal("split scenario produced no tearable fresh page — test is vacuous")
 			}
 
-			tr, err := Open(d, v, Options{})
+			rec := obs.New(0)
+			tr, err := Open(d, v, Options{Obs: rec})
 			if err != nil {
 				t.Fatalf("reopen over torn pages: %v", err)
 			}
 			for i := 0; i < nPre; i++ {
 				mustLookup(t, tr, i)
 			}
-			st := tr.Pool().IOStats()
-			if st.ChecksumFailures == 0 {
+			if rec.Get(obs.ZeroRoute) == 0 {
 				t.Fatal("torn page was never detected by a checksum failure")
 			}
-			if tr.Stats.RepairsInterPage.Load() == 0 {
+			if rec.Sum(obs.InterPageRepairs) == 0 {
 				t.Fatal("expected an inter-page repair of the torn page")
 			}
 			if err := tr.RecoverAll(); err != nil {
@@ -83,7 +84,7 @@ func TestTornPageRepair(t *testing.T) {
 			if err := tr.Check(CheckStrict); err != nil {
 				t.Fatal(err)
 			}
-			if st := tr.Pool().IOStats(); st.TornPagesRepaired == 0 {
+			if rec.Get(obs.TornRepair) == 0 {
 				t.Fatal("repair completion was not counted")
 			}
 			// The full recovery contract still holds on a fresh handle.
@@ -194,7 +195,8 @@ func TestTransientErrorWorkload(t *testing.T) {
 			// actually exercises the disk (and its fault schedule) instead
 			// of running out of cache; scattered insert order keeps the
 			// working set larger than the pool.
-			tr, err := Open(d, v, Options{PoolSize: 8})
+			rec := obs.New(0)
+			tr, err := Open(d, v, Options{PoolSize: 8, Obs: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +225,7 @@ func TestTransientErrorWorkload(t *testing.T) {
 			if fs.TransientReads == 0 || fs.TransientReads+fs.TransientWrites < 10 {
 				t.Fatalf("too few faults injected (%+v) — test is vacuous", fs)
 			}
-			if st := tr.Pool().IOStats(); st.Retries == 0 {
+			if rec.Get(obs.IORetry) == 0 {
 				t.Fatal("retry counter is zero despite injected transient errors")
 			}
 		})

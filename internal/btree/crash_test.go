@@ -128,11 +128,11 @@ func findSplitTrigger(t *testing.T, v Variant, from int) int {
 	for ; i < from; i++ {
 		mustInsert(t, tr, i)
 	}
-	base := tr.Stats.Splits.Load()
+	base := tr.SplitCount()
 	for {
 		mustInsert(t, tr, i)
 		i++
-		if tr.Stats.Splits.Load() > base {
+		if tr.SplitCount() > base {
 			return i - 1
 		}
 		if i > 200000 {
@@ -237,7 +237,7 @@ func bothModesAgree(t *testing.T, crashed *storage.MemDisk, v Variant, committed
 		if err := tr.Check(CheckStrict); err != nil {
 			t.Fatalf("%s: recoverFirst=%v: Check: %v", label, recoverFirst, err)
 		}
-		res.repairs = [3]uint64{tr.Stats.RepairsInterPage.Load(), tr.Stats.RepairsIntraPage.Load(), tr.Stats.RepairsPeer.Load()}
+		res.repairs = [3]uint64{rec.Sum(obs.InterPageRepairs), rec.Get(obs.RepairIntraPage), rec.Get(obs.RepairPeer)}
 		return res
 	}
 	a, b := run(true), run(false)
@@ -269,13 +269,9 @@ func TestRootSplitCrashAllSubsets(t *testing.T) {
 	// stop just before and use the next key as the trigger.
 	for _, v := range protectedVariants {
 		t.Run(v.String(), func(t *testing.T) {
-			d0 := storage.NewMemDisk()
-			tr, err := Open(d0, v, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr, rec := newTreeObs(t, v)
 			nPre := 0
-			for tr.Stats.RootSplits.Load() == 0 {
+			for rec.Get(obs.RootSplit) == 0 {
 				mustInsert(t, tr, nPre)
 				nPre++
 				if nPre > 100000 {
@@ -321,14 +317,15 @@ func TestFirstRootCrash(t *testing.T) {
 			if err := d.CrashPartial(storage.CrashOnly(0)); err != nil {
 				t.Fatal(err)
 			}
-			tr2, err := Open(d, v, Options{})
+			rec := obs.New(0)
+			tr2, err := Open(d, v, Options{Obs: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := tr2.Lookup(u32key(1)); !errors.Is(err, ErrKeyNotFound) {
 				t.Fatalf("uncommitted key after losing the first root: %v", err)
 			}
-			if tr2.Stats.RepairsRoot.Load() == 0 {
+			if rec.Get(obs.RepairRoot) == 0 {
 				t.Fatal("expected a root repair")
 			}
 			// The index must be usable again.
@@ -421,7 +418,7 @@ func TestReorgFiveCases(t *testing.T) {
 // the duplicate keys can be reclaimed (§3.4: "The DBMS must block for a
 // sync operation before the key can be added to the page").
 func TestReorgDoubleSplitBlocksForSync(t *testing.T) {
-	tr, _ := newTree(t, Reorg)
+	tr, rec := newTreeObs(t, Reorg)
 	// Random inserts with no explicit syncs: sooner or later a key lands
 	// on a page still carrying un-synced duplicate keys from its own
 	// split (ascending order would always hit the backup-free half).
@@ -429,7 +426,7 @@ func TestReorgDoubleSplitBlocksForSync(t *testing.T) {
 	for _, i := range rng.Perm(3000) {
 		mustInsert(t, tr, i)
 	}
-	if tr.Stats.BlockedSyncs.Load() == 0 {
+	if rec.Get(obs.BlockedSync) == 0 {
 		t.Fatal("expected forced syncs for same-epoch page reuse")
 	}
 	if err := tr.Check(CheckStrict); err != nil {
@@ -582,14 +579,15 @@ func TestIntraPageCrashRepairOnLookup(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tr2, err := Open(d, v, Options{})
+			rec := obs.New(0)
+			tr2, err := Open(d, v, Options{Obs: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 50; i++ {
 				mustLookup(t, tr2, i)
 			}
-			if tr2.Stats.RepairsIntraPage.Load() == 0 {
+			if rec.Get(obs.RepairIntraPage) == 0 {
 				t.Fatal("expected an intra-page repair")
 			}
 			if err := tr2.Check(CheckStrict); err != nil {

@@ -97,7 +97,6 @@ func asRangeError(no uint32, lo, hi []byte, err error) *QuarantinedRangeError {
 // bound. Every key it does emit is correct — skip-and-report, never
 // wrong-and-silent. Runs exclusively, since it may trigger repairs.
 func (t *Tree) ScanDegraded(start, end []byte, fn func(key, value []byte) bool) (ScanReport, error) {
-	t.Stats.Scans.Add(1)
 	var rep ScanReport
 	if err := t.lockExclusive(); err != nil {
 		return rep, err

@@ -15,7 +15,6 @@ func (t *Tree) Delete(key []byte) error {
 	if err := validateKey(key); err != nil {
 		return err
 	}
-	t.Stats.Deletes.Add(1)
 	if err := t.lockExclusive(); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"log"
 
 	"repro/internal/btree"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -120,8 +121,10 @@ func Example_crashRecovery() {
 		fmt.Printf("CRASH during sync: %d of %d in-flight pages reached the disk\n",
 			len(pending)/2, len(pending))
 
-		// Restart. No log replay, no recovery pass: just open the file.
-		idx2, err := btree.Open(disk, variant, btree.Options{})
+		// Restart. No log replay, no recovery pass: just open the file,
+		// with a recorder attached to count the repairs.
+		rec := obs.New(0)
+		idx2, err := btree.Open(disk, variant, btree.Options{Obs: rec})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -134,10 +137,10 @@ func Example_crashRecovery() {
 		}
 		fmt.Printf("all %d committed keys present\n", committed)
 		fmt.Printf("repairs made on first use: inter-page=%d intra-page=%d root=%d peer=%d\n",
-			idx2.Stats.RepairsInterPage.Load(),
-			idx2.Stats.RepairsIntraPage.Load(),
-			idx2.Stats.RepairsRoot.Load(),
-			idx2.Stats.RepairsPeer.Load())
+			rec.Sum(obs.InterPageRepairs),
+			rec.Get(obs.RepairIntraPage),
+			rec.Get(obs.RepairRoot),
+			rec.Get(obs.RepairPeer))
 
 		// Complete the remaining lazy repairs and prove the structure sound.
 		if err := idx2.RecoverAll(); err != nil {
@@ -171,7 +174,7 @@ func Example_crashRecovery() {
 	// committed 2000 keys
 	// CRASH during sync: 2 of 4 in-flight pages reached the disk
 	// all 2000 committed keys present
-	// repairs made on first use: inter-page=2 intra-page=0 root=0 peer=0
+	// repairs made on first use: inter-page=1 intra-page=0 root=0 peer=0
 	// strict structure check: OK
 	// post-crash inserts and sync: OK
 }

@@ -102,8 +102,8 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 			if err := tr.Check(CheckStrict); err != nil {
 				t.Fatalf("Check: %v", err)
 			}
-			if got := tr.Stats.Inserts.Load(); got != n {
-				t.Fatalf("Inserts = %d, want %d", got, n)
+			if got, err := tr.Count(); err != nil || got != n {
+				t.Fatalf("Count = %d, %v; want %d", got, err, n)
 			}
 		})
 	}
@@ -179,8 +179,8 @@ func TestInsertBatchConcurrent(t *testing.T) {
 	if err := tr.Check(CheckStrict); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if got := tr.Stats.Inserts.Load(); got != workers*perW {
-		t.Fatalf("Inserts = %d, want %d", got, workers*perW)
+	if got, err := tr.Count(); err != nil || got != workers*perW {
+		t.Fatalf("Count = %d, %v; want %d", got, err, workers*perW)
 	}
 }
 

@@ -20,7 +20,6 @@ func (t *Tree) Insert(key, value []byte) error {
 	if err := validateValue(value); err != nil {
 		return err
 	}
-	t.Stats.Inserts.Add(1)
 	if err := t.awaitBound(); err != nil {
 		return err
 	}
@@ -300,7 +299,6 @@ func (t *Tree) reclaimLatched(f *buffer.Frame) (unsynced bool) {
 		if p.SyncToken() == t.counter.Current() {
 			return true
 		}
-		t.Stats.BackupReclaims.Add(1)
 		t.obs.Count(obs.BackupReclaim)
 	}
 	reclaimBackups(p)
@@ -311,7 +309,6 @@ func (t *Tree) reclaimLatched(f *buffer.Frame) (unsynced bool) {
 // blockedSync is the forced sync of reclaim case (1). The caller holds
 // splitMu or the exclusive lock, and no frame latch.
 func (t *Tree) blockedSync(no uint32) error {
-	t.Stats.BlockedSyncs.Add(1)
 	t.obs.Eventf(obs.BlockedSync, no, "reclaim case 1: backups not yet durable; forcing sync")
 	return t.syncLocked()
 }
@@ -418,7 +415,7 @@ func (t *Tree) splitPageLatched(node *pathEntry, hintKey []byte) (promo, error) 
 	sep = cloneBytes(sep)
 	lowItems, highItems := items[:mid], items[mid:]
 
-	t.Stats.Splits.Add(1)
+	t.splits.Add(1)
 	var pr promo
 	if t.splitUsesShadow(level) {
 		pr, err = t.splitShadow(node, lowItems, highItems, sep)
@@ -511,7 +508,6 @@ func (t *Tree) growRoot(pr promo) error {
 	m.setRootToken(rootTok)
 	metaFrame.MarkDirty()
 	metaFrame.WUnlatch()
-	t.Stats.RootSplits.Add(1)
 	t.obs.Eventf(obs.RootSplit, no, "new root above halves %d/%d", pr.lowNo, pr.highNo)
 	return nil
 }

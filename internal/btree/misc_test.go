@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -75,9 +76,76 @@ func TestDisableRangeCheckStillWorksWithoutCrashes(t *testing.T) {
 			t.Fatalf("key %d: %q, %v", i, v, err)
 		}
 	}
-	if tr.Stats.RangeChecks.Load() != 0 {
-		t.Fatal("range checks must be off")
+	// Range checks off: a leaf image in the wrong place is served as if
+	// sound, so a key of the range it displaced reads as missing.
+	rec := obs.New(0)
+	tr, key := misplaceLeaf(t, Options{DisableRangeCheck: true, Obs: rec})
+	if _, err := tr.Lookup(key); !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("lookup over a misplaced leaf with range checks off: %v, want ErrKeyNotFound", err)
 	}
+	if n := rec.RepairTotal(); n != 0 {
+		t.Fatalf("range checks off, yet %d repairs counted", n)
+	}
+}
+
+// misplaceLeaf builds a synced two-level shadow tree, overwrites the
+// durable image of the root's second leaf with its first leaf's, and
+// reopens the image with opts. The copy is a sound page in the wrong place:
+// only the §3.3.1 range check can tell. It returns the reopened tree and
+// the smallest key of the displaced leaf.
+func misplaceLeaf(t *testing.T, opts Options) (*Tree, []byte) {
+	t.Helper()
+	d := storage.NewMemDisk()
+	tr, err := Open(d, Shadow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		mustInsert(t, tr, i)
+	}
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AwaitBound(); err != nil {
+		t.Fatal(err)
+	}
+	read := func(no uint32) page.Page {
+		buf := page.New()
+		if err := d.ReadPage(no, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	root := read(metaPage{read(0)}.root())
+	if root.Type() != page.TypeInternal || root.NKeys() < 2 {
+		t.Fatalf("root is type %d with %d entries; want an internal page over two leaves", root.Type(), root.NKeys())
+	}
+	first, err := internalEntry(root, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := internalEntry(root, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, ok, err := minMaxKeys(read(second.child))
+	if err != nil || !ok {
+		t.Fatalf("second leaf has no keys: %v", err)
+	}
+	if err := d.WritePage(second.child, read(first.child)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CrashPartial(storage.CrashAll); err != nil {
+		t.Fatal(err)
+	}
+	tr2, err := Open(d, Shadow, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr2, bytes.Clone(key)
 }
 
 func TestDisablePeerCheckScan(t *testing.T) {

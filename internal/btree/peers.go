@@ -122,7 +122,6 @@ func (t *Tree) verifyPeerPath(leaf *pathEntry) error {
 	}
 
 	if changed {
-		t.Stats.RepairsPeer.Add(1)
 		t.obs.Eventf(obs.RepairPeer, leaf.no, "peer chain re-linked via root-to-leaf descent (§3.5.1)")
 	}
 	for i := range cascade {

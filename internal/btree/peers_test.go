@@ -106,7 +106,7 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 			// the next sync, and a clean close hands them to the next open
 			// in the freelist; they are on no path the restart walk takes,
 			// so the hints must read.
-			for i, splits := 0, tr.Stats.Splits.Load(); tr.Stats.Splits.Load() < splits+2; i++ {
+			for i, splits := 0, tr.SplitCount(); tr.SplitCount() < splits+2; i++ {
 				mustInsert(t, tr, 2*i+1)
 			}
 			if err := tr.Sync(); err != nil {
@@ -164,11 +164,14 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			io, quarantined, events := tr.Pool().IOStats(), tr.Pool().Quarantine().Len(), len(rec.Events())
+			ioCounts := func() [4]uint64 {
+				return [4]uint64{rec.Get(obs.IORetry), rec.Get(obs.ZeroRoute), rec.Get(obs.TornRepair), rec.Get(obs.RetryExhausted)}
+			}
+			io, quarantined, events := ioCounts(), tr.Pool().Quarantine().Len(), len(rec.Events())
 
 			mustInsert(t, tr, int(binary32(minKey))+1) // verifies l first (§3.5.1)
 
-			if got := tr.Stats.RepairsPeer.Load(); got != 1 {
+			if got := rec.Get(obs.RepairPeer); got != 1 {
 				t.Fatalf("%d peer repairs, want 1", got)
 			}
 			for _, link := range [][2]uint32{{a, l}, {l, b}} {
@@ -191,8 +194,8 @@ func TestVerifyPeerPathStalePeers(t *testing.T) {
 			if got := rec.Get(obs.HintIssued); got != tc.hints {
 				t.Errorf("%d hinted reads, want %d", got, tc.hints)
 			}
-			if got := tr.Pool().IOStats(); got != io {
-				t.Errorf("I/O counters moved: %+v, were %+v", got, io)
+			if got := ioCounts(); got != io {
+				t.Errorf("I/O counters (retry, zeroroute, tornrepair, exhausted) moved: %v, were %v", got, io)
 			}
 			if got := tr.Pool().Quarantine().Len(); got != quarantined {
 				t.Errorf("%d pages quarantined, were %d", got, quarantined)
@@ -261,8 +264,8 @@ func otherLeaf(t *testing.T, tr *Tree, avoid ...uint32) uint32 {
 // whose leaves the restart walk proved linked — writes no page. It used to
 // verify, and so dirty, every leaf not marked verified on its page.
 func TestRecoverAllWritesNothingWhenHealthy(t *testing.T) {
-	d := storage.NewMemDisk()
-	tr, err := Open(d, Shadow, Options{})
+	d, rec := storage.NewMemDisk(), obs.New(0)
+	tr, err := Open(d, Shadow, Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +275,8 @@ func TestRecoverAllWritesNothingWhenHealthy(t *testing.T) {
 	if err := tr.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	crashed := d.CloneStable() // the machine dies
-	reopened, err := Open(crashed, Shadow, Options{})
+	crashed, reopenedRec := d.CloneStable(), obs.New(0) // the machine dies
+	reopened, err := Open(crashed, Shadow, Options{Obs: reopenedRec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,8 @@ func TestRecoverAllWritesNothingWhenHealthy(t *testing.T) {
 		name string
 		tr   *Tree
 		d    *storage.MemDisk
-	}{{"never crashed", tr, d}, {"intact crash image", reopened, crashed}} {
+		rec  *obs.Recorder
+	}{{"never crashed", tr, d, rec}, {"intact crash image", reopened, crashed, reopenedRec}} {
 		if err := tc.tr.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -294,9 +298,9 @@ func TestRecoverAllWritesNothingWhenHealthy(t *testing.T) {
 			t.Fatal(err)
 		}
 		writes, _, _ := tc.d.Stats()
-		if writes != before || tc.tr.Stats.RepairsPeer.Load() != 0 {
+		if writes != before || tc.rec.Get(obs.RepairPeer) != 0 {
 			t.Errorf("%s: RecoverAll and a sync wrote %d pages and re-linked %d peers, want none",
-				tc.name, writes-before, tc.tr.Stats.RepairsPeer.Load())
+				tc.name, writes-before, tc.rec.Get(obs.RepairPeer))
 		}
 		if err := tc.tr.Check(CheckStrict); err != nil {
 			t.Fatal(err)

@@ -24,7 +24,6 @@ import (
 // and the root is initialized to an empty page.
 func (t *Tree) repairRoot(metaFrame, rootFrame *buffer.Frame) error {
 	m := metaPage{metaFrame.Data}
-	t.Stats.RepairsRoot.Add(1)
 	global := t.counter.Current()
 	// If the page at the root's location is valid and carries a *newer*
 	// token than the meta page expects, it is the reorganized half of an
@@ -149,7 +148,6 @@ func (t *Tree) mergeBackupsInto(f *buffer.Frame) error {
 // inconsistent, dispatching on the technique that governs splits at the
 // child's level.
 func (t *Tree) repairChild(parent *pathEntry, idx int, it internalItem, childFrame *buffer.Frame, cLo, cHi []byte) error {
-	t.Stats.RepairsInterPage.Add(1)
 	level := parent.frame.Data.Level() - 1
 	if t.splitUsesShadow(level) {
 		return t.repairShadowChild(parent, idx, it, childFrame, cLo, cHi)
@@ -343,7 +341,6 @@ func (t *Tree) repairStaleReorgPage(parent *pathEntry, idx int, childFrame *buff
 		sf.MarkDirty()
 		sf.Unpin()
 		rebuiltSibling = true
-		t.Stats.RepairsInterPage.Add(1)
 	}
 
 	// Rebuild the page itself down to its prescribed half.
@@ -668,7 +665,6 @@ func (t *Tree) resolveBackups(parent *pathEntry, idx int, childFrame *buffer.Fra
 		// prevNKeys set but no extra entries: nothing retained.
 		reclaimBackups(p)
 		childFrame.MarkDirty()
-		t.Stats.BackupReclaims.Add(1)
 		t.obs.Count(obs.BackupReclaim)
 		return nil
 	}
@@ -692,7 +688,6 @@ func (t *Tree) resolveBackups(parent *pathEntry, idx int, childFrame *buffer.Fra
 		if err := t.mergeBackupsInto(childFrame); err != nil {
 			return err
 		}
-		t.Stats.RepairsInterPage.Add(1)
 		t.obs.Eventf(caseMetric, uint32(childFrame.PageNo()), "parent not updated; backups folded back")
 		return nil
 	}
@@ -721,7 +716,6 @@ func (t *Tree) resolveBackups(parent *pathEntry, idx int, childFrame *buffer.Fra
 		if t.durable(sp.SyncToken()) {
 			reclaimBackups(p)
 			childFrame.MarkDirty()
-			t.Stats.BackupReclaims.Add(1)
 			t.obs.Count(obs.BackupReclaim)
 		} else {
 			p.SetSyncToken(t.counter.Current())
@@ -766,7 +760,6 @@ func (t *Tree) resolveBackups(parent *pathEntry, idx int, childFrame *buffer.Fra
 	}
 	t.markRepairedLeaf(sf)
 	sf.MarkDirty()
-	t.Stats.RepairsInterPage.Add(1)
 	t.obs.Eventf(obs.RepairReorgC, sibNo, "sibling regenerated from backups of page %d", uint32(childFrame.PageNo()))
 	// The backups remain the only durable copy until a sync commits the
 	// regenerated sibling: stamp the current token so updates block for

@@ -40,7 +40,6 @@ type LookAhead func(leaf []Pair) (more bool)
 // ScanAhead is Scan with a look-ahead installed; a nil ahead makes it Scan,
 // which hints nothing.
 func (t *Tree) ScanAhead(start, end []byte, ahead LookAhead, fn func(key, value []byte) bool) error {
-	t.Stats.Scans.Add(1)
 	t.mu.RLock()
 	resume, err := t.scan(start, end, ahead, fn, readOnly)
 	t.mu.RUnlock()

@@ -233,7 +233,6 @@ func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, e
 func (t *Tree) checkPage(mode descentMode, p page.Page, isRoot bool, rootTok uint64, level int, lo, hi []byte) (sound, linkOK bool) {
 	linkOK = true
 	if t.protected() && !t.opts.DisableRangeCheck {
-		t.Stats.RangeChecks.Add(1)
 		switch {
 		case isRoot:
 			linkOK = !p.IsZeroed() && p.Valid() && p.SyncToken() == rootTok
@@ -322,7 +321,6 @@ func (t *Tree) fixIntraPage(f *buffer.Frame) {
 	}
 	if f.Data.FindDuplicateSlot() >= 0 {
 		n := f.Data.RepairDuplicates()
-		t.Stats.RepairsIntraPage.Add(uint64(n))
 		t.obs.Eventf(obs.RepairIntraPage, uint32(f.PageNo()), "%d duplicate line-table entries removed", n)
 	}
 	f.Data.AddFlag(page.FlagLineClean)
@@ -377,7 +375,6 @@ func (t *Tree) LookupInto(key, dst []byte) ([]byte, error) {
 	if err := validateKey(key); err != nil {
 		return nil, err
 	}
-	t.Stats.Lookups.Add(1)
 	for attempt := 0; attempt < maxSharedRetries; attempt++ {
 		t.mu.RLock()
 		ver := t.structVer.Load()

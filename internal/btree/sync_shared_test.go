@@ -44,8 +44,8 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tr.Stats.Splits.Load() < 3 {
-				t.Fatalf("only %d splits: the tree has too few leaves for this test", tr.Stats.Splits.Load())
+			if tr.SplitCount() < 3 {
+				t.Fatalf("only %d splits: the tree has too few leaves for this test", tr.SplitCount())
 			}
 			if err := tr.Sync(); err != nil {
 				t.Fatal(err)
@@ -66,11 +66,11 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 			if err := tr.Scan(u32key(100), u32key(300), func(_, _ []byte) bool { seen++; return true }); err != nil || seen != 100 {
 				t.Fatalf("scan behind the sync: %d keys, err %v", seen, err)
 			}
-			splits := tr.Stats.Splits.Load()
+			splits := tr.SplitCount()
 			if err := tr.Insert(u32key(11), val(11)); err != nil {
 				t.Fatal(err)
 			}
-			if tr.Stats.Splits.Load() != splits {
+			if tr.SplitCount() != splits {
 				t.Fatal("the insert meant to fit its leaf split it")
 			}
 
@@ -78,7 +78,7 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 			// which the sync holds.
 			split := make(chan error, 1)
 			go func() {
-				for i := n + 2; tr.Stats.Splits.Load() == splits; i += 2 {
+				for i := n + 2; tr.SplitCount() == splits; i += 2 {
 					if err := tr.Insert(u32key(i), val(i)); err != nil {
 						split <- err
 						return

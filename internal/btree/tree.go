@@ -55,20 +55,6 @@ type Options struct {
 	Obs *obs.Recorder
 }
 
-// Stats counts operations and recovery events. All fields are updated
-// atomically and may be read concurrently.
-type Stats struct {
-	Inserts, Lookups, Deletes, Scans atomic.Uint64
-	Splits, RootSplits               atomic.Uint64
-	RangeChecks                      atomic.Uint64
-	RepairsInterPage                 atomic.Uint64 // lost-child rebuilds (§3.3.2 / §3.4 cases)
-	RepairsIntraPage                 atomic.Uint64 // duplicate line-table entries removed
-	RepairsPeer                      atomic.Uint64 // peer links re-linked (§3.5.1)
-	RepairsRoot                      atomic.Uint64 // root rebuilt from prevRoot
-	BlockedSyncs                     atomic.Uint64 // reorg reclaim case (1) forced syncs
-	BackupReclaims                   atomic.Uint64 // reorg prevNKeys reclaimed
-}
-
 // Tree is one B-link-tree index over a page file.
 //
 // Concurrency (§3.6): lookups, scans, and inserts all run under the
@@ -129,8 +115,9 @@ type Tree struct {
 	// nil *obs.Recorder are no-ops). Immutable after Open.
 	obs *obs.Recorder
 
-	// Stats is the operation/recovery counter block.
-	Stats Stats
+	// splits counts page splits for SplitCount; every other event is
+	// counted by obs.
+	splits atomic.Uint64
 }
 
 // Open opens (creating if empty) an index of the given variant on disk.
@@ -198,7 +185,7 @@ func (t *Tree) Variant() Variant { return t.variant }
 
 // SplitCount returns the number of page splits performed so far (used by
 // the WAL comparator to size physical split logging).
-func (t *Tree) SplitCount() uint64 { return t.Stats.Splits.Load() }
+func (t *Tree) SplitCount() uint64 { return t.splits.Load() }
 
 // Pool exposes the buffer pool (used by the vacuum and by tests).
 func (t *Tree) Pool() *buffer.Pool { return t.pool }

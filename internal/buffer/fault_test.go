@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -43,6 +44,8 @@ func TestPoolRetriesTransientErrors(t *testing.T) {
 		TransientWriteProb: 0.5,
 		MaxTransientRun:    3,
 	})
+	rec := obs.New(0)
+	p.SetObs(rec)
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
 	for no := storage.PageNo(0); no < 8; no++ {
 		writePage(t, p, no, byte(no+1))
@@ -58,7 +61,7 @@ func TestPoolRetriesTransientErrors(t *testing.T) {
 		}
 		f.Unpin()
 	}
-	if s := p.IOStats(); s.Retries == 0 {
+	if rec.Get(obs.IORetry) == 0 {
 		t.Fatal("transient injection at 50% must have caused retries")
 	}
 	if s := d.Stats(); s.TransientReads == 0 && s.TransientWrites == 0 {
@@ -82,6 +85,8 @@ func TestPoolExhaustedRetriesSurface(t *testing.T) {
 
 func TestPoolZeroRoutesChecksumFailure(t *testing.T) {
 	p, d := newFaultPool(t, storage.FaultConfig{})
+	rec := obs.New(0)
+	p.SetObs(rec)
 	writePage(t, p, 1, 7)
 	p.InvalidateAll()
 	// Corrupt the durable image: the page "never became durable".
@@ -95,8 +100,8 @@ func TestPoolZeroRoutesChecksumFailure(t *testing.T) {
 	if !f.Data.IsZeroed() {
 		t.Fatal("corrupted page must be served as a zero page")
 	}
-	if s := p.IOStats(); s.ChecksumFailures != 1 {
-		t.Fatalf("ChecksumFailures = %d, want 1", s.ChecksumFailures)
+	if n := rec.Get(obs.ZeroRoute); n != 1 {
+		t.Fatalf("io.zeroroute = %d, want 1", n)
 	}
 	// Crash repair rewrites the frame with valid contents; flushing it
 	// completes the repair.
@@ -106,8 +111,8 @@ func TestPoolZeroRoutesChecksumFailure(t *testing.T) {
 	if err := p.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if s := p.IOStats(); s.TornPagesRepaired != 1 {
-		t.Fatalf("TornPagesRepaired = %d, want 1", s.TornPagesRepaired)
+	if n := rec.Get(obs.TornRepair); n != 1 {
+		t.Fatalf("io.tornrepair = %d, want 1", n)
 	}
 	// The durable image is sealed again.
 	p.InvalidateAll()
@@ -123,6 +128,8 @@ func TestPoolZeroRoutesChecksumFailure(t *testing.T) {
 
 func TestPoolZeroRoutesBadSector(t *testing.T) {
 	p, d := newFaultPool(t, storage.FaultConfig{})
+	rec := obs.New(0)
+	p.SetObs(rec)
 	writePage(t, p, 2, 5)
 	p.InvalidateAll()
 	d.AddBadSector(2)
@@ -134,8 +141,8 @@ func TestPoolZeroRoutesBadSector(t *testing.T) {
 		t.Fatal("unreadable page must be served as a zero page")
 	}
 	f.Unpin()
-	if s := p.IOStats(); s.ChecksumFailures != 1 {
-		t.Fatalf("ChecksumFailures = %d, want 1", s.ChecksumFailures)
+	if n := rec.Get(obs.ZeroRoute); n != 1 {
+		t.Fatalf("io.zeroroute = %d, want 1", n)
 	}
 }
 

@@ -91,26 +91,6 @@ func (rp *RetryPolicy) sleep(attempt int) {
 // retry) from a genuinely damaged durable image.
 const checksumRereads = 2
 
-// IOStats counts the pool's fault-handling activity.
-type IOStats struct {
-	// Retries is the number of re-issued page I/Os: transient-error
-	// retries plus checksum-failure re-reads.
-	Retries int64
-	// ChecksumFailures is the number of reads classified as "this page
-	// never became durable" — persistent checksum mismatch or an
-	// unreadable sector — and routed into crash repair as a zero page.
-	ChecksumFailures int64
-	// TornPagesRepaired is the number of never-durable-classified pages
-	// that were subsequently rewritten with valid contents, i.e. actually
-	// repaired by the recovery machinery.
-	TornPagesRepaired int64
-	// RetriesExhausted is the number of page I/Os that burned the whole
-	// attempt budget and still failed with a transient error.
-	RetriesExhausted int64
-	// Quarantined is the number of pages currently withdrawn from service.
-	Quarantined int64
-}
-
 // PartitionStat is one stripe's share of the pool, reported by
 // PartitionStats for observability (fastrec-bench -v).
 type PartitionStat struct {
@@ -163,13 +143,6 @@ type Pool struct {
 
 	capacity int
 	retry    atomic.Pointer[RetryPolicy]
-
-	// Fault-handling counters, atomic so stat readers never contend with
-	// the page-access hot path.
-	ioRetries   atomic.Int64
-	ioChecksum  atomic.Int64
-	ioTorn      atomic.Int64
-	ioExhausted atomic.Int64
 
 	// quarantine registers pages withdrawn from service after repair could
 	// not produce a sane image; Get fails fast on them with a typed error.
@@ -298,17 +271,6 @@ func (p *Pool) SetObs(r *obs.Recorder) { p.recorder.Store(r) }
 
 // rec returns the attached recorder, which may be nil.
 func (p *Pool) rec() *obs.Recorder { return p.recorder.Load() }
-
-// IOStats returns a snapshot of the fault-handling counters.
-func (p *Pool) IOStats() IOStats {
-	return IOStats{
-		Retries:           p.ioRetries.Load(),
-		ChecksumFailures:  p.ioChecksum.Load(),
-		TornPagesRepaired: p.ioTorn.Load(),
-		RetriesExhausted:  p.ioExhausted.Load(),
-		Quarantined:       int64(p.quarantine.Len()),
-	}
-}
 
 // Quarantine exposes the pool's quarantine registry.
 func (p *Pool) Quarantine() *Quarantine { return p.quarantine }
@@ -441,7 +403,7 @@ func (p *Pool) readFrame(no storage.PageNo, f *Frame) error {
 		}
 		// Re-read: transient corruption (a flipped bit on the wire)
 		// clears on retry; real damage does not.
-		p.ioRetries.Add(1)
+		p.rec().Count(obs.IORetry)
 		err = p.readPageRetry(no, f.Data)
 	}
 	if errors.Is(err, storage.ErrBadSector) {
@@ -460,14 +422,13 @@ func (p *Pool) readPageRetry(no storage.PageNo, buf page.Page) error {
 	var err error
 	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			p.ioRetries.Add(1)
+			p.rec().Count(obs.IORetry)
 			rp.sleep(attempt)
 		}
 		if err = p.disk.ReadPage(no, buf); !errors.Is(err, storage.ErrTransient) {
 			return err
 		}
 	}
-	p.ioExhausted.Add(1)
 	p.rec().Eventf(obs.RetryExhausted, uint32(no), "read still transient after %d attempts", rp.MaxAttempts)
 	return err
 }
@@ -479,14 +440,13 @@ func (p *Pool) writePageRetry(no storage.PageNo, data page.Page) error {
 	var err error
 	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			p.ioRetries.Add(1)
+			p.rec().Count(obs.IORetry)
 			rp.sleep(attempt)
 		}
 		if err = p.disk.WritePage(no, data); !errors.Is(err, storage.ErrTransient) {
 			return err
 		}
 	}
-	p.ioExhausted.Add(1)
 	p.rec().Eventf(obs.RetryExhausted, uint32(no), "write still transient after %d attempts", rp.MaxAttempts)
 	return err
 }
@@ -519,7 +479,6 @@ func (p *Pool) routeNeverDurable(no storage.PageNo, f *Frame, cause string) erro
 		f.Data[i] = 0
 	}
 	f.zeroRouted = true
-	p.ioChecksum.Add(1)
 	p.rec().Eventf(obs.ZeroRoute, uint32(no), "%s; serving never-durable zero page", cause)
 	return nil
 }
@@ -560,7 +519,6 @@ func (p *Pool) writeFrame(f *Frame) error {
 	}
 	if f.zeroRouted {
 		if !f.Data.IsZeroed() {
-			p.ioTorn.Add(1)
 			p.rec().Eventf(obs.TornRepair, uint32(f.pageNo), "zero-routed page rewritten with valid contents")
 		}
 		f.zeroRouted = false

@@ -12,8 +12,8 @@ import (
 
 // TestRetryExhaustedCounted is the bounded-retry regression: a page whose
 // reads stay transient forever must surface an error after MaxAttempts —
-// never spin — and the exhaustion must be visible in IOStats and the
-// retry.exhausted counter.
+// never spin — and the exhaustion must be visible in the retry.exhausted
+// counter.
 func TestRetryExhaustedCounted(t *testing.T) {
 	p, _ := newFaultPool(t, storage.FaultConfig{
 		Seed:              11,
@@ -38,9 +38,6 @@ func TestRetryExhaustedCounted(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Get spun past the retry budget")
-	}
-	if s := p.IOStats(); s.RetriesExhausted == 0 {
-		t.Fatal("RetriesExhausted not counted")
 	}
 	if rec.Get(obs.RetryExhausted) == 0 {
 		t.Fatal("retry.exhausted counter not bumped")
@@ -78,8 +75,8 @@ func TestZeroRouteStreakQuarantines(t *testing.T) {
 	if _, err := p.Get(2); !errors.As(err, &qe) || qe.PageNo != 2 {
 		t.Fatalf("quarantined Get must fail fast with the typed error, got %v", err)
 	}
-	if s := p.IOStats(); s.Quarantined != 1 {
-		t.Fatalf("IOStats.Quarantined = %d, want 1", s.Quarantined)
+	if n := p.Quarantine().Len(); n != 1 {
+		t.Fatalf("Quarantine().Len() = %d, want 1", n)
 	}
 	if rec.Get(obs.QuarantinePage) == 0 {
 		t.Fatal("quarantine.page counter not bumped")
@@ -101,8 +98,8 @@ func TestZeroRouteStreakQuarantines(t *testing.T) {
 		t.Fatal("released page must serve its original durable image")
 	}
 	f.Unpin()
-	if s := p.IOStats(); s.Quarantined != 0 {
-		t.Fatalf("IOStats.Quarantined = %d after release, want 0", s.Quarantined)
+	if n := p.Quarantine().Len(); n != 0 {
+		t.Fatalf("Quarantine().Len() = %d after release, want 0", n)
 	}
 }
 

@@ -250,7 +250,7 @@ func TestHintHasNoSideEffectsOnFailure(t *testing.T) {
 	want := classify(control)
 
 	p, rec := hintFaultStore(t)
-	stats, quarantined := p.IOStats(), p.Quarantine().List()
+	quarantined := p.Quarantine().List()
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ { // three would make a quarantine streak
 		for _, no := range damaged {
@@ -259,9 +259,6 @@ func TestHintHasNoSideEffectsOnFailure(t *testing.T) {
 		awaitHints(p)
 	}
 	awaitGoroutines(t, before)
-	if got := p.IOStats(); got != stats {
-		t.Fatalf("IOStats moved under hints: %+v -> %+v", stats, got)
-	}
 	if got := p.Quarantine().List(); !reflect.DeepEqual(got, quarantined) {
 		t.Fatalf("quarantine moved under hints: %+v -> %+v", quarantined, got)
 	}
@@ -283,9 +280,6 @@ func TestHintHasNoSideEffectsOnFailure(t *testing.T) {
 	if got := classify(p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("demand reads after hints classify %+v, without hints %+v", got, want)
 	}
-	if got, want := p.IOStats(), control.IOStats(); got != want {
-		t.Fatalf("IOStats after the demand reads: %+v with hints, %+v without", got, want)
-	}
 	got, ctl := rec.Snapshot(), controlRec.Snapshot()
 	delete(got.Counters, "hint.issued")
 	if !reflect.DeepEqual(got, ctl) {
@@ -297,7 +291,7 @@ func TestHintHasNoSideEffectsOnFailure(t *testing.T) {
 // flight, and whose read then fails, does not see the dead frame: it reads
 // the page itself and classifies it as any miss would.
 func TestHintFailureRacingGet(t *testing.T) {
-	p, _ := hintFaultStore(t)
+	p, rec := hintFaultStore(t)
 	gate := &gatedDisk{Disk: p.disk, release: make(chan struct{})}
 	p.disk = gate
 	p.Hint(1)
@@ -329,8 +323,8 @@ func TestHintFailureRacingGet(t *testing.T) {
 	}
 	f.Unpin()
 	awaitHints(p)
-	if s := p.IOStats(); s.ChecksumFailures != 1 || frameOf(p, 1) != f {
-		t.Fatalf("the demand read did not zero-route the page: %+v", s)
+	if n := rec.Get(obs.ZeroRoute); n != 1 || frameOf(p, 1) != f {
+		t.Fatalf("the demand read did not zero-route the page: io.zeroroute = %d", n)
 	}
 	if hinted.pins.Load() != 0 {
 		t.Fatalf("the dead frame is still pinned %d times", hinted.pins.Load())

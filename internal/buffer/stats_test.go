@@ -80,8 +80,8 @@ func TestPartitionCountScalesWithCapacity(t *testing.T) {
 }
 
 // TestConcurrentStatReadsDuringLoad drives Gets from several goroutines
-// while others continuously read Stats/IOStats/PartitionStats and swap the
-// retry policy. Under -race this proves the stat surfaces are
+// while others continuously read Stats/PartitionStats/the quarantine depth
+// and swap the retry policy. Under -race this proves the stat surfaces are
 // contention-free observers of the hot path.
 func TestConcurrentStatReadsDuringLoad(t *testing.T) {
 	d := storage.NewMemDisk()
@@ -137,7 +137,7 @@ func TestConcurrentStatReadsDuringLoad(t *testing.T) {
 				}
 				h, m := p.Stats()
 				_, _ = h, m
-				_ = p.IOStats()
+				_ = p.Quarantine().Len()
 				_ = p.PartitionStats()
 				p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond})
 			}

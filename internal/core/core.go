@@ -101,23 +101,6 @@ func (db *DB) Events() []obs.Event { return db.cfg.Obs.Events() }
 // opened without a recorder.
 func (db *DB) Metrics() obs.Snapshot { return db.cfg.Obs.Snapshot() }
 
-// IOStats aggregates the fault-handling counters of every buffer pool the
-// DB has opened (relations and indexes): retries after transient errors,
-// pages classified never-durable by checksum verification, and torn pages
-// completed by crash repair.
-func (db *DB) IOStats() buffer.IOStats {
-	var total buffer.IOStats
-	for _, np := range db.pools() {
-		s := np.pool.IOStats()
-		total.Retries += s.Retries
-		total.ChecksumFailures += s.ChecksumFailures
-		total.TornPagesRepaired += s.TornPagesRepaired
-		total.RetriesExhausted += s.RetriesExhausted
-		total.Quarantined += s.Quarantined
-	}
-	return total
-}
-
 // CacheStats is the DB-wide buffer-cache view: aggregate hit/miss counts
 // plus the per-partition breakdown of every pool, keyed by file name.
 type CacheStats struct {

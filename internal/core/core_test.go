@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/heap"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -472,11 +473,11 @@ func (m *faultStorage) exists(name string) bool {
 	return m.disks[name] != nil
 }
 
-// TestRetryAndIOStats proves every pool the DB opens retries transient I/O
-// errors (buffer.DefaultRetryPolicy) and that DB.IOStats aggregates the
-// resulting retry counters: a workload over 5% transient failures completes
-// with no surfaced errors.
-func TestRetryAndIOStats(t *testing.T) {
+// TestRetryCountedAcrossPools proves every pool the DB opens retries
+// transient I/O errors (buffer.DefaultRetryPolicy) and counts each retry on
+// the DB's recorder as io.retry: a workload over 5% transient failures
+// completes with no surfaced errors.
+func TestRetryCountedAcrossPools(t *testing.T) {
 	fs := &faultStorage{
 		cfg: storage.FaultConfig{
 			Seed:               99,
@@ -485,8 +486,10 @@ func TestRetryAndIOStats(t *testing.T) {
 		},
 		disks: make(map[string]*storage.FaultDisk),
 	}
+	rec := obs.New(0)
 	db, err := Open(fs, Config{
 		PoolSize: 8, // force real I/O so the fault schedule is exercised
+		Obs:      rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -528,8 +531,8 @@ func TestRetryAndIOStats(t *testing.T) {
 	if injected < 10 {
 		t.Fatalf("only %d transient faults injected — test is vacuous", injected)
 	}
-	if st := db.IOStats(); st.Retries == 0 {
-		t.Fatalf("DB.IOStats reports no retries despite %d injected faults", injected)
+	if rec.Get(obs.IORetry) == 0 {
+		t.Fatalf("io.retry is 0 despite %d injected faults", injected)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

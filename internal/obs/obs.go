@@ -65,6 +65,7 @@ const (
 	// Buffer pool and disk.
 	ZeroRoute  // damaged read routed to the zeroed never-durable image
 	TornRepair // previously zero-routed page rewritten with valid contents
+	IORetry    // page I/O re-issued: a transient-error retry or a checksum re-read
 	EvictClean // clean frame evicted under pool pressure
 	EvictDirty // dirty frame written back to make room
 
@@ -151,6 +152,7 @@ var metricNames = [numMetrics]string{
 	ExclusiveFallback: "latch.fallback",
 	ZeroRoute:         "io.zeroroute",
 	TornRepair:        "io.tornrepair",
+	IORetry:           "io.retry",
 	EvictClean:        "pool.evict.clean",
 	EvictDirty:        "pool.evict.dirty",
 	InjectTransient:   "inject.transient",
@@ -206,6 +208,14 @@ var RepairMetrics = []Metric{
 	RepairRoot, RepairShadow, RepairIntraPage, RepairPeer,
 	RepairReorgA, RepairReorgB, RepairReorgC, RepairReorgD, RepairReorgE,
 	RepairEntryDrop, RepairHashBucket, RepairHashDir, RepairRTreeRedo,
+}
+
+// InterPageRepairs lists the B-link-tree repairs that rebuild a lost or
+// stale child from another page (§3.3.2, §3.4 (a)–(e)) or, with no durable
+// source left, drop the parent's entry for it.
+var InterPageRepairs = []Metric{
+	RepairShadow, RepairReorgA, RepairReorgB, RepairReorgC, RepairReorgD,
+	RepairReorgE, RepairEntryDrop,
 }
 
 // Timer identifies one duration histogram.
@@ -364,17 +374,20 @@ func (r *Recorder) Get(m Metric) uint64 {
 	return r.counters[m].Load()
 }
 
-// RepairTotal sums every repair-labelled counter.
-func (r *Recorder) RepairTotal() uint64 {
+// Sum adds the counters ms (0 on a nil Recorder).
+func (r *Recorder) Sum(ms []Metric) uint64 {
 	if r == nil {
 		return 0
 	}
 	var total uint64
-	for _, m := range RepairMetrics {
+	for _, m := range ms {
 		total += r.counters[m].Load()
 	}
 	return total
 }
+
+// RepairTotal sums every repair-labelled counter.
+func (r *Recorder) RepairTotal() uint64 { return r.Sum(RepairMetrics) }
 
 // Events returns a copy of the ring, oldest first.
 func (r *Recorder) Events() []Event {

@@ -184,8 +184,8 @@ func TestTornHalfRepairObserved(t *testing.T) {
 	}
 	// The recorder can only attach after Open, and Open itself may read
 	// (and zero-route) the torn page while verifying the root — so the
-	// classification is asserted through the pool's recorder-independent
-	// IOStats rather than the obs.ZeroRoute counter.
+	// classification is asserted through what it leads to: the rebuilt
+	// half, written over a zero-routed frame, counts io.tornrepair.
 	tr.SetObs(rec)
 	if err := tr.RecoverAll(); err != nil {
 		t.Fatal(err)
@@ -205,7 +205,10 @@ func TestTornHalfRepairObserved(t *testing.T) {
 	if rec.Get(obs.InjectTorn) == 0 {
 		t.Fatal("injected tear was not recorded")
 	}
-	if tr.Pool().IOStats().ChecksumFailures == 0 {
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Get(obs.TornRepair) == 0 {
 		t.Fatal("torn page was never classified never-durable by the pool")
 	}
 	if rec.Get(obs.RepairRTreeRedo) == 0 {

@@ -120,8 +120,10 @@ func (s *Server) Listen(addr string) error {
 		return errors.New("server: closed")
 	}
 	s.listener = l
-	s.mu.Unlock()
+	// Counted under mu: a Close that takes mu next must find the accept loop
+	// in the count it waits for, never a zero it may already be waiting on.
 	s.wg.Add(1)
+	s.mu.Unlock()
 	go func() {
 		defer s.wg.Done()
 		s.acceptLoop(l)
