@@ -147,9 +147,9 @@ func bulkRound(variant btree.Variant, replace bool, failAt int, seed int64) (syn
 	items := bulkItems(*bulkKeys, bulkNewVal)
 	var lerr error
 	if replace {
-		_, lerr = tr.BulkReplace(items, btree.LoadOptions{})
+		_, lerr = tr.BulkReplace(items)
 	} else {
-		_, lerr = tr.BulkLoad(items, btree.LoadOptions{})
+		_, lerr = tr.BulkLoad(items)
 	}
 	d.armed = false
 	if failAt == 0 {

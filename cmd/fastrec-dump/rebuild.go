@@ -13,8 +13,9 @@ import (
 
 // runRebuild implements the rebuild subcommand: open a DB directory and
 // reconstruct one index wholesale from its heap relation with the
-// bottom-up bulk loader. The swap is a single durable root install — a
-// crash mid-rebuild leaves the old index serving. The index's keys must
+// bottom-up bulk loader, which packs pages at btree.DefaultFillFactor. The
+// swap is a single durable root install — a crash mid-rebuild leaves the
+// old index serving. The index's keys must
 // equal the tuple data (the identity keyOf convention used by the repo's
 // tools); schema-specific key extraction needs the embedding application.
 func runRebuild(args []string) {
@@ -24,10 +25,9 @@ func runRebuild(args []string) {
 	rIndex := fs.String("index", "", "index name (required)")
 	rVariant := fs.String("variant", "shadow", "index variant: normal, shadow, reorg, hybrid")
 	rShards := fs.Int("shards", 0, "shard count of the index (0 or 1 = one tree)")
-	rFill := fs.Float64("fill", 0, "leaf/internal fill factor, clamped to [0.5,1.0] (0 = default 0.90)")
 	_ = fs.Parse(args)
 	if *rDir == "" || *rRel == "" || *rIndex == "" {
-		fmt.Fprintln(os.Stderr, "usage: fastrec-dump rebuild -dir <dbdir> -rel <name> -index <name> [-variant v] [-shards n] [-fill f]")
+		fmt.Fprintln(os.Stderr, "usage: fastrec-dump rebuild -dir <dbdir> -rel <name> -index <name> [-variant v] [-shards n]")
 		os.Exit(2)
 	}
 	variant, err := btree.ParseVariant(*rVariant)
@@ -42,7 +42,7 @@ func runRebuild(args []string) {
 		fmt.Fprintf(os.Stderr, "rebuild: %s does not hold a DB (no control.pg): %v\n", *rDir, err)
 		os.Exit(1)
 	}
-	stats, err := rebuildDir(*rDir, *rRel, *rIndex, variant, *rShards, *rFill)
+	stats, err := rebuildDir(*rDir, *rRel, *rIndex, variant, *rShards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -53,8 +53,8 @@ func runRebuild(args []string) {
 
 // rebuildDir opens the directory-backed DB and rebuilds the named index
 // from the named relation with the identity keyOf.
-func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards int, fill float64) (core.RebuildStats, error) {
-	db, err := core.Open(core.Dir(dir), core.Config{LoadFill: fill})
+func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards int) (core.RebuildStats, error) {
+	db, err := core.Open(core.Dir(dir), core.Config{})
 	if err != nil {
 		return core.RebuildStats{}, err
 	}

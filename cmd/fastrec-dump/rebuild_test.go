@@ -56,7 +56,7 @@ func TestRebuildDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := rebuildDir(dir, "acct", "acct_pk", btree.Shadow, 0, 0)
+	stats, err := rebuildDir(dir, "acct", "acct_pk", btree.Shadow, 0)
 	if err != nil {
 		t.Fatalf("rebuildDir: %v", err)
 	}

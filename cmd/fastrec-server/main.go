@@ -36,7 +36,7 @@ var (
 	variant = flag.String("variant", "shadow", "index recovery technique: shadow, reorg, hybrid")
 	pool    = flag.Int("pool", 0, "buffer pool frames per file (0 = default)")
 	shards  = flag.Int("shards", 1, "partition the primary index across N independent trees (1 = single tree)")
-	flush   = flag.Duration("flush", 50*time.Millisecond, "background checkpoint interval (0 disables the flush daemon)")
+	flush   = flag.Duration("flush", 50*time.Millisecond, "interval of the background daemon: a checkpoint, then a repair sweep (0 disables both)")
 	drain   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	obsHTTP = flag.String("obs-http", "", "serve expvar metrics (obs snapshot + health) on this address, e.g. :8080")
 )

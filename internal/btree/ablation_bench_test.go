@@ -38,7 +38,7 @@ func BenchmarkAblationRangeCheck(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			tr := buildAscending(b, Shadow, 40000, Options{DisableRangeCheck: disable})
+			tr := buildAscending(b, Shadow, 40000, Options{noRangeCheck: disable})
 			if err := tr.Sync(); err != nil {
 				b.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func BenchmarkAblationPeerToken(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			tr := buildAscending(b, Shadow, 40000, Options{DisablePeerCheck: disable})
+			tr := buildAscending(b, Shadow, 40000, Options{noPeerCheck: disable})
 			if err := tr.Sync(); err != nil {
 				b.Fatal(err)
 			}

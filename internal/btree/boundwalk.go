@@ -200,7 +200,7 @@ func (t *Tree) boundWalk(rootNo, prevRootNo uint32, rootTok uint64) {
 		return nil
 	}
 	root := walkPage{no: rootNo}
-	if t.protected() && !t.opts.DisableRangeCheck && !t.opts.DisablePeerCheck {
+	if t.protected() && !t.opts.noRangeCheck && !t.opts.noPeerCheck {
 		root.at = &place{root: true}
 	}
 	// The root first: in a reorg tree the previous root is usually a live

@@ -32,7 +32,7 @@ func loadedDisk(t *testing.T, v Variant, n int) *storage.MemDisk {
 	for i := range items {
 		items[i] = Item{Key: u32key(i), Value: val(i)}
 	}
-	if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+	if _, err := tr.BulkLoad(items); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -398,7 +398,7 @@ func syncedImage(t *testing.T, v Variant, load bool) (*storage.MemDisk, *Tree, *
 		for i := range items {
 			items[i] = Item{Key: u32key(2 * i), Value: val(2 * i)}
 		}
-		if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+		if _, err := tr.BulkLoad(items); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -681,7 +681,7 @@ func TestBoundWalkProvesPeerChain(t *testing.T) {
 
 	t.Run("ablations prove nothing", func(t *testing.T) {
 		img, _, _ := syncedImage(t, Shadow, false)
-		for _, opts := range []Options{{DisableRangeCheck: true}, {DisablePeerCheck: true}} {
+		for _, opts := range []Options{{noRangeCheck: true}, {noPeerCheck: true}} {
 			if n := openWalked(t, img.CloneStable(), opts).proven.count(); n != 0 {
 				t.Errorf("%+v: %d leaves proven", opts, n)
 			}

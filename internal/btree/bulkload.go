@@ -38,31 +38,9 @@ type Item struct {
 }
 
 // DefaultFillFactor is the fraction of each page's item space the loader
-// fills when LoadOptions.FillFactor is zero. Leaving headroom keeps the
-// first trickle of post-load inserts from splitting every page they touch.
+// fills. Leaving headroom keeps the first trickle of post-load inserts from
+// splitting every page they touch.
 const DefaultFillFactor = 0.90
-
-// LoadOptions tunes a bulk load.
-type LoadOptions struct {
-	// FillFactor is the fraction of each page's usable item space the
-	// loader packs before starting the next page, clamped to [0.5, 1.0].
-	// Zero means DefaultFillFactor.
-	FillFactor float64
-}
-
-func (o LoadOptions) fill() float64 {
-	f := o.FillFactor
-	if f == 0 {
-		f = DefaultFillFactor
-	}
-	if f < 0.5 {
-		f = 0.5
-	}
-	if f > 1.0 {
-		f = 1.0
-	}
-	return f
-}
 
 // LoadStats describes what a bulk load built.
 type LoadStats struct {
@@ -80,7 +58,12 @@ type LoadStats struct {
 // empty. On return the loaded tree is durable: the root is published only
 // after every page below it has been synced, and the load is a no-op on
 // any earlier crash.
-func (t *Tree) BulkLoad(items []Item, opts LoadOptions) (LoadStats, error) {
+func (t *Tree) BulkLoad(items []Item) (LoadStats, error) {
+	return t.bulkLoad(items, DefaultFillFactor)
+}
+
+// bulkLoad is BulkLoad packing each page to fill factor ff, in [0.5, 1.0].
+func (t *Tree) bulkLoad(items []Item, ff float64) (LoadStats, error) {
 	if err := t.lockExclusive(); err != nil {
 		return LoadStats{}, err
 	}
@@ -96,7 +79,7 @@ func (t *Tree) BulkLoad(items []Item, opts LoadOptions) (LoadStats, error) {
 	}
 	metaFrame.Unpin()
 
-	stats, rootNo, rootTok, err := t.bulkBuild(items, opts.fill())
+	stats, rootNo, rootTok, err := t.bulkBuild(items, ff)
 	if err != nil || rootNo == 0 {
 		return stats, err
 	}
@@ -114,7 +97,7 @@ func (t *Tree) BulkLoad(items []Item, opts LoadOptions) (LoadStats, error) {
 // rebuild use case), they are left for VacuumIndex to reclaim. Quarantine
 // entries for non-meta pages are released: the damage they describe is no
 // longer part of the served tree.
-func (t *Tree) BulkReplace(items []Item, opts LoadOptions) (LoadStats, error) {
+func (t *Tree) BulkReplace(items []Item) (LoadStats, error) {
 	if err := t.lockExclusive(); err != nil {
 		return LoadStats{}, err
 	}
@@ -130,7 +113,7 @@ func (t *Tree) BulkReplace(items []Item, opts LoadOptions) (LoadStats, error) {
 		old = append(old, oldPage{no: no, lo: cloneBytes(lo), hi: cloneBytes(hi)})
 	})
 
-	stats, rootNo, rootTok, err := t.bulkBuild(items, opts.fill())
+	stats, rootNo, rootTok, err := t.bulkBuild(items, DefaultFillFactor)
 	if err != nil {
 		return stats, err
 	}

@@ -65,7 +65,7 @@ func TestBulkLoadDifferential(t *testing.T) {
 				items := randomItems(rng, 3000, 2200)
 
 				loaded, _ := newTree(t, v)
-				stats, err := loaded.BulkLoad(items, LoadOptions{FillFactor: ff})
+				stats, err := loaded.bulkLoad(items, ff)
 				if err != nil {
 					t.Fatalf("BulkLoad: %v", err)
 				}
@@ -111,11 +111,11 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			tr, _ := newTree(t, v)
-			if stats, err := tr.BulkLoad(nil, LoadOptions{}); err != nil || stats.Root != 0 {
+			if stats, err := tr.BulkLoad(nil); err != nil || stats.Root != 0 {
 				t.Fatalf("empty load: stats=%+v err=%v", stats, err)
 			}
 			one := []Item{{Key: u32key(7), Value: val(7)}}
-			stats, err := tr.BulkLoad(one, LoadOptions{})
+			stats, err := tr.BulkLoad(one)
 			if err != nil {
 				t.Fatalf("single-item load: %v", err)
 			}
@@ -125,7 +125,7 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 			if got, err := tr.Lookup(u32key(7)); err != nil || !bytes.Equal(got, val(7)) {
 				t.Fatalf("lookup after single load: %q, %v", got, err)
 			}
-			if _, err := tr.BulkLoad(one, LoadOptions{}); !errors.Is(err, ErrNotEmpty) {
+			if _, err := tr.BulkLoad(one); !errors.Is(err, ErrNotEmpty) {
 				t.Fatalf("load into non-empty tree: got %v, want ErrNotEmpty", err)
 			}
 			if err := tr.Check(CheckStrict); err != nil {
@@ -146,7 +146,7 @@ func TestBulkLoadDurable(t *testing.T) {
 			for i := range items {
 				items[i] = Item{Key: u32key(i), Value: val(i)}
 			}
-			if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+			if _, err := tr.BulkLoad(items); err != nil {
 				t.Fatalf("BulkLoad: %v", err)
 			}
 			// Power cut that loses everything not yet synced: the load
@@ -188,7 +188,7 @@ func TestBulkReplace(t *testing.T) {
 			for i := range items {
 				items[i] = Item{Key: u32key(i + 250), Value: []byte(fmt.Sprintf("new%05d", i))}
 			}
-			stats, err := tr.BulkReplace(items, LoadOptions{})
+			stats, err := tr.BulkReplace(items)
 			if err != nil {
 				t.Fatalf("BulkReplace: %v", err)
 			}
@@ -255,7 +255,7 @@ func TestQuickBulkLoadPacking(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				if _, err := tr.BulkLoad(items, LoadOptions{FillFactor: ff}); err != nil {
+				if _, err := tr.bulkLoad(items, ff); err != nil {
 					t.Logf("seed %d: BulkLoad: %v", seed, err)
 					return false
 				}
@@ -410,7 +410,7 @@ func TestBulkLoadCrashAtEverySyncPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.armed = true
-			if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+			if _, err := tr.BulkLoad(items); err != nil {
 				t.Fatalf("dry run: %v", err)
 			}
 			total := d.calls
@@ -429,7 +429,7 @@ func TestBulkLoadCrashAtEverySyncPoint(t *testing.T) {
 					}
 					d.armed = true
 					d.failAt = failAt
-					if _, err := tr.BulkLoad(items, LoadOptions{}); !errors.Is(err, errSimCrash) {
+					if _, err := tr.BulkLoad(items); !errors.Is(err, errSimCrash) {
 						t.Fatalf("failAt=%d: load returned %v, want simulated crash", failAt, err)
 					}
 					verifyAllOrNothing(t, d.MemDisk, v, items, failAt)
@@ -505,7 +505,7 @@ func TestBulkReplaceCrashAtEverySyncPoint(t *testing.T) {
 			}
 			d, tr := setup(1)
 			d.armed = true
-			if _, err := tr.BulkReplace(items, LoadOptions{}); err != nil {
+			if _, err := tr.BulkReplace(items); err != nil {
 				t.Fatalf("dry run: %v", err)
 			}
 			total := d.calls
@@ -514,7 +514,7 @@ func TestBulkReplaceCrashAtEverySyncPoint(t *testing.T) {
 					d, tr := setup(int64(failAt*100 + trial))
 					d.armed = true
 					d.failAt = failAt
-					if _, err := tr.BulkReplace(items, LoadOptions{}); !errors.Is(err, errSimCrash) {
+					if _, err := tr.BulkReplace(items); !errors.Is(err, errSimCrash) {
 						t.Fatalf("failAt=%d: replace returned %v, want simulated crash", failAt, err)
 					}
 					re, err := Open(d.MemDisk.CloneStable(), v, Options{})
@@ -566,7 +566,7 @@ func BenchmarkBulkLoad1M(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.BulkLoad(items, LoadOptions{}); err != nil {
+		if _, err := tr.BulkLoad(items); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -141,7 +141,7 @@ func (t *Tree) hopRight(fromNo, rp uint32, rtok uint64, held *buffer.Frame) *buf
 	next.RLatch()
 	p := next.Data
 	ok := p.Valid() && p.Type() == page.TypeLeaf
-	if ok && !(t.opts.DisablePeerCheck && t.protected()) {
+	if ok && !(t.opts.noPeerCheck && t.protected()) {
 		ok = p.LeftPeer() == fromNo && p.LeftPeerToken() == rtok
 	}
 	ok = ok && !t.backupsPending(p) &&

@@ -90,11 +90,11 @@ func TestPeerHopRule(t *testing.T) {
 		{name: "quarantined target", damage: func(tr *Tree, _ page.Page, no uint32) {
 			tr.Pool().QuarantinePage(no, "test", false)
 		}},
-		{name: "DisablePeerCheck, wrong left-peer page", opts: Options{DisablePeerCheck: true}, trusted: true,
+		{name: "DisablePeerCheck, wrong left-peer page", opts: Options{noPeerCheck: true}, trusted: true,
 			from: func(l uint32) uint32 { return l + 1 }},
-		{name: "DisablePeerCheck, wrong token", opts: Options{DisablePeerCheck: true}, trusted: true,
+		{name: "DisablePeerCheck, wrong token", opts: Options{noPeerCheck: true}, trusted: true,
 			tok: func(tok uint64) uint64 { return tok + 1 }},
-		{name: "DisablePeerCheck, pre-crash backups", opts: Options{DisablePeerCheck: true},
+		{name: "DisablePeerCheck, pre-crash backups", opts: Options{noPeerCheck: true},
 			damage: func(_ *Tree, p page.Page, _ uint32) { p.SetPrevNKeys(1) }},
 	}
 	for _, tc := range cases {

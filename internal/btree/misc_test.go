@@ -61,7 +61,7 @@ func TestReachablePagesCoversTree(t *testing.T) {
 }
 
 func TestDisableRangeCheckStillWorksWithoutCrashes(t *testing.T) {
-	tr, err := Open(storage.NewMemDisk(), Shadow, Options{DisableRangeCheck: true})
+	tr, err := Open(storage.NewMemDisk(), Shadow, Options{noRangeCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDisableRangeCheckStillWorksWithoutCrashes(t *testing.T) {
 	// Range checks off: a leaf image in the wrong place is served as if
 	// sound, so a key of the range it displaced reads as missing.
 	rec := obs.New(0)
-	tr, key := misplaceLeaf(t, Options{DisableRangeCheck: true, Obs: rec})
+	tr, key := misplaceLeaf(t, Options{noRangeCheck: true, Obs: rec})
 	if _, err := tr.Lookup(key); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("lookup over a misplaced leaf with range checks off: %v, want ErrKeyNotFound", err)
 	}
@@ -149,7 +149,7 @@ func misplaceLeaf(t *testing.T, opts Options) (*Tree, []byte) {
 }
 
 func TestDisablePeerCheckScan(t *testing.T) {
-	tr, err := Open(storage.NewMemDisk(), Shadow, Options{DisablePeerCheck: true})
+	tr, err := Open(storage.NewMemDisk(), Shadow, Options{noPeerCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

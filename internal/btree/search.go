@@ -232,7 +232,7 @@ func (t *Tree) descend(d descent, sc *descentScratch) (pathEntry, []pathEntry, e
 // alone: it is what repairRoot and repairChild mend.
 func (t *Tree) checkPage(mode descentMode, p page.Page, isRoot bool, rootTok uint64, level int, lo, hi []byte) (sound, linkOK bool) {
 	linkOK = true
-	if t.protected() && !t.opts.DisableRangeCheck {
+	if t.protected() && !t.opts.noRangeCheck {
 		switch {
 		case isRoot:
 			linkOK = !p.IsZeroed() && p.Valid() && p.SyncToken() == rootTok

@@ -41,18 +41,19 @@ type Options struct {
 	// PoolSize is the buffer pool capacity in frames (default
 	// buffer.DefaultCapacity).
 	PoolSize int
-	// DisableRangeCheck skips the descent-time key-range verification
-	// (§3.3.1). Only for the ablation benchmarks: it removes the
-	// protection the paper's techniques exist to provide.
-	DisableRangeCheck bool
-	// DisablePeerCheck skips peer-pointer sync-token verification on
-	// scans (§3.5.1). Ablation only.
-	DisablePeerCheck bool
 	// Obs, when non-nil, receives recovery events, repair-case counters
 	// (§3.3 / §3.4 (a)–(e)), and latency histograms. It is also attached
 	// to the tree's buffer pool. Nil disables recording at the cost of one
 	// pointer test per hook.
 	Obs *obs.Recorder
+
+	// The ablations, set only by this package's tests and benchmarks:
+	// they remove the protection the paper's techniques exist to provide.
+	// noRangeCheck skips the descent-time key-range verification
+	// (§3.3.1); noPeerCheck skips peer-pointer sync-token verification on
+	// scans (§3.5.1).
+	noRangeCheck bool
+	noPeerCheck  bool
 }
 
 // Tree is one B-link-tree index over a page file.

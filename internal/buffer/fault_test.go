@@ -46,7 +46,7 @@ func TestPoolRetriesTransientErrors(t *testing.T) {
 	})
 	rec := obs.New(0)
 	p.SetObs(rec)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
+	p.setRetry(retryPolicy{maxAttempts: 5, baseDelay: time.Microsecond})
 	for no := storage.PageNo(0); no < 8; no++ {
 		writePage(t, p, no, byte(no+1))
 	}
@@ -75,7 +75,7 @@ func TestPoolExhaustedRetriesSurface(t *testing.T) {
 		TransientReadProb: 1,
 		MaxTransientRun:   100, // beyond any retry budget
 	})
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+	p.setRetry(retryPolicy{maxAttempts: 3, baseDelay: time.Microsecond})
 	writePage(t, p, 0, 1)
 	p.InvalidateAll()
 	if _, err := p.Get(0); err == nil {

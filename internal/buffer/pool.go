@@ -43,43 +43,43 @@ const (
 	framesPerPartition = 16
 )
 
-// RetryPolicy bounds the pool's handling of storage.ErrTransient: each
-// page I/O is attempted up to MaxAttempts times, sleeping BaseDelay before
+// retryPolicy bounds the pool's handling of storage.ErrTransient: each
+// page I/O is attempted up to maxAttempts times, sleeping baseDelay before
 // the first retry and doubling before each subsequent one, capped at
-// MaxDelay (0 = uncapped). With Jitter set, each sleep is randomized over
+// maxDelay (0 = uncapped). With jitter set, each sleep is randomized over
 // [delay/2, delay] so retry storms against a struggling device decorrelate
 // instead of hammering it in lockstep. An exhausted loop — the attempt cap
 // reached with the error still transient — bumps the retry.exhausted
 // counter and surfaces the error instead of spinning forever.
-type RetryPolicy struct {
-	MaxAttempts int
-	BaseDelay   time.Duration
-	MaxDelay    time.Duration
-	Jitter      bool
+type retryPolicy struct {
+	maxAttempts int
+	baseDelay   time.Duration
+	maxDelay    time.Duration
+	jitter      bool
 }
 
-// DefaultRetryPolicy retries enough to outlast FaultDisk's default
+// defaultRetry retries enough to outlast FaultDisk's default
 // MaxTransientRun of 3 while staying under a millisecond of total backoff.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 5,
-	BaseDelay:   50 * time.Microsecond,
-	MaxDelay:    400 * time.Microsecond,
-	Jitter:      true,
+var defaultRetry = retryPolicy{
+	maxAttempts: 5,
+	baseDelay:   50 * time.Microsecond,
+	maxDelay:    400 * time.Microsecond,
+	jitter:      true,
 }
 
 // sleep backs off before retry number attempt (1-based).
-func (rp *RetryPolicy) sleep(attempt int) {
-	if rp.BaseDelay <= 0 {
+func (rp *retryPolicy) sleep(attempt int) {
+	if rp.baseDelay <= 0 {
 		return
 	}
-	delay := rp.BaseDelay
-	for i := 1; i < attempt && (rp.MaxDelay <= 0 || delay < rp.MaxDelay); i++ {
+	delay := rp.baseDelay
+	for i := 1; i < attempt && (rp.maxDelay <= 0 || delay < rp.maxDelay); i++ {
 		delay *= 2
 	}
-	if rp.MaxDelay > 0 && delay > rp.MaxDelay {
-		delay = rp.MaxDelay
+	if rp.maxDelay > 0 && delay > rp.maxDelay {
+		delay = rp.maxDelay
 	}
-	if rp.Jitter && delay > 1 {
+	if rp.jitter && delay > 1 {
 		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
 	}
 	time.Sleep(delay)
@@ -142,7 +142,7 @@ type Pool struct {
 	nParts uint32
 
 	capacity int
-	retry    atomic.Pointer[RetryPolicy]
+	retry    atomic.Pointer[retryPolicy]
 
 	// quarantine registers pages withdrawn from service after repair could
 	// not produce a sane image; Get fails fast on them with a typed error.
@@ -237,7 +237,7 @@ func NewPool(disk storage.Disk, capacity int) *Pool {
 			protCap: quota * 3 / 4,
 		}
 	}
-	rp := DefaultRetryPolicy
+	rp := defaultRetry
 	p.retry.Store(&rp)
 	return p
 }
@@ -256,11 +256,11 @@ func (p *Pool) part(no storage.PageNo) *partition {
 	return p.parts[uint32(no)%p.nParts]
 }
 
-// SetRetryPolicy replaces the transient-error retry policy. The policy is
+// setRetry replaces the transient-error retry policy. The policy is
 // swapped atomically, so it never contends with in-flight page I/O.
-func (p *Pool) SetRetryPolicy(rp RetryPolicy) {
-	if rp.MaxAttempts < 1 {
-		rp.MaxAttempts = 1
+func (p *Pool) setRetry(rp retryPolicy) {
+	if rp.maxAttempts < 1 {
+		rp.maxAttempts = 1
 	}
 	p.retry.Store(&rp)
 }
@@ -416,11 +416,11 @@ func (p *Pool) readFrame(no storage.PageNo, f *Frame) error {
 }
 
 // readPageRetry issues a page read, retrying storage.ErrTransient under
-// the pool's RetryPolicy.
+// the pool's retryPolicy.
 func (p *Pool) readPageRetry(no storage.PageNo, buf page.Page) error {
 	rp := p.retry.Load()
 	var err error
-	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < rp.maxAttempts; attempt++ {
 		if attempt > 0 {
 			p.rec().Count(obs.IORetry)
 			rp.sleep(attempt)
@@ -429,16 +429,16 @@ func (p *Pool) readPageRetry(no storage.PageNo, buf page.Page) error {
 			return err
 		}
 	}
-	p.rec().Eventf(obs.RetryExhausted, uint32(no), "read still transient after %d attempts", rp.MaxAttempts)
+	p.rec().Eventf(obs.RetryExhausted, uint32(no), "read still transient after %d attempts", rp.maxAttempts)
 	return err
 }
 
 // writePageRetry issues a page write, retrying storage.ErrTransient under
-// the pool's RetryPolicy.
+// the pool's retryPolicy.
 func (p *Pool) writePageRetry(no storage.PageNo, data page.Page) error {
 	rp := p.retry.Load()
 	var err error
-	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < rp.maxAttempts; attempt++ {
 		if attempt > 0 {
 			p.rec().Count(obs.IORetry)
 			rp.sleep(attempt)
@@ -447,7 +447,7 @@ func (p *Pool) writePageRetry(no storage.PageNo, data page.Page) error {
 			return err
 		}
 	}
-	p.rec().Eventf(obs.RetryExhausted, uint32(no), "write still transient after %d attempts", rp.MaxAttempts)
+	p.rec().Eventf(obs.RetryExhausted, uint32(no), "write still transient after %d attempts", rp.maxAttempts)
 	return err
 }
 

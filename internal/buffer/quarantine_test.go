@@ -11,7 +11,7 @@ import (
 )
 
 // TestRetryExhaustedCounted is the bounded-retry regression: a page whose
-// reads stay transient forever must surface an error after MaxAttempts —
+// reads stay transient forever must surface an error after maxAttempts —
 // never spin — and the exhaustion must be visible in the retry.exhausted
 // counter.
 func TestRetryExhaustedCounted(t *testing.T) {
@@ -22,7 +22,7 @@ func TestRetryExhaustedCounted(t *testing.T) {
 	})
 	rec := obs.New(16)
 	p.SetObs(rec)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 4 * time.Microsecond, Jitter: true})
+	p.setRetry(retryPolicy{maxAttempts: 3, baseDelay: time.Microsecond, maxDelay: 4 * time.Microsecond, jitter: true})
 	writePage(t, p, 0, 1)
 	p.InvalidateAll()
 

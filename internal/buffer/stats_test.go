@@ -139,7 +139,7 @@ func TestConcurrentStatReadsDuringLoad(t *testing.T) {
 				_, _ = h, m
 				_ = p.Quarantine().Len()
 				_ = p.PartitionStats()
-				p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond})
+				p.setRetry(retryPolicy{maxAttempts: 2, baseDelay: time.Microsecond})
 			}
 		}()
 	}

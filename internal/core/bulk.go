@@ -38,10 +38,6 @@ func (s *RebuildStats) merge(ls btree.LoadStats) {
 	}
 }
 
-func (db *DB) loadOptions() btree.LoadOptions {
-	return btree.LoadOptions{FillFactor: db.cfg.LoadFill}
-}
-
 // BulkLoad builds the index bottom-up from parallel key/TID slices. The
 // index must be empty; duplicate keys keep their first occurrence. This is
 // the fast path for seeding large datasets — one sorted pass per tree
@@ -56,7 +52,7 @@ func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 	}
 	parts := ix.partition(items)
 	return ix.eachTree(func(i int, t *btree.Tree) error {
-		_, err := t.BulkLoad(parts[i], ix.db.loadOptions())
+		_, err := t.BulkLoad(parts[i])
 		return err
 	})
 }
@@ -77,7 +73,7 @@ func (ix *Index) Rebuild(rel *Relation, keyOf vacuum.KeyOf) (RebuildStats, error
 	// Every shard rebuilds, even on an empty slice: a shard whose keys all
 	// vanished must drop its stale contents too.
 	err = ix.eachTree(func(i int, t *btree.Tree) (err error) {
-		loads[i], err = t.BulkReplace(parts[i], ix.db.loadOptions())
+		loads[i], err = t.BulkReplace(parts[i])
 		return err
 	})
 	if err != nil {

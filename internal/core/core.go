@@ -73,23 +73,19 @@ type Config struct {
 	Variant Variant
 	// PoolSize is the per-file buffer pool capacity in frames.
 	PoolSize int
-	// IndexOptions are passed through to every index.
-	IndexOptions btree.Options
-	// LoadFill is the leaf/internal fill factor for bulk loads and
-	// wholesale rebuilds, clamped to [0.5, 1.0] by the loader. Zero means
-	// btree.DefaultFillFactor.
-	LoadFill float64
-	// Supervisor configures the background repair supervisor and the
-	// quarantine backoff knobs applied to every pool the DB opens.
-	Supervisor SupervisorConfig
-	// FlushEvery, when positive, starts a background checkpoint daemon
-	// that writes dirty pages back on this interval, so commit-time
-	// forces stop paying for cold dirty pages (see flusher.go).
+	// FlushEvery, when positive, starts the DB's one background daemon:
+	// on this interval it writes dirty pages back, so commit-time forces
+	// stop paying for cold dirty pages, and then runs a repair sweep over
+	// the quarantined pages (see flusher.go). Zero runs neither.
 	FlushEvery time.Duration
 	// Obs, when non-nil, receives recovery events and metrics from every
 	// index and buffer pool the DB opens. A nil recorder costs one
 	// pointer check per instrumented site.
 	Obs *obs.Recorder
+
+	// indexPoolSize, when positive, sizes the index pools instead of
+	// PoolSize: a test seam for a heap pool smaller than the index's.
+	indexPoolSize int
 }
 
 // Events returns the recovery-event ring recorded so far, oldest first.
@@ -256,11 +252,10 @@ type DB struct {
 	rels    map[string]*Relation
 	indexes map[string]*Index
 
-	// Health-state machine (health.go) and repair supervisor
-	// (supervisor.go).
+	// Health-state machine (health.go), the daemon (flusher.go) and the
+	// repair supervisor's heal sources (supervisor.go).
 	health      atomic.Int32 // HealthState
 	healthDirty atomic.Bool
-	super       *supervisor
 	flush       *flusher
 	healSources map[string]healSource // index name -> heap rebuild source
 }
@@ -283,9 +278,6 @@ func Open(store Storage, cfg Config) (*DB, error) {
 		rels:        make(map[string]*Relation),
 		indexes:     make(map[string]*Index),
 		healSources: make(map[string]healSource),
-	}
-	if cfg.Supervisor.Enable {
-		db.startSupervisor()
 	}
 	db.startFlusher()
 	return db, nil
@@ -323,7 +315,6 @@ func (db *DB) CreateRelation(name string) (*Relation, error) {
 // state). Skipping Close models a crash; the next Open recovers.
 func (db *DB) Close() error {
 	db.stopFlusher()
-	db.stopSupervisor()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var firstErr error

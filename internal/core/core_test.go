@@ -474,8 +474,8 @@ func (m *faultStorage) exists(name string) bool {
 }
 
 // TestRetryCountedAcrossPools proves every pool the DB opens retries
-// transient I/O errors (buffer.DefaultRetryPolicy) and counts each retry on
-// the DB's recorder as io.retry: a workload over 5% transient failures
+// transient I/O errors (the buffer pool's retry policy) and counts each
+// retry on the DB's recorder as io.retry: a workload over 5% transient failures
 // completes with no surfaced errors.
 func TestRetryCountedAcrossPools(t *testing.T) {
 	fs := &faultStorage{

@@ -6,22 +6,27 @@ import (
 	"repro/internal/obs"
 )
 
-// The background checkpoint/flush daemon. Commit latency in the §2
-// discipline is dominated by forcing dirty pages at commit time; a page
-// dirtied long ago by some other transaction ("cold" dirt) still gets
-// paid for by whichever commit happens to force that file next. The
-// daemon writes dirty pages back on a timer, so the commit-time force
-// finds mostly clean pools and pays only for the committing batch's own
-// pages. Flushing early is always legal here: the unordered §2 sync may
-// run at any time without breaking the correctness argument — tuples are
-// invisible until the status table says otherwise, and the index repair
-// machinery tolerates any durable prefix of its writes.
+// The DB's one background daemon: a checkpoint, then a repair sweep, on
+// every tick of FlushEvery.
+//
+// The checkpoint: commit latency in the §2 discipline is dominated by
+// forcing dirty pages at commit time; a page dirtied long ago by some other
+// transaction ("cold" dirt) still gets paid for by whichever commit happens
+// to force that file next. The daemon writes dirty pages back on a timer, so
+// the commit-time force finds mostly clean pools and pays only for the
+// committing batch's own pages. Flushing early is always legal here: the
+// unordered §2 sync may run at any time without breaking the correctness
+// argument — tuples are invisible until the status table says otherwise,
+// and the index repair machinery tolerates any durable prefix of its writes.
+//
+// The sweep (SuperviseOnce, supervisor.go) drains the quarantine registries
+// off the callers' latency path. Repair stays part of normal processing: on
+// a healthy DB the sweep finds nothing due and costs a registry check per
+// pool.
 
 type flusher struct {
-	db    *DB
-	every time.Duration
-	stop  chan struct{}
-	done  chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
 // FlushAll syncs every open relation and every tree of every open index
@@ -49,22 +54,18 @@ func (db *DB) FlushAll() error {
 	return firstErr
 }
 
-// startFlusher launches the checkpoint loop; idempotent.
+// startFlusher launches the daemon when FlushEvery is positive.
 func (db *DB) startFlusher() {
-	if db.flush != nil || db.cfg.FlushEvery <= 0 {
+	if db.cfg.FlushEvery <= 0 {
 		return
 	}
-	f := &flusher{
-		db:    db,
-		every: db.cfg.FlushEvery,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+	f := &flusher{stop: make(chan struct{}), done: make(chan struct{})}
 	db.flush = f
-	go f.run()
+	go db.runFlusher(f)
 }
 
-// stopFlusher stops the loop and waits for an in-flight pass to finish.
+// stopFlusher stops the daemon and waits for an in-flight pass to finish;
+// it must run before the pools are closed.
 func (db *DB) stopFlusher() {
 	if db.flush == nil {
 		return
@@ -74,9 +75,9 @@ func (db *DB) stopFlusher() {
 	db.flush = nil
 }
 
-func (f *flusher) run() {
+func (db *DB) runFlusher(f *flusher) {
 	defer close(f.done)
-	t := time.NewTicker(f.every)
+	t := time.NewTicker(db.cfg.FlushEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -85,8 +86,10 @@ func (f *flusher) run() {
 		case <-t.C:
 			// Flush errors are transient-I/O territory; the pools'
 			// retry/quarantine machinery already owns reporting them,
-			// and the next commit's force will retry the sync anyway.
-			_ = f.db.FlushAll()
+			// the next commit's force will retry the sync anyway, and the
+			// sweep that follows is that machinery's slow path.
+			_ = db.FlushAll()
+			db.SuperviseOnce()
 		}
 	}
 }

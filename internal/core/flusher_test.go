@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +107,67 @@ func TestFlushAllCoversEveryShard(t *testing.T) {
 		}
 		if again, _, _ := d.Stats(); again != flushed {
 			t.Fatalf("shard %d: pool still held %d dirty pages after FlushAll", i, again-flushed)
+		}
+	}
+}
+
+// TestOneDaemon: a DB with FlushEvery > 0 starts exactly one goroutine of
+// its own, which checkpoints and sweeps, and Close joins it; with FlushEvery
+// zero it starts none.
+func TestOneDaemon(t *testing.T) {
+	// ours counts the live goroutines that package core started.
+	ours := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return strings.Count(string(buf), "created by repro/internal/core.")
+	}
+	for _, every := range []time.Duration{0, time.Millisecond} {
+		before := ours() // a DB another test left open for a crash keeps its daemon
+		rec := obs.New(64)
+		db, err := Open(Memory(), Config{FlushEvery: every, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := db.CreateRelation("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := db.CreateIndexN("t_pk", Shadow, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range ix.Trees() {
+			_ = tr.AwaitBound()
+		}
+		want := 0
+		if every > 0 {
+			want = 1
+			// A quarantined heap page with an intact durable image: the
+			// one goroutine's sweep must release it.
+			tx := db.Begin()
+			if _, err := rel.Insert(tx, []byte("row")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rel.Heap().Pool().QuarantinePage(1, "test: spurious quarantine", false)
+			deadline := time.Now().Add(5 * time.Second)
+			for db.Health() != Healthy || rec.Get(obs.FlushDaemon) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the daemon neither checkpointed nor swept: %+v", db.HealthReport())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if n := ours() - before; n != want {
+			t.Fatalf("FlushEvery %v: %d core goroutines, want %d", every, n, want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := ours() - before; n != 0 {
+			t.Fatalf("FlushEvery %v: %d core goroutines left after Close", every, n)
 		}
 	}
 }

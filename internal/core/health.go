@@ -14,8 +14,9 @@ import (
 // the state: a page repair could not restore degrades the DB instead of
 // failing it, a quarantined meta or root page (critical) withdraws write
 // service, and a critical page whose repair budget is spent marks the DB
-// failed. The background repair supervisor (supervisor.go) drains the
-// quarantine registries and promotes the DB back toward Healthy.
+// failed. The repair supervisor's sweep (supervisor.go), run by the daemon
+// after every checkpoint, drains the quarantine registries and promotes the
+// DB back toward Healthy.
 //
 //	Healthy  — no quarantined pages; all operations allowed.
 //	Degraded — quarantined non-critical pages; reads and writes continue,
@@ -71,7 +72,9 @@ func (db *DB) markHealthDirty() { db.healthDirty.Store(true) }
 // quarantine registry changed since the last read. Transitions are counted
 // (health.transition) and recorded in the event ring.
 func (db *DB) Health() HealthState {
-	if db.healthDirty.CompareAndSwap(true, false) {
+	// Load first: a failed CompareAndSwap still takes the cache line
+	// exclusive, and every read of a healthy DB passes through here.
+	if db.healthDirty.Load() && db.healthDirty.CompareAndSwap(true, false) {
 		next := db.computeHealth()
 		prev := HealthState(db.health.Swap(int32(next)))
 		if prev != next {
@@ -147,21 +150,9 @@ func (db *DB) readable() error {
 }
 
 // attachHealth hooks a freshly opened pool into the health machinery:
-// registry changes mark the health dirty, and the supervisor's backoff
-// knobs are applied.
+// registry changes mark the health dirty.
 func (db *DB) attachHealth(p *buffer.Pool) {
-	q := p.Quarantine()
-	sc := db.cfg.Supervisor
-	if sc.BaseBackoff > 0 {
-		q.BaseBackoff = sc.BaseBackoff
-	}
-	if sc.MaxBackoff > 0 {
-		q.MaxBackoff = sc.MaxBackoff
-	}
-	if sc.GiveUpAfter > 0 {
-		q.GiveUpAfter = sc.GiveUpAfter
-	}
-	q.SetNotify(db.markHealthDirty)
+	p.Quarantine().SetNotify(db.markHealthDirty)
 	// An index pool arrives with its bound walk already reading: whatever
 	// that quarantined before the hook was in place is picked up by the
 	// next Health read.

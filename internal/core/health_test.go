@@ -30,15 +30,16 @@ func buildFaultyDB(t *testing.T, rec *obs.Recorder, n, shards int) (*DB, Storage
 	return buildFaultyDBWith(t, Config{Obs: rec}, n, shards)
 }
 
+// testMaxBackoff caps the quarantine backoff of buildFaultyDB's pools, so
+// that every quarantined page is due again after 2*testMaxBackoff.
+const testMaxBackoff = 20 * time.Millisecond
+
 // buildFaultyDBWith is buildFaultyDB with cfg's pool sizes and recorder.
+// Every pool's quarantine backs off at most testMaxBackoff and gives up
+// after 50 attempts.
 func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
 	st := FaultyMemory(storage.FaultConfig{})
-	cfg.Supervisor = SupervisorConfig{
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		GiveUpAfter: 50,
-	}
 	db, err := Open(st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,10 @@ func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *
 	ix, err := db.CreateIndexN("acct_pk", Shadow, shards)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, np := range db.pools() {
+		q := np.pool.Quarantine()
+		q.MaxBackoff, q.GiveUpAfter = testMaxBackoff, 50
 	}
 	tx := db.Begin()
 	tids := make([]heap.TID, n)
@@ -332,20 +337,14 @@ func TestHealthFetchQuarantinedHeapPage(t *testing.T) {
 	}
 }
 
-// TestSupervisorGoroutineHealsHeapPage: the background goroutine (not a
-// manual SuperviseOnce) re-probes a quarantined heap page whose durable
-// image is intact and releases it, promoting the DB back to Healthy.
+// TestSupervisorGoroutineHealsHeapPage: the daemon's sweep after each
+// checkpoint (not a manual SuperviseOnce) re-probes a quarantined heap page
+// whose durable image is intact and releases it, promoting the DB back to
+// Healthy.
 func TestSupervisorGoroutineHealsHeapPage(t *testing.T) {
 	rec := obs.New(64)
 	st := FaultyMemory(storage.FaultConfig{})
-	db, err := Open(st, Config{
-		Obs: rec,
-		Supervisor: SupervisorConfig{
-			Enable:      true,
-			Interval:    2 * time.Millisecond,
-			BaseBackoff: time.Millisecond,
-		},
-	})
+	db, err := Open(st, Config{Obs: rec, FlushEvery: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +429,7 @@ func checkReseeded(t *testing.T, db *DB, rel *Relation, ix *Index, n int) {
 
 // TestSupervisorRebuildsFromHeap: when the index's durable source is truly
 // gone (stable corruption of several leaves in every tree), the supervisor
-// abandons the pages after RebuildAfter failed heals and re-seeds their key
+// abandons the pages after rebuildAfter failed heals and re-seeds their key
 // ranges from the heap relation — the authoritative copy. Every key comes
 // back, and every tree is strict-clean.
 func TestSupervisorRebuildsFromHeap(t *testing.T) {
@@ -440,7 +439,6 @@ func TestSupervisorRebuildsFromHeap(t *testing.T) {
 			rec := obs.New(obs.DefaultRingCap)
 			db, st, rel, ix, _ := buildFaultyDB(t, rec, n, shards)
 			defer db.Close()
-			db.cfg.Supervisor.RebuildAfter = 1
 			db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
 			damageLeaves(t, st, ix, 3)
@@ -448,7 +446,7 @@ func TestSupervisorRebuildsFromHeap(t *testing.T) {
 				t.Fatalf("health = %v, want Degraded", got)
 			}
 			// Attempt 1 fails (corruption persists); the next sweep crosses
-			// RebuildAfter and rebuilds from the heap.
+			// rebuildAfter and rebuilds from the heap.
 			deadline := time.Now().Add(10 * time.Second)
 			for db.Health() != Healthy {
 				if time.Now().After(deadline) {
@@ -474,7 +472,6 @@ func TestSupervisorWholesaleRebuild(t *testing.T) {
 	rec := obs.New(obs.DefaultRingCap)
 	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, 1)
 	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
 	all := liveLeaves(t, FaultDisks(st)[ix.fileName(0)], 1<<20)
@@ -513,11 +510,10 @@ func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
 	const shards, perTree = 4, 3
 	const n = 1500 * shards
 	db, st, rel, ix, _ := buildFaultyDBWith(t, Config{
-		PoolSize:     8, // heap frames: fewer than the heap's pages
-		IndexOptions: btree.Options{PoolSize: buffer.DefaultCapacity},
+		PoolSize:      8, // heap frames: fewer than the heap's pages
+		indexPoolSize: buffer.DefaultCapacity,
 	}, n, shards)
 	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 	heapPages := int64(rel.h.NumPages() - 1) // page 0 is the meta page
 	if heapPages <= 8 {
@@ -531,7 +527,7 @@ func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
 	if got := db.Health(); got != Degraded {
 		t.Fatalf("health after the first sweep = %v, want Degraded", got)
 	}
-	time.Sleep(2 * db.cfg.Supervisor.MaxBackoff) // every page due again
+	time.Sleep(2 * testMaxBackoff) // every page due again
 	if err := rel.h.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +551,6 @@ func TestSupervisorReseedFailureKeepsTickets(t *testing.T) {
 	const n = 1500
 	db, st, rel, ix, tids := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
 	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 	q := ix.Tree().Pool().Quarantine()
 
@@ -568,7 +563,7 @@ func TestSupervisorReseedFailureKeepsTickets(t *testing.T) {
 	if len(before) != 2 {
 		t.Fatalf("%d pages quarantined, want 2", len(before))
 	}
-	time.Sleep(2 * db.cfg.Supervisor.MaxBackoff)
+	time.Sleep(2 * testMaxBackoff)
 	rel.Heap().Pool().QuarantinePage(tids[0].PageNo, "test: unreadable heap page", false)
 	db.SuperviseOnce() // attempt 2 abandons both pages; the heap scan fails
 	after := q.List()
@@ -609,7 +604,6 @@ func TestSupervisorReseedKeepsInFlightKeys(t *testing.T) {
 	const n = 1500
 	db, st, rel, ix, _ := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
 	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
 	// inside sorts between keys 0 and 1, so it lands in the leftmost leaf,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,13 +81,7 @@ func (db *DB) CreateIndexN(name string, v Variant, n int) (_ *Index, err error) 
 			}
 		}
 	}()
-	opts := db.cfg.IndexOptions
-	if opts.PoolSize == 0 {
-		opts.PoolSize = db.cfg.PoolSize
-	}
-	if opts.Obs == nil {
-		opts.Obs = db.cfg.Obs
-	}
+	opts := btree.Options{PoolSize: cmp.Or(db.cfg.indexPoolSize, db.cfg.PoolSize), Obs: db.cfg.Obs}
 	for i := range ix.trees {
 		d, err := db.store.open(ix.fileName(i))
 		if err != nil {

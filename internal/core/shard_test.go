@@ -324,7 +324,6 @@ func TestShardedRebuildFromHeapRespectsRouting(t *testing.T) {
 	rec := obs.New(obs.DefaultRingCap)
 	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, nShards)
 	defer db.Close()
-	db.cfg.Supervisor.RebuildAfter = 1
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
 	const victim = 1

@@ -13,42 +13,26 @@ import (
 	"repro/internal/vacuum"
 )
 
-// The background repair supervisor. Quarantining a page (degraded.go in
-// internal/btree) keeps the foreground fast — a lookup that runs into an
-// unrecoverable page fails typed in microseconds instead of retrying the
-// repair inline. The supervisor owns the slow path: it periodically drains
-// each pool's quarantine registry, re-runs the §3.3/§3.4 repair machinery
-// off the caller's latency path with exponential backoff between attempts,
-// and — for index pages whose durable source is truly gone — abandons the
-// pages and re-seeds their key ranges from one pass over the heap relation,
-// which the no-overwrite storage system keeps as the authoritative copy
-// (§2). Each
-// successful heal shrinks the registry, and the lazy health recompute
-// promotes the DB back toward Healthy.
+// The repair supervisor. Quarantining a page (degraded.go in internal/btree)
+// keeps the foreground fast — a lookup that runs into an unrecoverable page
+// fails typed in microseconds instead of retrying the repair inline. The
+// supervisor owns the slow path: its sweep, which the daemon runs after
+// every checkpoint (flusher.go), drains each pool's quarantine registry,
+// re-runs the §3.3/§3.4 repair machinery off the caller's latency path with
+// exponential backoff between attempts, and — for index pages whose durable
+// source is truly gone — abandons the pages and re-seeds their key ranges
+// from one pass over the heap relation, which the no-overwrite storage
+// system keeps as the authoritative copy (§2). Each successful heal shrinks
+// the registry, and the lazy health recompute promotes the DB back toward
+// Healthy.
 
-// SupervisorConfig configures the background repair supervisor.
-type SupervisorConfig struct {
-	// Enable starts the supervisor goroutine in Open.
-	Enable bool
-	// Interval between quarantine sweeps. Zero means 25ms.
-	Interval time.Duration
-	// BaseBackoff/MaxBackoff bound the exponential delay between repair
-	// attempts on the same page. Zero keeps the registry defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// GiveUpAfter is the per-page repair attempt budget; once spent the
-	// page is marked GaveUp and, if critical, the DB goes Failed. Zero
-	// keeps the registry default.
-	GiveUpAfter int
-	// RebuildAfter is the attempt count after which an index page with a
-	// registered heal source (RegisterHeal) is abandoned and its key range
-	// rebuilt from the heap relation instead of repaired from index state;
-	// one heap scan per sweep serves every range the sweep abandons. Zero
-	// disables heap rebuilds.
-	RebuildAfter int
-}
-
-const defaultSupervisorInterval = 25 * time.Millisecond
+// rebuildAfter is the attempt count after which an index page with a
+// registered heal source (RegisterHeal) is abandoned and its key range
+// rebuilt from the heap relation instead of repaired from index state; one
+// heap scan per sweep serves every range the sweep abandons. A page that
+// failed one heal from index state has lost its durable source, so the
+// second attempt goes to the heap.
+const rebuildAfter = 1
 
 // healSource ties an index to the relation that can re-seed it.
 type healSource struct {
@@ -56,18 +40,11 @@ type healSource struct {
 	keyOf vacuum.KeyOf
 }
 
-type supervisor struct {
-	db   *DB
-	stop chan struct{}
-	done chan struct{}
-}
-
 // RegisterHeal tells the supervisor that ix is derived from rel: keyOf
 // extracts the indexed key from tuple data (the same contract as the
 // vacuum). With a heal source registered, quarantined pages of ix whose
-// repair keeps failing are abandoned after SupervisorConfig.RebuildAfter
-// attempts and their key range re-inserted from the heap. Rebuilds stay
-// shard-correct: when shard i's page is abandoned, only heap keys that hash
+// repair keeps failing are abandoned after rebuildAfter attempts and their
+// key range re-inserted from the heap. Rebuilds stay shard-correct: when shard i's page is abandoned, only heap keys that hash
 // to shard i are re-inserted.
 func (db *DB) RegisterHeal(ix *Index, rel *Relation, keyOf vacuum.KeyOf) {
 	db.mu.Lock()
@@ -75,48 +52,10 @@ func (db *DB) RegisterHeal(ix *Index, rel *Relation, keyOf vacuum.KeyOf) {
 	db.healSources[ix.name] = healSource{rel: rel, keyOf: keyOf}
 }
 
-// startSupervisor launches the sweep loop; idempotent.
-func (db *DB) startSupervisor() {
-	if db.super != nil {
-		return
-	}
-	s := &supervisor{db: db, stop: make(chan struct{}), done: make(chan struct{})}
-	db.super = s
-	go s.run()
-}
-
-// stopSupervisor halts the sweep loop and waits for an in-flight sweep to
-// finish; must run before the pools are closed.
-func (db *DB) stopSupervisor() {
-	if db.super == nil {
-		return
-	}
-	close(db.super.stop)
-	<-db.super.done
-	db.super = nil
-}
-
-func (s *supervisor) run() {
-	defer close(s.done)
-	interval := s.db.cfg.Supervisor.Interval
-	if interval <= 0 {
-		interval = defaultSupervisorInterval
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.db.SuperviseOnce()
-		}
-	}
-}
-
-// SuperviseOnce runs one supervisor sweep synchronously: every quarantined
-// page whose backoff deadline has passed gets one repair attempt. Exposed
-// so tests and tools can drive the supervisor without the timer.
+// SuperviseOnce runs one repair sweep synchronously: every quarantined page
+// whose backoff deadline has passed gets one repair attempt. The daemon
+// (flusher.go) runs one after each checkpoint; tests and tools call it to
+// drive the sweep without the timer.
 func (db *DB) SuperviseOnce() {
 	now := time.Now()
 	db.mu.Lock()
@@ -146,19 +85,25 @@ func (db *DB) SuperviseOnce() {
 // The trees of the index are swept side by side: each owns its own
 // quarantine registry, so concurrent heals share no state (the same
 // independence that lets post-crash recovery parallelize). A page below
-// RebuildAfter attempts is healed from index state; one at or past it is
+// rebuildAfter attempts is healed from index state; one at or past it is
 // abandoned, and every abandoned range of the index is then re-seeded from
-// one heap pass.
+// one heap pass. An index with nothing due is not fanned out at all.
 func (db *DB) superviseIndex(ix *Index, now time.Time) {
+	due := make([][]buffer.QuarantinedPage, len(ix.trees))
+	for i, t := range ix.trees {
+		due[i] = t.Pool().Quarantine().Due(now)
+	}
+	if !slices.ContainsFunc(due, func(es []buffer.QuarantinedPage) bool { return len(es) > 0 }) {
+		return
+	}
 	db.mu.Lock()
 	src, hasSrc := db.healSources[ix.name]
 	db.mu.Unlock()
-	rebuildAfter := db.cfg.Supervisor.RebuildAfter
 	abandoned := make([][]buffer.QuarantinedPage, len(ix.trees))
 	_ = ix.eachTree(func(i int, t *btree.Tree) error {
 		q := t.Pool().Quarantine()
-		for _, e := range q.Due(now) {
-			if hasSrc && rebuildAfter > 0 && e.Attempts >= rebuildAfter {
+		for _, e := range due[i] {
+			if hasSrc && e.Attempts >= rebuildAfter {
 				if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
 					db.repairFailed(q, e, err, true)
 				} else {

@@ -14,7 +14,7 @@ import (
 func Example() {
 	k := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 	disk := storage.NewMemDisk()
-	ix, err := exthash.Open(disk, 0)
+	ix, err := exthash.Open(disk, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func Example() {
 	}
 	fmt.Println("CRASH: half the pending pages reached the disk")
 
-	ix2, err := exthash.Open(disk, 0)
+	ix2, err := exthash.Open(disk, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

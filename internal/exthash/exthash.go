@@ -96,19 +96,13 @@ type Index struct {
 	Splits, Doublings, Repairs, DirRepairs uint64
 }
 
-// SetObs attaches a recorder to the index and its buffer pool. Call before
-// concurrent use; a nil recorder disables recording.
-func (ix *Index) SetObs(r *obs.Recorder) {
-	ix.mu.Lock()
-	ix.obs = r
-	ix.mu.Unlock()
-	ix.pool.SetObs(r)
-}
-
 // Open opens (creating if empty) an extensible hash index on disk. As with
 // the trees, there is no recovery pass: damage is repaired on first use.
-func Open(disk storage.Disk, poolSize int) (*Index, error) {
-	ix := &Index{pool: buffer.NewPool(disk, poolSize)}
+// rec, when non-nil, receives the index's and its buffer pool's events and
+// counters from the first read Open makes; nil disables recording.
+func Open(disk storage.Disk, poolSize int, rec *obs.Recorder) (*Index, error) {
+	ix := &Index{pool: buffer.NewPool(disk, poolSize), obs: rec}
+	ix.pool.SetObs(rec)
 	f, err := ix.pool.Get(0)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 func newIdx(t *testing.T) (*Index, *storage.MemDisk) {
 	t.Helper()
 	d := storage.NewMemDisk()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDelete(t *testing.T) {
 
 func TestReopen(t *testing.T) {
 	d := storage.NewMemDisk()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestReopen(t *testing.T) {
 	if err := ix.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := Open(d, 0)
+	ix2, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReopen(t *testing.T) {
 func crashScenario(t *testing.T, nPre, trigger int) *storage.MemDisk {
 	t.Helper()
 	d := storage.NewMemDisk()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func crashScenario(t *testing.T, nPre, trigger int) *storage.MemDisk {
 
 func verifyRecovered(t *testing.T, d *storage.MemDisk, committed int, label string) {
 	t.Helper()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
@@ -195,7 +195,7 @@ func verifyRecovered(t *testing.T, d *storage.MemDisk, committed int, label stri
 func findSplitTrigger(t *testing.T) int {
 	t.Helper()
 	d := storage.NewMemDisk()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestBucketSplitCrashAllSubsets(t *testing.T) {
 func TestDirectoryDoublingCrash(t *testing.T) {
 	// Find a trigger whose insert causes a doubling.
 	d0 := storage.NewMemDisk()
-	probe, err := Open(d0, 0)
+	probe, err := Open(d0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCrashFuzz(t *testing.T) {
 		committed := 0
 		next := 0
 		for round := 0; round < 6; round++ {
-			ix, err := Open(d, 0)
+			ix, err := Open(d, 0, nil)
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
@@ -339,7 +339,7 @@ func TestCrashFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ix, err := Open(d, 0)
+		ix, err := Open(d, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestCrashFuzz(t *testing.T) {
 func TestQuickMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ix, err := Open(storage.NewMemDisk(), 0)
+		ix, err := Open(storage.NewMemDisk(), 0, nil)
 		if err != nil {
 			return false
 		}

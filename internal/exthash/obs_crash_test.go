@@ -18,7 +18,7 @@ import (
 // trigger inserts and had no durable image before the crash.
 func splitCrashScenario(t *testing.T, d storage.Disk, nPre, trigger int) storage.PageNo {
 	t.Helper()
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,10 @@ func freshPending(t *testing.T, d storage.Crasher, wm storage.PageNo, want page.
 func recoverAsserting(t *testing.T, d storage.Disk, committed int, label string) *obs.Recorder {
 	t.Helper()
 	rec := obs.New(obs.DefaultRingCap)
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, rec)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
-	ix.SetObs(rec)
 	for i := 0; i < committed; i++ {
 		if _, err := ix.Lookup(key(i)); err != nil {
 			t.Fatalf("%s: committed key %d lost: %v", label, i, err)
@@ -160,11 +159,10 @@ func TestTornBucketRepairObserved(t *testing.T) {
 		t.Fatal("no write tore — scenario is vacuous")
 	}
 
-	ix, err := Open(d, 0)
+	ix, err := Open(d, 0, rec)
 	if err != nil {
 		t.Fatalf("reopen over torn pages: %v", err)
 	}
-	ix.SetObs(rec)
 	for i := 0; i < nPre; i++ {
 		if _, err := ix.Lookup(key(i)); err != nil {
 			t.Fatalf("committed key %d lost: %v", i, err)

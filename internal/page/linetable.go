@@ -16,9 +16,15 @@ func slotBase(i int) int { return HeaderSize + 2*i }
 
 // Slot returns the item offset stored in line-table entry i. The index may
 // address backup entries beyond NKeys (used by the page-reorganization
-// algorithm), as long as it stays below the lower bound.
+// algorithm), as long as it stays below the lower bound. An entry past the
+// end of the page, which only a damaged NKeys or PrevNKeys can name, reads
+// as offset 0: no item.
 func (p Page) Slot(i int) int {
-	return int(uint16(p[slotBase(i)]) | uint16(p[slotBase(i)+1])<<8)
+	b := slotBase(i)
+	if b+1 >= len(p) {
+		return 0
+	}
+	return int(uint16(p[b]) | uint16(p[b+1])<<8)
 }
 
 // setSlot stores an item offset in line-table entry i.

@@ -18,7 +18,7 @@ func Example() {
 		return rtree.Rect{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}
 	}
 	disk := storage.NewMemDisk()
-	tr, err := rtree.Open(disk, 0)
+	tr, err := rtree.Open(disk, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func Example() {
 	}
 	fmt.Println("CRASH: half the pending pages reached the disk")
 
-	tr2, err := rtree.Open(disk, 0)
+	tr2, err := rtree.Open(disk, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // trigger insert and had no durable image before the crash.
 func splitCrashScenario(t *testing.T, d storage.Disk, nPre, trigger int) storage.PageNo {
 	t.Helper()
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,10 @@ func freshNodes(t *testing.T, d storage.Crasher, wm storage.PageNo) []storage.Pa
 func recoverAsserting(t *testing.T, d storage.Disk, committed int, label string) *obs.Recorder {
 	t.Helper()
 	rec := obs.New(obs.DefaultRingCap)
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, rec)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
-	tr.SetObs(rec)
 	if err := tr.RecoverAll(); err != nil {
 		t.Fatalf("%s: RecoverAll: %v", label, err)
 	}
@@ -178,15 +177,15 @@ func TestTornHalfRepairObserved(t *testing.T) {
 		t.Fatal("no seed produced a checksum-visible tear of a split half")
 	}
 
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, rec)
 	if err != nil {
 		t.Fatalf("reopen over torn pages: %v", err)
 	}
-	// The recorder can only attach after Open, and Open itself may read
-	// (and zero-route) the torn page while verifying the root — so the
-	// classification is asserted through what it leads to: the rebuilt
-	// half, written over a zero-routed frame, counts io.tornrepair.
-	tr.SetObs(rec)
+	// Open reads every page it can reach (maxReferencedPage), the torn half
+	// among them: the pool zero-routes it there, before any repair runs.
+	if rec.Get(obs.ZeroRoute) == 0 {
+		t.Fatalf("Open read the torn half without zero-routing it; counters: %v", rec.Snapshot().Counters)
+	}
 	if err := tr.RecoverAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -172,18 +172,12 @@ type Tree struct {
 	Splits, Repairs, Widenings uint64
 }
 
-// SetObs attaches a recorder to the tree and its buffer pool. Call before
-// concurrent use; a nil recorder disables recording.
-func (t *Tree) SetObs(r *obs.Recorder) {
-	t.mu.Lock()
-	t.obs = r
-	t.mu.Unlock()
-	t.pool.SetObs(r)
-}
-
-// Open opens (creating if empty) an R-tree on disk.
-func Open(disk storage.Disk, poolSize int) (*Tree, error) {
-	t := &Tree{pool: buffer.NewPool(disk, poolSize)}
+// Open opens (creating if empty) an R-tree on disk. rec, when non-nil,
+// receives the tree's and its buffer pool's events and counters from the
+// first read Open makes; nil disables recording.
+func Open(disk storage.Disk, poolSize int, rec *obs.Recorder) (*Tree, error) {
+	t := &Tree{pool: buffer.NewPool(disk, poolSize), obs: rec}
+	t.pool.SetObs(rec)
 	f, err := t.pool.Get(0)
 	if err != nil {
 		return nil, err

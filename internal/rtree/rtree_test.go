@@ -13,7 +13,7 @@ import (
 func newTreeT(t *testing.T) (*Tree, *storage.MemDisk) {
 	t.Helper()
 	d := storage.NewMemDisk()
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestQuadraticSplitDeterministic(t *testing.T) {
 
 func TestReopen(t *testing.T) {
 	d := storage.NewMemDisk()
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestReopen(t *testing.T) {
 	if err := tr.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Open(d, 0)
+	tr2, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestReopen(t *testing.T) {
 func crashScenario(t *testing.T, nPre, trigger int) *storage.MemDisk {
 	t.Helper()
 	d := storage.NewMemDisk()
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func crashScenario(t *testing.T, nPre, trigger int) *storage.MemDisk {
 
 func verifyRecovered(t *testing.T, d *storage.MemDisk, committed int, label string) {
 	t.Helper()
-	tr, err := Open(d, 0)
+	tr, err := Open(d, 0, nil)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
@@ -358,7 +358,7 @@ func TestCrashFuzz(t *testing.T) {
 		d := storage.NewMemDisk()
 		committed := 0
 		for round := 0; round < 6; round++ {
-			tr, err := Open(d, 0)
+			tr, err := Open(d, 0, nil)
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
@@ -418,7 +418,7 @@ func TestCrashFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tr, err := Open(d, 0)
+		tr, err := Open(d, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func containsID(hits []Hit, id uint64) bool {
 func TestQuickMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, err := Open(storage.NewMemDisk(), 0)
+		tr, err := Open(storage.NewMemDisk(), 0, nil)
 		if err != nil {
 			return false
 		}

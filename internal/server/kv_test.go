@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -353,4 +354,35 @@ func BenchmarkKVScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkKVGetParallel: warm GETs below the wire from every benchmark
+// goroutine at once over 20k resident keys, as the read-hot workload's GETs
+// meet them. Run with -cpu 1,2 (and more) to see what readers contend on.
+func BenchmarkKVGetParallel(b *testing.B) {
+	db, srv, _ := openServer(b, core.Memory(), 0, Options{})
+	defer db.Close()
+	kv := srv.KV()
+	const n = 20000
+	for from := 0; from < n; from += 500 {
+		var keys, vals [][]byte
+		for i := from; i < from+500; i++ {
+			keys = append(keys, kvKey(i))
+			vals = append(vals, []byte(fmt.Sprintf("%-100d", i)))
+		}
+		if err := kv.WithTxn(nil, func(tx *core.Txn) error { return kv.PutBatch(tx, keys, vals) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		for pb.Next() {
+			if _, found, err := kv.Get(kvKey(rng.Intn(n))); err != nil || !found {
+				b.Fatalf("GET: found %v, %v", found, err)
+			}
+		}
+	})
 }

@@ -682,6 +682,57 @@ func TestServerQuarantinedHeapPage(t *testing.T) {
 	}
 }
 
+// TestServerSweepHealsQuarantinedHeapPage: a store served with the daemon
+// on (FlushEvery > 0, as fastrec-server runs) heals a quarantined heap page
+// by itself: the sweep after a checkpoint finds the page's durable image
+// clean and releases it. Until then every reply over the wire is the typed
+// quarantine error, never a missing key or a wrong value.
+func TestServerSweepHealsQuarantinedHeapPage(t *testing.T) {
+	rec := obs.New(64)
+	db, err := core.Open(core.Memory(), core.Config{FlushEvery: 2 * time.Millisecond, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := New(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	cl := dial(t, srv)
+	cl.expect("PUT alpha one", "OK")
+	cl.expect("PUT alpha two", "OK")
+
+	srv.kv.rel.Heap().Pool().QuarantinePage(1, "test: spurious quarantine", false)
+	deadline := time.Now().Add(5 * time.Second)
+	for quarantined := 0; ; quarantined++ {
+		got := cl.do("GET alpha")
+		if got == "OK two" {
+			break
+		}
+		if !strings.HasPrefix(got, "ERR quarantined ") {
+			t.Fatalf("GET alpha after %d quarantined replies: %q, want OK two or ERR quarantined", quarantined, got)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the daemon never released the heap page; report: %+v", db.HealthReport())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := db.Health(); got != core.Healthy {
+		t.Fatalf("health after the sweep = %v, want healthy", got)
+	}
+	if rec.Get(obs.SupervisorRepair) == 0 {
+		t.Fatal("supervisor.repair not counted")
+	}
+	cl.expect("PUT alpha three", "OK")
+	if rows, final := cl.scan("SCAN - - 10"); final != "OK 1" || len(rows) != 1 || rows[0] != "alpha three" {
+		t.Fatalf("SCAN after the sweep: rows=%v final=%q", rows, final)
+	}
+}
+
 // TestServerShardedSmokeAndCrashRecover runs the protocol against a
 // multi-shard primary index of every served variant: writes hash across
 // shards, SCAN merges the per-shard streams in key order, STATS exposes the
