@@ -3,9 +3,9 @@
 # coverage gate + the degraded-mode/quarantine gate + nested-fault crash
 # rounds + a one-iteration smoke of the parallel benchmarks + the serving
 # layer smoke (full protocol over TCP, crash-recover round, group-commit
-# batching under concurrent clients) + the sharding, hot-path and bulk-load
-# gates + the restart gate (Open's read budget, the allocation-bound walk
-# behind it, what a one-shard index call costs) + the read-ahead gate
+# batching under concurrent clients) + the hot-path and bulk-load gates + the
+# restart gate (Open's read budget, the allocation-bound walk behind it, what
+# an index call costs beside its tree's) + the read-ahead gate
 # (hint-only semantics, the overlap of one request's cold reads, lifecycle) +
 # the commit gate (the status append's crash enumeration, the XID ceiling,
 # Sync under the shared tree lock, FileDisk without a mutex across its system
@@ -14,9 +14,9 @@
 
 GO ?= go
 
-.PHONY: options check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
+.PHONY: options check vet build test test-short race repair-coverage quarantine nested-faults bench bench-smoke server-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
 
-check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke shard-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
+check: vet build test race repair-coverage quarantine nested-faults bench-smoke server-smoke hotpath-smoke bulkload-smoke restart-smoke readahead-smoke commit-smoke benchmark-smoke
 
 # The option count, by one rule: the exported fields of every struct whose
 # name ends in Options, Config or Policy in non-test Go outside benchmark/,
@@ -94,8 +94,8 @@ bench:
 
 # The serving-layer gate: every protocol verb over real TCP, graceful
 # shutdown draining an in-flight commit, the wire-level crash-recover round
-# (one tree and four shards) for each served variant — shadow, reorg and
-# hybrid —, zero server options serving shadow, concurrent clients
+# for each served variant — shadow, reorg and hybrid —, a store that holds a
+# shard count refused, zero server options serving shadow, concurrent clients
 # actually coalescing in the group-commit coordinator, and Close joining
 # every goroutine the server started, even against a racing Listen — all
 # under the race detector, plus the coordinator's own crash-semantics tests
@@ -105,22 +105,6 @@ server-smoke:
 	$(GO) test -race ./internal/server
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSession$$' -fuzztime 10s
 	$(GO) test -race ./internal/txn -run 'TestGroupCommit|TestBatch|TestSpill|TestCommit|TestStatusAppend|TestVisibility'
-
-# The sharding gate, all under the race detector: core.Index's merged scans
-# (order, bounds, prefixes, a degraded leg reported once, the merge over one
-# leg) and its parallel recovery sweep (one corrupted leaf reported by every
-# sweep, a crash with pending writes in every tree), the core index at four
-# shards (crash/recover with every shard dirty, a shard count other than the
-# one on disk refused in every direction, the checkpoint reaching every
-# shard, supervisor healing a fault in every shard, heap rebuilds that
-# respect shard routing), the txn layer's parallel force fan-out across sync
-# domains, and a multi-shard server crash/recover round and the refused
-# restarts over real TCP.
-shard-smoke:
-	$(GO) test -race ./internal/core -run 'TestMergeScanOrdering|TestMergeScanBounds|TestMergeScanPrefixSpansShards|TestDegradedShardDoesNotPoisonMerge|TestRouterRecoverParallel|TestRealTreeRecoverThroughRouter'
-	$(GO) test -race ./internal/core -run 'TestShard|TestFlushAllCoversEveryShard|TestHealthDegradedServesAndSupervisorHeals'
-	$(GO) test -race ./internal/txn -run TestBatchForce
-	$(GO) test -race ./internal/server -run TestServerShard
 
 # The hot-path gate: the zero-allocation point-op assertions (a warm lookup
 # hit and a no-split insert must not touch the heap) and the allocation bounds
@@ -135,8 +119,8 @@ hotpath-smoke:
 	$(GO) test -race ./internal/server -run TestServerMput
 
 # The bulk-load gate: the loader's differential and property tests against
-# the insert path, the core bulk-load/rebuild-from-heap layer at one shard
-# and at four (and the supervisor's one-pass heap reseed: every key back,
+# the insert path, the core bulk-load/rebuild-from-heap layer (and the
+# supervisor's one-pass heap reseed: every key back,
 # in-flight ones included, strict-clean, one heap pass per sweep) under the
 # race detector, the dump tool's rebuild round trip, and crash enumeration at
 # every sync point of a bulk load and a wholesale rebuild for two variants.
@@ -149,7 +133,7 @@ bulkload-smoke:
 
 # The restart gate, under the race detector: btree.Open and core.CreateIndex
 # complete the same one or two device reads whatever the size of the index;
-# a one-shard index call allocates and reads what its tree's does; lookups
+# an index call allocates and reads what its tree's does; lookups
 # and scans are served while the background allocation-bound walk is held,
 # and an insert waits for it; a parent that points past a lost file extension
 # still bounds the next allocation; a reopened crash image takes lookups,

@@ -25,7 +25,7 @@
 // index serving:
 //
 //	fastrec-dump rebuild -dir dbdir -rel acct -index acct_pk
-//	fastrec-dump rebuild -dir dbdir -rel acct -index acct_pk -shards 4
+//	fastrec-dump rebuild -dir dbdir -rel acct -index acct_pk -variant reorg
 //
 // The trace subcommand replays recovery with the observability recorder
 // attached and pretty-prints the resulting event timeline — every injected

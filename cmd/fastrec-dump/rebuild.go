@@ -24,10 +24,9 @@ func runRebuild(args []string) {
 	rRel := fs.String("rel", "", "heap relation name (required)")
 	rIndex := fs.String("index", "", "index name (required)")
 	rVariant := fs.String("variant", "shadow", "index variant: normal, shadow, reorg, hybrid")
-	rShards := fs.Int("shards", 0, "shard count of the index (0 or 1 = one tree)")
 	_ = fs.Parse(args)
 	if *rDir == "" || *rRel == "" || *rIndex == "" {
-		fmt.Fprintln(os.Stderr, "usage: fastrec-dump rebuild -dir <dbdir> -rel <name> -index <name> [-variant v] [-shards n]")
+		fmt.Fprintln(os.Stderr, "usage: fastrec-dump rebuild -dir <dbdir> -rel <name> -index <name> [-variant v]")
 		os.Exit(2)
 	}
 	variant, err := btree.ParseVariant(*rVariant)
@@ -42,18 +41,18 @@ func runRebuild(args []string) {
 		fmt.Fprintf(os.Stderr, "rebuild: %s does not hold a DB (no control.pg): %v\n", *rDir, err)
 		os.Exit(1)
 	}
-	stats, err := rebuildDir(*rDir, *rRel, *rIndex, variant, *rShards)
+	stats, err := rebuildDir(*rDir, *rRel, *rIndex, variant)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("rebuild: %d visible keys -> %d leaves, %d internal pages, %d levels across %d shard(s) in %v\n",
-		stats.Keys, stats.Leaves, stats.Internal, stats.Levels, stats.Shards, stats.Wall.Round(time.Millisecond))
+	fmt.Printf("rebuild: %d visible keys -> %d leaves, %d internal pages, %d levels in %v\n",
+		stats.Keys, stats.Leaves, stats.Internal, stats.Levels, stats.Wall.Round(time.Millisecond))
 }
 
 // rebuildDir opens the directory-backed DB and rebuilds the named index
 // from the named relation with the identity keyOf.
-func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards int) (core.RebuildStats, error) {
+func rebuildDir(dir, relName, indexName string, variant btree.Variant) (core.RebuildStats, error) {
 	db, err := core.Open(core.Dir(dir), core.Config{})
 	if err != nil {
 		return core.RebuildStats{}, err
@@ -63,7 +62,7 @@ func rebuildDir(dir, relName, indexName string, variant btree.Variant, shards in
 	if err != nil {
 		return core.RebuildStats{}, err
 	}
-	ix, err := db.CreateIndexN(indexName, variant, shards)
+	ix, err := db.CreateIndex(indexName, variant)
 	if err != nil {
 		return core.RebuildStats{}, err
 	}

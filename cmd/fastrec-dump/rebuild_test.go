@@ -56,12 +56,12 @@ func TestRebuildDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := rebuildDir(dir, "acct", "acct_pk", btree.Shadow, 0)
+	stats, err := rebuildDir(dir, "acct", "acct_pk", btree.Shadow)
 	if err != nil {
 		t.Fatalf("rebuildDir: %v", err)
 	}
 	want := n - (n+3)/4
-	if stats.Keys != want || stats.Shards != 1 || stats.Leaves == 0 {
+	if stats.Keys != want || stats.Leaves == 0 {
 		t.Fatalf("stats = %+v, want %d keys", stats, want)
 	}
 

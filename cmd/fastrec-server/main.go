@@ -35,7 +35,6 @@ var (
 	dir     = flag.String("dir", "", "data directory (empty = volatile in-memory storage)")
 	variant = flag.String("variant", "shadow", "index recovery technique: shadow, reorg, hybrid")
 	pool    = flag.Int("pool", 0, "buffer pool frames per file (0 = default)")
-	shards  = flag.Int("shards", 1, "partition the primary index across N independent trees (1 = single tree)")
 	flush   = flag.Duration("flush", 50*time.Millisecond, "interval of the background daemon: a checkpoint, then a repair sweep (0 disables both)")
 	drain   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	obsHTTP = flag.String("obs-http", "", "serve expvar metrics (obs snapshot + health) on this address, e.g. :8080")
@@ -67,7 +66,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv, err := server.New(db, server.Options{Variant: v, Shards: *shards, DrainTimeout: *drain})
+	srv, err := server.New(db, server.Options{Variant: v, DrainTimeout: *drain})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "server: %v\n", err)
 		os.Exit(1)
@@ -76,8 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "listen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "fastrec-server: serving on %s (storage: %s, variant: %s, shards: %d)\n",
-		srv.Addr(), storageDesc(), *variant, *shards)
+	fmt.Fprintf(os.Stderr, "fastrec-server: serving on %s (storage: %s, variant: %s)\n",
+		srv.Addr(), storageDesc(), *variant)
 
 	if *obsHTTP != "" {
 		rec.Publish("fastrec")

@@ -6,9 +6,7 @@ package core
 // the insert path, and Rebuild scans the heap relation — the
 // no-overwrite storage system's authoritative copy (§2) — collects every
 // live tuple version, and swaps a freshly packed tree over the old structure
-// in one durable root install. An index of several trees fans both out per
-// shard in parallel: Index.shardOf's key hash is the ownership filter, so each
-// shard rebuilds exactly the keys it would serve.
+// in one durable root install.
 
 import (
 	"fmt"
@@ -24,24 +22,14 @@ type RebuildStats struct {
 	Keys     int           // live heap tuple versions fed to the loader
 	Leaves   int           // leaf pages written
 	Internal int           // internal pages written
-	Levels   int           // height of the tallest rebuilt tree
-	Shards   int           // trees rebuilt (1 for a single-tree index)
+	Levels   int           // height of the rebuilt tree
 	Wall     time.Duration // end-to-end reconstruction time
-}
-
-func (s *RebuildStats) merge(ls btree.LoadStats) {
-	s.Keys += ls.Keys
-	s.Leaves += ls.Leaves
-	s.Internal += ls.Internal
-	if ls.Levels > s.Levels {
-		s.Levels = ls.Levels
-	}
 }
 
 // BulkLoad builds the index bottom-up from parallel key/TID slices. The
 // index must be empty; duplicate keys keep their first occurrence. This is
-// the fast path for seeding large datasets — one sorted pass per tree
-// instead of a descent per key.
+// the fast path for seeding large datasets — one sorted pass instead of a
+// descent per key.
 func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 	if err := ix.db.writable(); err != nil {
 		return err
@@ -50,41 +38,28 @@ func (ix *Index) BulkLoad(keys [][]byte, tids []heap.TID) error {
 	if err != nil {
 		return err
 	}
-	parts := ix.partition(items)
-	return ix.eachTree(func(i int, t *btree.Tree) error {
-		_, err := t.BulkLoad(parts[i])
-		return err
-	})
+	_, err = ix.tree.BulkLoad(items)
+	return err
 }
 
 // Rebuild reconstructs the index wholesale from the heap relation: one heap
-// scan feeds every live tuple version's key (via keyOf) to the bottom-up loader
-// of the tree that owns it, and each new tree atomically replaces the old
-// one. Unlike the insert path it is deliberately not gated on DB health —
-// rebuilding a damaged index is how a degraded DB gets back to Healthy.
+// scan feeds every live tuple version's key (via keyOf) to the bottom-up
+// loader, and the new tree atomically replaces the old one. Unlike the
+// insert path it is deliberately not gated on DB health — rebuilding a
+// damaged index is how a degraded DB gets back to Healthy.
 func (ix *Index) Rebuild(rel *Relation, keyOf vacuum.KeyOf) (RebuildStats, error) {
 	start := time.Now()
 	items, err := ix.db.collectHeapItems(rel, keyOf, nil)
 	if err != nil {
 		return RebuildStats{}, err
 	}
-	parts := ix.partition(items)
-	loads := make([]btree.LoadStats, len(ix.trees))
-	// Every shard rebuilds, even on an empty slice: a shard whose keys all
-	// vanished must drop its stale contents too.
-	err = ix.eachTree(func(i int, t *btree.Tree) (err error) {
-		loads[i], err = t.BulkReplace(parts[i])
-		return err
-	})
+	ls, err := ix.tree.BulkReplace(items)
 	if err != nil {
 		return RebuildStats{}, err
 	}
-	stats := RebuildStats{Shards: len(ix.trees), Wall: time.Since(start)}
-	for _, ls := range loads {
-		stats.merge(ls)
-	}
 	ix.db.markHealthDirty()
-	return stats, nil
+	return RebuildStats{Keys: ls.Keys, Leaves: ls.Leaves, Internal: ls.Internal,
+		Levels: ls.Levels, Wall: time.Since(start)}, nil
 }
 
 // loadItems zips parallel key/TID slices into loader items.

@@ -319,10 +319,8 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	var firstErr error
 	for _, ix := range db.indexes {
-		for _, t := range ix.trees {
-			if err := t.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := ix.tree.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	for _, r := range db.rels {
@@ -431,41 +429,20 @@ func MakeUnique(key []byte, tid heap.TID) []byte {
 	return append(out, tid.Bytes()...)
 }
 
-// VacuumIndex regenerates the index freelist (§3.3.3), tree by tree.
+// VacuumIndex regenerates the index freelist (§3.3.3).
 func (db *DB) VacuumIndex(ix *Index) (vacuum.IndexStats, error) {
-	var total vacuum.IndexStats
-	for _, t := range ix.trees {
-		st, err := vacuum.Index(t)
-		total.ScannedPages += st.ScannedPages
-		total.ReachablePages += st.ReachablePages
-		total.Reclaimed += st.Reclaimed
-		total.AlreadyFree += st.AlreadyFree
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return vacuum.Index(ix.tree)
 }
 
 // VacuumRelation reclaims dead tuple versions and removes the index keys
 // pointing at them. keyOf extracts the indexed key from tuple data.
 func (db *DB) VacuumRelation(rel *Relation, ix *Index, keyOf vacuum.KeyOf) (vacuum.HeapStats, error) {
 	oldest := db.mgr.HighestCommitted() + 1
-	var keys vacuum.KeyIndex
+	var tree *btree.Tree
 	if ix != nil {
-		keys = indexKeys{ix}
+		tree = ix.tree
 	}
-	return vacuum.Heap(rel.h, db.mgr, oldest, keys, keyOf)
-}
-
-// indexKeys is an index as the vacuum's KeyIndex: a key's lookup and delete
-// go to the tree that owns it, and a sync forces every tree.
-type indexKeys struct{ ix *Index }
-
-func (k indexKeys) Lookup(key []byte) ([]byte, error) { return k.ix.pick(key).Lookup(key) }
-func (k indexKeys) Delete(key []byte) error           { return k.ix.pick(key).Delete(key) }
-func (k indexKeys) Sync() error {
-	return k.ix.eachTree(func(_ int, t *btree.Tree) error { return t.Sync() })
+	return vacuum.Heap(rel.h, db.mgr, oldest, tree, keyOf)
 }
 
 // Relations lists the open relations, sorted by name.

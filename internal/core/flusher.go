@@ -29,9 +29,9 @@ type flusher struct {
 	done chan struct{}
 }
 
-// FlushAll syncs every open relation and every tree of every open index
-// once — a checkpoint. It never touches the transaction status table, so it
-// can never make an uncommitted transaction visible.
+// FlushAll syncs every open relation and every open index once — a
+// checkpoint. It never touches the transaction status table, so it can
+// never make an uncommitted transaction visible.
 func (db *DB) FlushAll() error {
 	db.mu.Lock()
 	syncers := make([]interface{ Sync() error }, 0, len(db.rels)+len(db.indexes))
@@ -39,9 +39,7 @@ func (db *DB) FlushAll() error {
 		syncers = append(syncers, r.h)
 	}
 	for _, ix := range db.indexes {
-		for _, t := range ix.trees {
-			syncers = append(syncers, t)
-		}
+		syncers = append(syncers, ix.tree)
 	}
 	db.mu.Unlock()
 	var firstErr error

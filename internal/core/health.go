@@ -113,16 +113,14 @@ type namedPool struct {
 	pool *buffer.Pool
 }
 
-// pools snapshots every open buffer pool: each tree of each index, then the
-// relations.
+// pools snapshots every open buffer pool: each index's, then the
+// relations'.
 func (db *DB) pools() []namedPool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]namedPool, 0, len(db.indexes)+len(db.rels))
 	for _, ix := range db.indexes {
-		for i, t := range ix.trees {
-			out = append(out, namedPool{ix.fileName(i), t.Pool()})
-		}
+		out = append(out, namedPool{ix.fileName(), ix.tree.Pool()})
 	}
 	for name, r := range db.rels {
 		out = append(out, namedPool{"rel_" + name, r.h.Pool()})

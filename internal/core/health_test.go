@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -23,11 +22,10 @@ func healthKey(i int) []byte {
 }
 
 // buildFaultyDB opens a DB on fault-injectable memory storage and commits n
-// keys through a relation + shadow index pair, the index partitioned across
-// shards trees (tuple data = index key).
-func buildFaultyDB(t *testing.T, rec *obs.Recorder, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
+// keys through a relation + shadow index pair (tuple data = index key).
+func buildFaultyDB(t *testing.T, rec *obs.Recorder, n int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
-	return buildFaultyDBWith(t, Config{Obs: rec}, n, shards)
+	return buildFaultyDBWith(t, Config{Obs: rec}, n)
 }
 
 // testMaxBackoff caps the quarantine backoff of buildFaultyDB's pools, so
@@ -37,7 +35,7 @@ const testMaxBackoff = 20 * time.Millisecond
 // buildFaultyDBWith is buildFaultyDB with cfg's pool sizes and recorder.
 // Every pool's quarantine backs off at most testMaxBackoff and gives up
 // after 50 attempts.
-func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *Relation, *Index, []heap.TID) {
+func buildFaultyDBWith(t *testing.T, cfg Config, n int) (*DB, Storage, *Relation, *Index, []heap.TID) {
 	t.Helper()
 	st := FaultyMemory(storage.FaultConfig{})
 	db, err := Open(st, cfg)
@@ -48,7 +46,7 @@ func buildFaultyDBWith(t *testing.T, cfg Config, n, shards int) (*DB, Storage, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := db.CreateIndexN("acct_pk", Shadow, shards)
+	ix, err := db.CreateIndex("acct_pk", Shadow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,51 +111,41 @@ func liveLeaves(t *testing.T, d storage.Disk, max int) []storage.PageNo {
 	return leaves
 }
 
-// TestHealthDegradedServesAndSupervisorHeals is the acceptance scenario, for
-// an index of one tree and of four: unrecoverable sector pairs in EVERY tree
-// drive the DB Healthy -> Degraded; every non-quarantined key keeps being
-// served correctly (scans skip-and-report in global key order, point reads
-// fail typed); the health report names every damaged file; the supervisor's
-// repair attempts fail while the faults persist and return the DB to Healthy
-// once they clear — all of it attested by counters.
+// TestHealthDegradedServesAndSupervisorHeals is the acceptance scenario:
+// unrecoverable sector pairs in the index drive the DB Healthy -> Degraded;
+// every non-quarantined key keeps being served correctly (scans
+// skip-and-report in key order, point reads fail typed); the health report
+// names the damaged file; the supervisor's repair attempts fail while the
+// faults persist and return the DB to Healthy once they clear — all of it
+// attested by counters.
 func TestHealthDegradedServesAndSupervisorHeals(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testDegradedServesAndHeals(t, shards)
-		})
-	}
+	// The subtest keeps the name it had when an index could span several
+	// trees.
+	t.Run("shards=1", testDegradedServesAndHeals)
 }
 
-func testDegradedServesAndHeals(t *testing.T, shards int) {
-	n := 1500 * shards
+func testDegradedServesAndHeals(t *testing.T) {
+	const n = 1500
 	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix, tids := buildFaultyDB(t, rec, n, shards)
+	db, st, rel, ix, tids := buildFaultyDB(t, rec, n)
 	defer db.Close()
 
 	if got := db.Health(); got != Healthy {
 		t.Fatalf("fresh DB health = %v, want Healthy", got)
 	}
 
-	type hit struct {
-		fd *storage.FaultDisk
-		no storage.PageNo
+	fd := FaultDisks(st)[ix.fileName()]
+	if fd == nil {
+		t.Fatal("no fault disk for the index")
 	}
-	var hits []hit
-	for i, tr := range ix.Trees() {
-		fd := FaultDisks(st)[ix.fileName(i)]
-		if fd == nil {
-			t.Fatalf("no fault disk for tree %d", i)
-		}
-		leaves := liveLeaves(t, fd, 2)
-		if len(leaves) == 0 {
-			t.Fatalf("tree %d has no live leaves — scenario is vacuous", i)
-		}
-		for _, no := range leaves {
-			fd.AddPermanentBadSector(no)
-			hits = append(hits, hit{fd, no})
-		}
-		tr.Pool().InvalidateAll()
+	hits := liveLeaves(t, fd, 2)
+	if len(hits) == 0 {
+		t.Fatal("the index has no live leaves — scenario is vacuous")
 	}
+	for _, no := range hits {
+		fd.AddPermanentBadSector(no)
+	}
+	ix.Tree().Pool().InvalidateAll()
 
 	// Degraded scan: every emitted key must be correct and in order, every
 	// committed key accounted for as served or reported-skipped.
@@ -178,8 +166,8 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatalf("ScanDegraded: %v", err)
 	}
-	if len(rep.Skipped) < shards {
-		t.Fatalf("skipped %d ranges, want >= %d (one per damaged tree)", len(rep.Skipped), shards)
+	if len(rep.Skipped) == 0 {
+		t.Fatal("skipped no range over damaged leaves")
 	}
 	inSkipped := func(key []byte) bool {
 		for _, s := range rep.Skipped {
@@ -207,7 +195,7 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 		t.Fatal("no committed key in the quarantined ranges — scenario is vacuous")
 	}
 
-	// Health machine (one report entry per damaged file) + typed point reads.
+	// Health machine (a report entry for the damaged file) + typed point reads.
 	if got := db.Health(); got != Degraded {
 		t.Fatalf("health with quarantined leaves = %v, want Degraded", got)
 	}
@@ -218,10 +206,8 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 	for _, e := range db.HealthReport().Quarantined {
 		files[e.File] = true
 	}
-	for i := range ix.Trees() {
-		if !files[ix.fileName(i)] {
-			t.Fatalf("HealthReport missing %s: %+v", ix.fileName(i), db.HealthReport())
-		}
+	if !files[ix.fileName()] {
+		t.Fatalf("HealthReport missing %s: %+v", ix.fileName(), db.HealthReport())
 	}
 	for i := 0; i < n; i++ {
 		if !emitted[i] {
@@ -242,10 +228,10 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 		t.Fatalf("health after failed supervision = %v, want Degraded", got)
 	}
 
-	// Faults clear; the supervisor heals every tree and promotes the DB.
-	for _, h := range hits {
-		if !h.fd.ClearBadSector(h.no) {
-			t.Fatalf("bad sector %d was not registered", h.no)
+	// Faults clear; the supervisor heals the tree and promotes the DB.
+	for _, no := range hits {
+		if !fd.ClearBadSector(no) {
+			t.Fatalf("bad sector %d was not registered", no)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -256,8 +242,8 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 		time.Sleep(5 * time.Millisecond) // let the per-page backoff pass
 		db.SuperviseOnce()
 	}
-	if rec.Get(obs.SupervisorRepair) < uint64(shards) {
-		t.Fatalf("supervisor.repair = %d, want >= %d", rec.Get(obs.SupervisorRepair), shards)
+	if rec.Get(obs.SupervisorRepair) == 0 {
+		t.Fatal("supervisor.repair not counted")
 	}
 	for i := 0; i < n; i++ {
 		data, err := ix.FetchVisible(rel, healthKey(i))
@@ -271,7 +257,7 @@ func testDegradedServesAndHeals(t *testing.T, shards int) {
 // write service; an exhausted critical repair budget fails the DB.
 func TestHealthReadOnlyAndFailed(t *testing.T) {
 	rec := obs.New(64)
-	db, _, rel, ix, tids := buildFaultyDB(t, rec, 50, 1)
+	db, _, rel, ix, tids := buildFaultyDB(t, rec, 50)
 	defer db.Close()
 
 	p := ix.Tree().Pool()
@@ -324,7 +310,7 @@ func TestHealthReadOnlyAndFailed(t *testing.T) {
 // not serve fails with ErrQuarantined, not ErrNoSuchTuple, so that no reader
 // takes it for a dead version; released, the page serves it again.
 func TestHealthFetchQuarantinedHeapPage(t *testing.T) {
-	db, _, rel, _, tids := buildFaultyDB(t, obs.New(64), 10, 1)
+	db, _, rel, _, tids := buildFaultyDB(t, obs.New(64), 10)
 	defer db.Close()
 	p := rel.Heap().Pool()
 	p.QuarantinePage(tids[0].PageNo, "test: unreadable heap page", false)
@@ -379,24 +365,22 @@ func TestSupervisorGoroutineHealsHeapPage(t *testing.T) {
 	}
 }
 
-// damageLeaves corrupts the durable image of perTree live leaves in every
-// tree of ix, drops the trees' cached pages, and quarantines the leaves with
-// a degraded scan. It returns how many pages the scan skipped.
-func damageLeaves(t *testing.T, st Storage, ix *Index, perTree int) int {
+// damageLeaves corrupts the durable image of k live leaves of ix, drops the
+// tree's cached pages, and quarantines the leaves with a degraded scan. It
+// returns how many pages the scan skipped.
+func damageLeaves(t *testing.T, st Storage, ix *Index, k int) int {
 	t.Helper()
-	for i, tr := range ix.Trees() {
-		fd := FaultDisks(st)[ix.fileName(i)]
-		leaves := liveLeaves(t, fd, perTree)
-		if len(leaves) < perTree {
-			t.Fatalf("tree %d has %d live leaves, want %d", i, len(leaves), perTree)
-		}
-		for _, no := range leaves {
-			if !fd.CorruptStable(no, func(img page.Page) { img[page.HeaderSize] ^= 0xFF }) {
-				t.Fatalf("no durable image to corrupt at page %d of tree %d", no, i)
-			}
-		}
-		tr.Pool().InvalidateAll()
+	fd := FaultDisks(st)[ix.fileName()]
+	leaves := liveLeaves(t, fd, k)
+	if len(leaves) < k {
+		t.Fatalf("the tree has %d live leaves, want %d", len(leaves), k)
 	}
+	for _, no := range leaves {
+		if !fd.CorruptStable(no, func(img page.Page) { img[page.HeaderSize] ^= 0xFF }) {
+			t.Fatalf("no durable image to corrupt at page %d", no)
+		}
+	}
+	ix.Tree().Pool().InvalidateAll()
 	rep, err := ix.ScanDegraded(nil, nil, func([]byte, heap.TID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +392,7 @@ func damageLeaves(t *testing.T, st Storage, ix *Index, perTree int) int {
 }
 
 // checkReseeded asserts that the DB is Healthy, that each of the n keys
-// resolves to its tuple, and that every tree passes the strict check.
+// resolves to its tuple, and that the tree passes the strict check.
 func checkReseeded(t *testing.T, db *DB, rel *Relation, ix *Index, n int) {
 	t.Helper()
 	if got := db.Health(); got != Healthy {
@@ -420,47 +404,45 @@ func checkReseeded(t *testing.T, db *DB, rel *Relation, ix *Index, n int) {
 			t.Fatalf("key %d after reseed: %q, %v", i, data, err)
 		}
 	}
-	for s, tr := range ix.Trees() {
-		if err := tr.Check(btree.CheckStrict); err != nil {
-			t.Fatalf("tree %d Check(CheckStrict) after reseed: %v", s, err)
-		}
+	if err := ix.Tree().Check(btree.CheckStrict); err != nil {
+		t.Fatalf("Check(CheckStrict) after reseed: %v", err)
 	}
 }
 
 // TestSupervisorRebuildsFromHeap: when the index's durable source is truly
-// gone (stable corruption of several leaves in every tree), the supervisor
-// abandons the pages after rebuildAfter failed heals and re-seeds their key
-// ranges from the heap relation — the authoritative copy. Every key comes
-// back, and every tree is strict-clean.
+// gone (stable corruption of several leaves), the supervisor abandons the
+// pages after rebuildAfter failed heals and re-seeds their key ranges from
+// the heap relation — the authoritative copy. Every key comes back, and the
+// tree is strict-clean.
 func TestSupervisorRebuildsFromHeap(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			n := 1500 * shards
-			rec := obs.New(obs.DefaultRingCap)
-			db, st, rel, ix, _ := buildFaultyDB(t, rec, n, shards)
-			defer db.Close()
-			db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
+	// The subtest keeps the name it had when an index could span several
+	// trees.
+	t.Run("shards=1", func(t *testing.T) {
+		const n = 1500
+		rec := obs.New(obs.DefaultRingCap)
+		db, st, rel, ix, _ := buildFaultyDB(t, rec, n)
+		defer db.Close()
+		db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
-			damageLeaves(t, st, ix, 3)
-			if got := db.Health(); got != Degraded {
-				t.Fatalf("health = %v, want Degraded", got)
+		damageLeaves(t, st, ix, 3)
+		if got := db.Health(); got != Degraded {
+			t.Fatalf("health = %v, want Degraded", got)
+		}
+		// Attempt 1 fails (corruption persists); the next sweep crosses
+		// rebuildAfter and rebuilds from the heap.
+		deadline := time.Now().Add(10 * time.Second)
+		for db.Health() != Healthy {
+			if time.Now().After(deadline) {
+				t.Fatalf("rebuild never completed; report: %+v", db.HealthReport())
 			}
-			// Attempt 1 fails (corruption persists); the next sweep crosses
-			// rebuildAfter and rebuilds from the heap.
-			deadline := time.Now().Add(10 * time.Second)
-			for db.Health() != Healthy {
-				if time.Now().After(deadline) {
-					t.Fatalf("rebuild never completed; report: %+v", db.HealthReport())
-				}
-				time.Sleep(5 * time.Millisecond)
-				db.SuperviseOnce()
-			}
-			if rec.Get(obs.RepairRebuild) == 0 {
-				t.Fatal("repair.rebuild not counted")
-			}
-			checkReseeded(t, db, rel, ix, n)
-		})
-	}
+			time.Sleep(5 * time.Millisecond)
+			db.SuperviseOnce()
+		}
+		if rec.Get(obs.RepairRebuild) == 0 {
+			t.Fatal("repair.rebuild not counted")
+		}
+		checkReseeded(t, db, rel, ix, n)
+	})
 }
 
 // TestSupervisorWholesaleRebuild: damage to a large share of a tree — a
@@ -470,11 +452,11 @@ func TestSupervisorRebuildsFromHeap(t *testing.T) {
 func TestSupervisorWholesaleRebuild(t *testing.T) {
 	const n = 6000
 	rec := obs.New(obs.DefaultRingCap)
-	db, st, rel, ix, _ := buildFaultyDB(t, rec, n, 1)
+	db, st, rel, ix, _ := buildFaultyDB(t, rec, n)
 	defer db.Close()
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 
-	all := liveLeaves(t, FaultDisks(st)[ix.fileName(0)], 1<<20)
+	all := liveLeaves(t, FaultDisks(st)[ix.fileName()], 1<<20)
 	third := len(all) / 3
 	if third < 5 {
 		t.Fatalf("tree has %d live leaves — too few for a third to be heavy damage", len(all))
@@ -501,18 +483,17 @@ func TestSupervisorWholesaleRebuild(t *testing.T) {
 }
 
 // TestSupervisorReseedReadsHeapOnce: one sweep re-seeds every abandoned
-// range of an index — twelve leaves across four trees — from one pass over
-// the heap, so with a heap pool smaller than the heap it reads each heap
+// range of an index — twelve leaves of its tree — from one pass over the
+// heap, so with a heap pool smaller than the heap it reads each heap
 // page exactly once: 18 misses. The per-page reseed it replaced scanned the
 // heap once per abandoned page, twelve passes here, and missed the pool 168
 // times (12 x 18 pages, less those the last pass left resident).
 func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
-	const shards, perTree = 4, 3
-	const n = 1500 * shards
+	const n, damaged = 6000, 12
 	db, st, rel, ix, _ := buildFaultyDBWith(t, Config{
 		PoolSize:      8, // heap frames: fewer than the heap's pages
 		indexPoolSize: buffer.DefaultCapacity,
-	}, n, shards)
+	}, n)
 	defer db.Close()
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 	heapPages := int64(rel.h.NumPages() - 1) // page 0 is the meta page
@@ -520,8 +501,8 @@ func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
 		t.Fatalf("heap of %d pages fits its 8-frame pool — scenario is vacuous", heapPages)
 	}
 
-	if k := damageLeaves(t, st, ix, perTree); k != shards*perTree {
-		t.Fatalf("degraded scan skipped %d pages, want %d", k, shards*perTree)
+	if k := damageLeaves(t, st, ix, damaged); k != damaged {
+		t.Fatalf("degraded scan skipped %d pages, want %d", k, damaged)
 	}
 	db.SuperviseOnce() // attempt 1 heals nothing: the durable images are gone
 	if got := db.Health(); got != Degraded {
@@ -549,7 +530,7 @@ func TestSupervisorReseedReadsHeapOnce(t *testing.T) {
 // re-seeds them.
 func TestSupervisorReseedFailureKeepsTickets(t *testing.T) {
 	const n = 1500
-	db, st, rel, ix, tids := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
+	db, st, rel, ix, tids := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n)
 	defer db.Close()
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 	q := ix.Tree().Pool().Quarantine()
@@ -602,7 +583,7 @@ func TestSupervisorReseedFailureKeepsTickets(t *testing.T) {
 // version without one.
 func TestSupervisorReseedKeepsInFlightKeys(t *testing.T) {
 	const n = 1500
-	db, st, rel, ix, _ := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n, 1)
+	db, st, rel, ix, _ := buildFaultyDB(t, obs.New(obs.DefaultRingCap), n)
 	defer db.Close()
 	db.RegisterHeal(ix, rel, func(data []byte) []byte { return data })
 

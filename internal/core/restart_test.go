@@ -26,8 +26,8 @@ func (s heldStorage) open(name string) (storage.Disk, error) {
 	return storage.NewCountingDisk(d, s.c), nil
 }
 
-// loadedStore returns a cleanly closed store holding index "pk" and 4-shard
-// index "spk", n keys each.
+// loadedStore returns a cleanly closed store holding indexes "pk" and
+// "pk2", n keys each.
 func loadedStore(t *testing.T, n int) Storage {
 	t.Helper()
 	store := Memory()
@@ -45,14 +45,14 @@ func loadedStore(t *testing.T, n int) Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	six, err := db.CreateIndexN("spk", Shadow, 4)
+	ix2, err := db.CreateIndex("pk2", Shadow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.BulkLoad(keys, tids); err != nil {
 		t.Fatal(err)
 	}
-	if err := six.BulkLoad(keys, tids); err != nil {
+	if err := ix2.BulkLoad(keys, tids); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -61,12 +61,12 @@ func loadedStore(t *testing.T, n int) Storage {
 	return store
 }
 
-// TestCreateIndexReadBudget: reopening an index, single or sharded, returns
-// with every read below the meta pages still held back, after the same
-// number of device reads for 1k and 50k keys; lookups are answered once the
-// device is let go, with no recovery pass in between.
+// TestCreateIndexReadBudget: reopening an index returns with every read
+// below the meta page still held back, after the same number of device
+// reads for 1k and 50k keys; lookups are answered once the device is let go,
+// with no recovery pass in between.
 func TestCreateIndexReadBudget(t *testing.T) {
-	var single, sharded [2]int64
+	var single [2]int64
 	for i, n := range []int{1_000, 50_000} {
 		c := &storage.IOCounter{Hold: func(no storage.PageNo) bool { return no != 0 }, Release: make(chan struct{})}
 		db, err := Open(heldStorage{loadedStore(t, n), c}, Config{})
@@ -79,17 +79,9 @@ func TestCreateIndexReadBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		single[i] = c.Reads() - base
-		six, err := db.CreateIndexN("spk", Shadow, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded[i] = c.Reads() - base - single[i]
 		close(c.Release)
 		last := []byte(fmt.Sprintf("k%08d", n-1))
 		if _, err := ix.LookupTID(last); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := six.LookupTID(last); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Close(); err != nil {
@@ -99,14 +91,10 @@ func TestCreateIndexReadBudget(t *testing.T) {
 	if single[0] != single[1] || single[0] > 2 {
 		t.Fatalf("CreateIndex completed %d reads at 1k keys, %d at 50k; want equal and <= 2", single[0], single[1])
 	}
-	// One meta page per shard and the one-page shard-count file.
-	if sharded[0] != sharded[1] || sharded[0] > 4*2+1 {
-		t.Fatalf("CreateIndexN completed %d reads at 1k keys, %d at 50k; want equal and <= 9", sharded[0], sharded[1])
-	}
 }
 
 // TestCloseJoinsBoundWalks: DB.Close right after the indexes are opened on a
-// slow device, five walks in flight, returns cleanly with every one joined.
+// slow device, two walks in flight, returns cleanly with both joined.
 func TestCloseJoinsBoundWalks(t *testing.T) {
 	store := loadedStore(t, 20_000)
 	for _, d := range MemoryDisks(store) {
@@ -120,7 +108,7 @@ func TestCloseJoinsBoundWalks(t *testing.T) {
 	if _, err := db.CreateIndex("pk", Shadow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateIndexN("spk", Shadow, 4); err != nil {
+	if _, err := db.CreateIndex("pk2", Shadow); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"slices"
 	"time"
@@ -44,8 +43,7 @@ type healSource struct {
 // extracts the indexed key from tuple data (the same contract as the
 // vacuum). With a heal source registered, quarantined pages of ix whose
 // repair keeps failing are abandoned after rebuildAfter attempts and their
-// key range re-inserted from the heap. Rebuilds stay shard-correct: when shard i's page is abandoned, only heap keys that hash
-// to shard i are re-inserted.
+// key range re-inserted from the heap.
 func (db *DB) RegisterHeal(ix *Index, rel *Relation, keyOf vacuum.KeyOf) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -82,88 +80,66 @@ func (db *DB) SuperviseOnce() {
 }
 
 // superviseIndex gives every due quarantined page of ix one repair attempt.
-// The trees of the index are swept side by side: each owns its own
-// quarantine registry, so concurrent heals share no state (the same
-// independence that lets post-crash recovery parallelize). A page below
-// rebuildAfter attempts is healed from index state; one at or past it is
-// abandoned, and every abandoned range of the index is then re-seeded from
-// one heap pass. An index with nothing due is not fanned out at all.
+// A page below rebuildAfter attempts is healed from index state; one at or
+// past it is abandoned, and every abandoned range of the index is then
+// re-seeded from one heap pass.
 func (db *DB) superviseIndex(ix *Index, now time.Time) {
-	due := make([][]buffer.QuarantinedPage, len(ix.trees))
-	for i, t := range ix.trees {
-		due[i] = t.Pool().Quarantine().Due(now)
-	}
-	if !slices.ContainsFunc(due, func(es []buffer.QuarantinedPage) bool { return len(es) > 0 }) {
+	t := ix.tree
+	q := t.Pool().Quarantine()
+	due := q.Due(now)
+	if len(due) == 0 {
 		return
 	}
 	db.mu.Lock()
 	src, hasSrc := db.healSources[ix.name]
 	db.mu.Unlock()
-	abandoned := make([][]buffer.QuarantinedPage, len(ix.trees))
-	_ = ix.eachTree(func(i int, t *btree.Tree) error {
-		q := t.Pool().Quarantine()
-		for _, e := range due[i] {
-			if hasSrc && e.Attempts >= rebuildAfter {
-				if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
-					db.repairFailed(q, e, err, true)
-				} else {
-					abandoned[i] = append(abandoned[i], e)
-				}
-				continue
+	var abandoned []buffer.QuarantinedPage
+	for _, e := range due {
+		if hasSrc && e.Attempts >= rebuildAfter {
+			if err := t.AbandonQuarantined(e.PageNo, e.Lo); err != nil {
+				db.repairFailed(q, e, err, true)
+			} else {
+				abandoned = append(abandoned, e)
 			}
-			if err := t.HealQuarantined(e.PageNo, e.Lo); err != nil {
-				db.repairFailed(q, e, err, false)
-				continue
-			}
-			db.cfg.Obs.Count(obs.SupervisorRepair)
-			db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
-				"supervisor healed page after %d attempts", e.Attempts)
+			continue
 		}
-		return nil // failures are counted and retried per page
-	})
-	if slices.ContainsFunc(abandoned, func(es []buffer.QuarantinedPage) bool { return len(es) > 0 }) {
+		if err := t.HealQuarantined(e.PageNo, e.Lo); err != nil {
+			db.repairFailed(q, e, err, false)
+			continue
+		}
+		db.cfg.Obs.Count(obs.SupervisorRepair)
+		db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
+			"supervisor healed page after %d attempts", e.Attempts)
+	}
+	if len(abandoned) > 0 {
 		db.reseed(ix, src, abandoned)
 	}
 }
 
-// reseed re-inserts the keys of the abandoned pages' ranges (abandoned[i]
-// are tree i's) from the heap relation, which the no-overwrite storage
-// system keeps as the authoritative copy (§2). One heap scan collects the
-// keys inside any tree's ranges that hash to that tree; each tree then
-// re-inserts its share in key order, skipping keys already present. A range
-// the reseed did not finish gets its quarantine ticket back.
-func (db *DB) reseed(ix *Index, src healSource, abandoned [][]buffer.QuarantinedPage) {
-	ranges := make([]keyRanges, len(ix.trees))
-	for i, es := range abandoned {
-		ranges[i] = mergeRanges(es)
-	}
-	items, err := db.collectHeapItems(src.rel, src.keyOf, func(key []byte) bool {
-		return ranges[ix.shardOf(key)].contain(key)
-	})
-	// stopped[i] is the key tree i's reseed failed at: every range below it
-	// is back. A nil stopped[i] with errs[i] set means none is.
-	stopped := make([][]byte, len(ix.trees))
-	errs := make([]error, len(ix.trees))
+// reseed re-inserts the keys of the abandoned pages' ranges from the heap
+// relation, which the no-overwrite storage system keeps as the
+// authoritative copy (§2). One heap scan collects the keys inside any of
+// the ranges; the tree then re-inserts them in key order, skipping keys
+// already present. A range the reseed did not finish gets its quarantine
+// ticket back.
+func (db *DB) reseed(ix *Index, src healSource, abandoned []buffer.QuarantinedPage) {
+	ranges := mergeRanges(abandoned)
+	items, err := db.collectHeapItems(src.rel, src.keyOf, ranges.contain)
+	// stopped is the key the reinsert failed at: every range below it is
+	// back. A nil stopped with err set means none is.
+	var stopped []byte
 	if err == nil {
-		parts := ix.partition(items)
-		_ = ix.eachTree(func(i int, t *btree.Tree) error {
-			if len(abandoned[i]) > 0 {
-				stopped[i], errs[i] = reinsert(t, parts[i])
-			}
-			return nil
-		})
+		stopped, err = reinsert(ix.tree, items)
 	}
-	for i, es := range abandoned {
-		q, failed := ix.trees[i].Pool().Quarantine(), cmp.Or(err, errs[i])
-		for _, e := range es {
-			if failed != nil && (stopped[i] == nil || e.Hi == nil || bytes.Compare(e.Hi, stopped[i]) > 0) {
-				db.repairFailed(q, e, failed, true)
-				continue
-			}
-			db.cfg.Obs.Count(obs.SupervisorRepair)
-			db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
-				"supervisor rebuilt page from heap after %d attempts", e.Attempts)
+	q := ix.tree.Pool().Quarantine()
+	for _, e := range abandoned {
+		if err != nil && (stopped == nil || e.Hi == nil || bytes.Compare(e.Hi, stopped) > 0) {
+			db.repairFailed(q, e, err, true)
+			continue
 		}
+		db.cfg.Obs.Count(obs.SupervisorRepair)
+		db.cfg.Obs.Eventf(obs.SupervisorRepair, e.PageNo,
+			"supervisor rebuilt page from heap after %d attempts", e.Attempts)
 	}
 }
 

@@ -70,6 +70,12 @@ const tupleHeaderSize = 16
 // ErrNoSuchTuple is returned for TIDs that name no tuple.
 var ErrNoSuchTuple = errors.New("heap: no such tuple")
 
+// ErrAlreadyDeleted is returned by Delete and Update for a version whose
+// xmax names a transaction that is live or committed: another transaction
+// deleted it first. The error reads "heap: tuple <tid> already deleted by
+// txn <xid>".
+var ErrAlreadyDeleted = errors.New("already deleted")
+
 // StatusChecker reports whether a transaction is known committed. The
 // transaction manager implements it; tests may substitute fakes.
 type StatusChecker interface {
@@ -244,7 +250,7 @@ func (r *Relation) Delete(tid TID, xid XID, status TxnStatus) error {
 		return err
 	}
 	if old := getXID(item[8:]); old != 0 && !status.Aborted(old) {
-		return fmt.Errorf("heap: tuple %v already deleted by txn %d", tid, old)
+		return fmt.Errorf("heap: tuple %v %w by txn %d", tid, ErrAlreadyDeleted, old)
 	}
 	putXID(item[8:], xid)
 	f.MarkDirty()

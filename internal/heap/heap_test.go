@@ -166,6 +166,30 @@ func TestDeleteReplacesAbortedXmax(t *testing.T) {
 	}
 }
 
+// TestAlreadyDeletedIsTyped: a delete or update of a version another live or
+// committed transaction deleted first fails with ErrAlreadyDeleted, and the
+// message names the tuple and that transaction.
+func TestAlreadyDeletedIsTyped(t *testing.T) {
+	r, _ := newRel(t)
+	status := liveStatus{fakeStatus{5: true}, 6}
+	tid, err := r.Insert(5, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(tid, 6, status); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("heap: tuple %v already deleted by txn 6", tid)
+	err = r.Delete(tid, 7, status)
+	if !errors.Is(err, ErrAlreadyDeleted) || err.Error() != want {
+		t.Fatalf("Delete of a live txn's deletion: %v, want ErrAlreadyDeleted reading %q", err, want)
+	}
+	status.live, status.fakeStatus[6] = 0, true
+	if _, err := r.Update(tid, 8, []byte("y"), status); !errors.Is(err, ErrAlreadyDeleted) || err.Error() != want {
+		t.Fatalf("Update of a committed deletion: %v, want ErrAlreadyDeleted reading %q", err, want)
+	}
+}
+
 func TestUpdateCreatesNewVersion(t *testing.T) {
 	r, _ := newRel(t)
 	status := fakeStatus{5: true, 6: true}

@@ -95,10 +95,6 @@ const (
 	CommitOverlap  // a batch began its force while an earlier batch's status append was pending
 	FlushDaemon    // background checkpoint pass flushed the DB's dirty pages
 
-	// An index of several trees (core.Index).
-	ShardRecover // one shard finished its post-crash recovery sweep (Index.Recover)
-	ShardScan    // one cross-shard merged range scan (Index.Scan/ScanDegraded)
-
 	// Hot-path pass: 2Q eviction segments and the batched write API.
 	EvictPromote // probationary frame promoted to the protected segment
 	EvictDemote  // protected frame demoted back to probationary
@@ -175,8 +171,6 @@ var metricNames = [numMetrics]string{
 	CommitTwoPhase:    "commit.status.twophase",
 	CommitOverlap:     "commit.overlap",
 	FlushDaemon:       "flush.daemon",
-	ShardRecover:      "shard.recover",
-	ShardScan:         "shard.scan",
 	EvictPromote:      "pool.evict.promote",
 	EvictDemote:       "pool.evict.demote",
 	BatchPut:          "batch.put",

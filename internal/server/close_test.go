@@ -37,10 +37,8 @@ func TestCloseJoinsEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tr := range srv.kv.idx.Trees() {
-			if err := tr.AwaitBound(); err != nil {
-				t.Fatal(err)
-			}
+		if err := srv.kv.idx.Tree().AwaitBound(); err != nil {
+			t.Fatal(err)
 		}
 		return srv
 	}

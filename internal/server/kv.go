@@ -499,11 +499,3 @@ func hasInRangePrefix(e, lo, hi []byte) bool {
 	}
 	return false
 }
-
-// shardStats is the per-shard breakdown STATS serves, nil over one tree.
-func (kv *KV) shardStats() []core.ShardStat {
-	if kv.idx.Shards() <= 1 {
-		return nil
-	}
-	return kv.idx.ShardStats()
-}

@@ -135,10 +135,11 @@ func TestServerMputRepeatedKey(t *testing.T) {
 	one("m", "y")
 }
 
-// TestServerMputLargeBatchSharded drives a large MPUT through the sharded
-// index: pairs fan out across shards and apply in parallel.
+// TestServerMputLargeBatchSharded drives a 200-pair MPUT through the
+// primary index's batched insert: every pair reads back, and a SCAN sees
+// them all.
 func TestServerMputLargeBatchSharded(t *testing.T) {
-	db, srv, _ := openServer(t, core.Memory(), 0, Options{Shards: 4})
+	db, srv, _ := openServer(t, core.Memory(), 0, Options{})
 	defer db.Close()
 	cl := dial(t, srv)
 

@@ -51,10 +51,6 @@ type Options struct {
 	// Normal, means Shadow: the unprotected B-link tree is the Table 1
 	// baseline and is never served.
 	Variant core.Variant
-	// Shards partitions the primary index across this many independent
-	// B-link trees (hash-routed, merged scans, parallel recovery). 0 or 1
-	// is one tree.
-	Shards int
 	// DrainTimeout bounds how long Close waits for in-flight sessions to
 	// finish their current command (default 5s).
 	DrainTimeout time.Duration
@@ -89,7 +85,7 @@ func New(db *core.DB, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := db.CreateIndexN("kv_pk", opts.Variant, opts.Shards)
+	idx, err := db.CreateIndex("kv_pk", opts.Variant)
 	if err != nil {
 		return nil, err
 	}

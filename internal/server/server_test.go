@@ -2,9 +2,12 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/page"
 	"repro/internal/storage"
 )
 
@@ -111,10 +115,8 @@ func openServer(t testing.TB, store core.Storage, pool int, opts Options) (*core
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range srv.kv.idx.Trees() {
-		if err := tr.AwaitBound(); err != nil {
-			t.Fatal(err)
-		}
+	if err := srv.kv.idx.Tree().AwaitBound(); err != nil {
+		t.Fatal(err)
 	}
 	return db, srv, rec
 }
@@ -220,7 +222,7 @@ func TestServerSmoke(t *testing.T) {
 }
 
 // TestJoinedErrorIsOneLine: an error that spans lines — errors.Join puts a
-// newline between the errors it joins, as a failure in two shards does — is
+// newline between the errors it joins — is
 // one ERR line on the wire. Written as two, it would leave every later reply
 // on the connection answering the request before it.
 func TestJoinedErrorIsOneLine(t *testing.T) {
@@ -231,7 +233,7 @@ func TestJoinedErrorIsOneLine(t *testing.T) {
 	ss := newSession(srv, peer)
 	go func() {
 		defer peer.Close()
-		ss.fail(errors.Join(errors.New("shard 0: boom"), errors.New("shard 1: boom\r")))
+		ss.fail(errors.Join(errors.New("heap: boom"), errors.New("index: boom\r")))
 		ss.dispatch("GET k")
 		ss.w.Flush()
 	}()
@@ -240,9 +242,9 @@ func TestJoinedErrorIsOneLine(t *testing.T) {
 	for sc.Scan() {
 		lines = append(lines, sc.Text())
 	}
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ERR server shard 0: boom") ||
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "ERR server heap: boom") ||
 		strings.Contains(lines[0], "\r") || lines[1] != "NOTFOUND" {
-		t.Fatalf("replies %q; want one ERR line naming both shards, then NOTFOUND", lines)
+		t.Fatalf("replies %q; want one ERR line naming both errors, then NOTFOUND", lines)
 	}
 }
 
@@ -733,21 +735,19 @@ func TestServerSweepHealsQuarantinedHeapPage(t *testing.T) {
 	}
 }
 
-// TestServerShardedSmokeAndCrashRecover runs the protocol against a
-// multi-shard primary index of every served variant: writes hash across
-// shards, SCAN merges the per-shard streams in key order, STATS exposes the
-// per-shard breakdown plus the commit counters, and a crash + restart
-// recovers every shard.
+// TestServerShardedSmokeAndCrashRecover runs the protocol against the
+// primary index of every served variant: SCAN yields the keys in key order,
+// whole and bounded, STATS carries the cache and commit counters and no
+// shard lines, and a crash + restart recovers the tree.
 func TestServerShardedSmokeAndCrashRecover(t *testing.T) {
 	for _, v := range servedVariants {
-		t.Run(v.String(), func(t *testing.T) { shardedSmokeAndCrashRecover(t, v) })
+		t.Run(v.String(), func(t *testing.T) { smokeAndCrashRecover(t, v) })
 	}
 }
 
-func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
-	const nShards = 4
+func smokeAndCrashRecover(t *testing.T, v core.Variant) {
 	store := core.Memory()
-	_, srv, _ := openServer(t, store, 0, Options{Variant: v, Shards: nShards})
+	_, srv, _ := openServer(t, store, 0, Options{Variant: v})
 
 	cl := dial(t, srv)
 	const n = 60
@@ -757,31 +757,30 @@ func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
 	for i := 0; i < n; i++ {
 		cl.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
 	}
-	// Merged scan across shards: full range, in key order.
 	rows, final := cl.scan(fmt.Sprintf("SCAN - - %d", n))
 	if final != fmt.Sprintf("OK %d", n) {
-		t.Fatalf("sharded SCAN: final=%q rows=%d", final, len(rows))
+		t.Fatalf("SCAN: final=%q rows=%d", final, len(rows))
 	}
 	for i, r := range rows {
 		if want := fmt.Sprintf("key-%03d val-%d", i, i); r != want {
-			t.Fatalf("sharded SCAN row %d = %q, want %q", i, r, want)
+			t.Fatalf("SCAN row %d = %q, want %q", i, r, want)
 		}
 	}
-	// Bounded scan spanning shard boundaries.
 	rows, final = cl.scan("SCAN key-010 key-015")
 	if final != "OK 5" || rows[0] != "key-010 val-10" {
-		t.Fatalf("bounded sharded SCAN: rows=%v final=%q", rows, final)
+		t.Fatalf("bounded SCAN: rows=%v final=%q", rows, final)
 	}
 
-	// STATS: per-shard breakdown and the commit batching counters.
 	stats := cl.expectPrefix("STATS", "OK {")
 	for _, field := range []string{
-		`"shards":4`, `"shard_stats":[`, `"commit_sync_skipped":`,
-		`"cache_hits":`, `"cache_misses":`, `"commit_batches":`,
+		`"commit_sync_skipped":`, `"cache_hits":`, `"cache_misses":`, `"commit_batches":`,
 	} {
 		if !strings.Contains(stats, field) {
-			t.Fatalf("sharded STATS missing %s: %q", field, stats)
+			t.Fatalf("STATS missing %s: %q", field, stats)
 		}
+	}
+	if strings.Contains(stats, `"shard`) {
+		t.Fatalf("STATS has a shard line: %q", stats)
 	}
 
 	// A transaction in flight when the machine dies.
@@ -794,10 +793,8 @@ func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
 		}
 	}
 
-	// Restart against the same files: the shard count is persisted, so
-	// Options{Shards: nShards} reopens the same layout; recovery is just
-	// reopening + serving.
-	db2, srv2, _ := openServer(t, store, 0, Options{Variant: v, Shards: nShards})
+	// Restart against the same files: recovery is just reopening + serving.
+	db2, srv2, _ := openServer(t, store, 0, Options{Variant: v})
 	defer db2.Close()
 	cl2 := dial(t, srv2)
 	for i := 0; i < n; i++ {
@@ -806,7 +803,7 @@ func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
 	cl2.expect("GET phantom", "NOTFOUND")
 	rows, final = cl2.scan(fmt.Sprintf("SCAN - - %d", n))
 	if final != fmt.Sprintf("OK %d", n) {
-		t.Fatalf("post-crash sharded SCAN: final=%q rows=%d", final, len(rows))
+		t.Fatalf("post-crash SCAN: final=%q rows=%d", final, len(rows))
 	}
 
 	cl2.expect("QUIT", "OK bye")
@@ -815,51 +812,80 @@ func shardedSmokeAndCrashRecover(t *testing.T, v core.Variant) {
 	}
 }
 
-// TestServerShardMismatchRefused: restarting a store with a shard count other
-// than the one it was loaded under is refused, in the two directions a count
-// file alone does not catch — the flag's default of one tree over a 4-shard
-// store, and 4 shards over a one-tree store — instead of serving a new, empty
-// index; the right count then serves every key.
-func TestServerShardMismatchRefused(t *testing.T) {
-	for _, tc := range []struct {
-		name            string
-		loaded, restart int
-	}{
-		{"one over four", 4, 0},
-		{"four over one", 0, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := core.Memory()
-			db, srv, _ := openServer(t, store, 0, Options{Shards: tc.loaded})
-			cl := dial(t, srv)
-			for i := 0; i < 20; i++ {
-				cl.expect(fmt.Sprintf("PUT key-%03d val-%d", i, i), "OK")
-			}
-			cl.expect("QUIT", "OK bye")
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			db2, err := core.Open(store, core.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := New(db2, Options{Shards: tc.restart}); !errors.Is(err, core.ErrShardMismatch) {
-				t.Fatalf("loaded with Shards=%d, restarted with %d: %v, want ErrShardMismatch", tc.loaded, tc.restart, err)
-			}
-			if err := db2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db3, srv3, _ := openServer(t, store, 0, Options{Shards: tc.loaded})
-			defer db3.Close()
-			cl2 := dial(t, srv3)
-			for i := 0; i < 20; i++ {
-				cl2.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
-			}
-			cl2.expect("QUIT", "OK bye")
-		})
+// stageShardCount writes dir's idx_kv_pk.shards holding n, as a build whose
+// primary index could span several hash-routed trees left it.
+func stageShardCount(t *testing.T, dir string, n int) {
+	t.Helper()
+	d, err := storage.OpenFileDisk(filepath.Join(dir, "idx_kv_pk.shards.pg"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d.Close()
+	buf := page.New()
+	buf.Init(page.TypeMeta, 0)
+	binary.BigEndian.PutUint32(buf[page.HeaderSize:], 0x53484152) // "SHAR"
+	binary.BigEndian.PutUint32(buf[page.HeaderSize+4:], uint32(n))
+	if err := d.WritePage(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerShardMismatchRefused: a store holding a shard count for the
+// primary index is refused by New with ErrShardMismatch instead of served
+// as a new, empty index. One tree over what a four-tree index left (its
+// count file) creates no tree file; a count of four staged beside a loaded
+// one-tree store is refused too, and the refused open leaves the store as it
+// was: without the count file it serves every key.
+func TestServerShardMismatchRefused(t *testing.T) {
+	refused := func(t *testing.T, store core.Storage) {
+		t.Helper()
+		db, err := core.Open(store, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if srv, err := New(db, Options{}); !errors.Is(err, core.ErrShardMismatch) || srv != nil {
+			t.Fatalf("New over a count of 4: %v, %v; want ErrShardMismatch and no server", srv, err)
+		}
+	}
+	t.Run("one over four", func(t *testing.T) {
+		dir := t.TempDir()
+		stageShardCount(t, dir, 4)
+		refused(t, core.Dir(dir))
+		if _, err := os.Stat(filepath.Join(dir, "idx_kv_pk.pg")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("the refused New left idx_kv_pk.pg: %v", err)
+		}
+	})
+	t.Run("four over one", func(t *testing.T) {
+		dir := t.TempDir()
+		store := core.Dir(dir)
+		db, srv, _ := openServer(t, store, 0, Options{})
+		cl := dial(t, srv)
+		for i := 0; i < 20; i++ {
+			cl.expect(fmt.Sprintf("PUT key-%03d val-%d", i, i), "OK")
+		}
+		cl.expect("QUIT", "OK bye")
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		stageShardCount(t, dir, 4)
+		refused(t, store)
+		if err := os.Remove(filepath.Join(dir, "idx_kv_pk.shards.pg")); err != nil {
+			t.Fatal(err)
+		}
+		db3, srv3, _ := openServer(t, store, 0, Options{})
+		defer db3.Close()
+		cl2 := dial(t, srv3)
+		for i := 0; i < 20; i++ {
+			cl2.expect(fmt.Sprintf("GET key-%03d", i), fmt.Sprintf("OK val-%d", i))
+		}
+		cl2.expect("QUIT", "OK bye")
+	})
 }

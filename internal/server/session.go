@@ -383,10 +383,6 @@ func (ss *session) cmdStats() {
 		"hints_dropped": snap.Counters["hint.dropped"],
 		"hints_wasted":  snap.Counters["hint.wasted"],
 	}
-	if st := ss.srv.kv.shardStats(); st != nil {
-		stats["shards"] = len(st)
-		stats["shard_stats"] = st
-	}
 	b, err := json.Marshal(stats)
 	if err != nil {
 		ss.fail(err)

@@ -628,8 +628,8 @@ func (r *rendezvousSyncer) Sync() error {
 }
 
 // TestBatchForceFansOut proves the Step-1 force of a batch spanning
-// several sync domains (distinct Syncers — with a sharded index, the
-// shards a transaction's writes hashed to) overlaps the domains' device
+// several sync domains (distinct Syncers — a relation and its index, say)
+// overlaps the domains' device
 // syncs instead of serializing them, counts commit.fanout, and still ends
 // in one ordinary status append.
 func TestBatchForceFansOut(t *testing.T) {

@@ -284,8 +284,8 @@ func (m *Manager) forceBatch(batch []*commitReq) []*commitReq {
 	// it — legal because the §2 sync is unordered and covers every dirty page
 	// regardless of owner. The distinct Syncers are collected first, then
 	// forced in parallel goroutines: nothing orders one object's unordered
-	// sync against another's, and with sharded indexes a batch routinely
-	// spans several independent sync domains whose device flushes overlap.
+	// sync against another's, and a batch that wrote a relation and its
+	// index spans two independent sync domains whose device flushes overlap.
 	forced := make(map[Syncer]error)
 	var distinct []Syncer
 	for _, r := range batch {

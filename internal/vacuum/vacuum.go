@@ -130,14 +130,6 @@ type HeapStats struct {
 // because the schema lives above this layer.
 type KeyOf func(data []byte) []byte
 
-// KeyIndex is what Heap needs of the index over the relation: a tree, or an
-// adapter that sends each key to the tree of a sharded index that owns it.
-type KeyIndex interface {
-	Lookup(key []byte) ([]byte, error)
-	Delete(key []byte) error
-	Sync() error
-}
-
 // Heap sweeps a relation, marks versions that can never be seen again
 // (creator aborted, or deleter committed and older than oldestActive) and
 // removes the index entries pointing at them. This is the deferred
@@ -148,7 +140,7 @@ type KeyIndex interface {
 func Heap(rel *heap.Relation, status interface {
 	heap.StatusChecker
 	heap.TxnStatus
-}, oldestActive heap.XID, idx KeyIndex, keyOf KeyOf) (HeapStats, error) {
+}, oldestActive heap.XID, idx *btree.Tree, keyOf KeyOf) (HeapStats, error) {
 	var st HeapStats
 	type deadTuple struct {
 		tid  heap.TID
